@@ -25,10 +25,6 @@ class NotInvertibleError(HypersymError):
     """Division by a zero divisor of the algebraic tower."""
 
 
-class NotPolynomialError(HypersymError):
-    """coefficient_of target occurs in a denominator or symbol argument."""
-
-
 class CyclicBindingError(HypersymError):
     """Substitution bindings form a cycle across distinct names."""
 

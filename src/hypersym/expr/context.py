@@ -89,11 +89,9 @@ class Context:
         # lazy caches, filled by the normal-form layer
         self._deriv_nf: Dict[str, object] = {}
         self._reduction: Dict[Tuple[int, int], object] = {}
-        self._minpoly_nf: Dict[str, object] = {}
         self._factor_intern: Dict[tuple, object] = {}
         self.den_atoms: List[object] = []
         self._bind_cache: Dict[tuple, "Context"] = {}
-        self._misc: Dict[object, object] = {}
 
     # -- construction ------------------------------------------------------
 

@@ -39,10 +39,6 @@ def nf_const(ctx: Context, q) -> NF:
     return {} if rf.is_zero() else {0: rf}
 
 
-def nf_from_rf(ctx: Context, rf: RatFunc) -> NF:
-    return {} if rf.is_zero() else {0: rf}
-
-
 def nf_base(ctx: Context, name: str) -> NF:
     v = ctx.base(name)
     mono = ctx.layout.unit(v.index)

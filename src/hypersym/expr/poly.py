@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SizeLimitError
@@ -26,7 +27,7 @@ FIELD_TOP = 1 << (FIELD_BITS - 1)
 class Layout:
     """Packing geometry for a fixed list of variables."""
 
-    __slots__ = ("nvars", "total_shift", "borrow_mask", "_units")
+    __slots__ = ("nvars", "total_shift", "borrow_mask", "_units", "_ones")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -37,6 +38,7 @@ class Layout:
         self.borrow_mask = mask
         self._units = [(1 << (FIELD_BITS * i)) | (1 << self.total_shift)
                        for i in range(nvars)]
+        self._ones = sum(1 << (FIELD_BITS * i) for i in range(nvars))
 
     def pack(self, exps: Sequence[int]) -> int:
         mono = 0
@@ -79,14 +81,30 @@ class Layout:
         d = b - a
         return d >= 0 and not (d & self.borrow_mask)
 
+    def field_mask(self, indices: Iterable[int]) -> int:
+        """Mask selecting the exponent fields of the given variables."""
+        mask = 0
+        for i in indices:
+            mask |= FIELD_MASK << (FIELD_BITS * i)
+        return mask
+
+    def restrict(self, mono: int, mask: int) -> int:
+        """The factor of mono in the variables whose fields mask selects.
+
+        The total degree is the sum of the kept fields.  Multiplying by
+        sum(2**(16*i)) puts the prefix sums of the fields into the fields of
+        the product; the top variable's field holds the whole sum, and no
+        prefix sum carries, since it is at most the monomial's total degree,
+        which pack and mono_mul keep below 2**15.
+        """
+        m = mono & mask
+        total = ((m * self._ones) >> (self.total_shift - FIELD_BITS)) & FIELD_MASK
+        return m | (total << self.total_shift)
+
     def mono_vars(self, mono: int):
         for i in range(self.nvars):
             if (mono >> (FIELD_BITS * i)) & FIELD_MASK:
                 yield i
-
-
-def pzero() -> Poly:
-    return {}
 
 
 def pconst(c: int) -> Poly:
@@ -284,38 +302,87 @@ def pvars(a: Poly, layout: Layout) -> set:
 
 
 def pdiv_exact(a: Poly, b: Poly, layout: Layout) -> Optional[Poly]:
-    """Exact quotient a/b over the integers, or None when it does not divide.
+    """Exact quotient a/b in Z[x], or None when b does not divide a there.
 
-    Standard leading-term elimination in graded-lex order.  When a = q*b the
-    running remainder is q_tail*b at every step, so each leading coefficient
-    is divisible exactly when the division succeeds at all.
+    The quotient is unique when it exists, so the answer does not depend on
+    how it is found; its terms are returned in descending graded-lex order.
+    Most calls fail (rf_make tries every denominator factor after every
+    operation), so failure is made cheap before any elimination:
+
+    - A single-term divisor takes one pass over a: every monomial must be
+      divisible by it (no borrow in the packed difference) and every
+      coefficient by its coefficient.
+    - Trailing terms.  Graded-lex is a monomial order, so the smallest terms
+      multiply: tt(a) = tt(q) * tt(b).  Both the monomial and the
+      coefficient of tt(b) must divide those of tt(a).
+    - Evaluation at (2, ..., 2), where p(2, ..., 2) = sum of c * 2**deg(m).
+      Evaluation is a ring map Z[x] -> Z, so a = q*b gives
+      a(2..2) = q(2..2) * b(2..2): b(2..2) must divide a(2..2), and when
+      b(2..2) = 0, a(2..2) must be 0 as well.
+
+    What remains is leading-term elimination in graded-lex order.  When
+    a = q*b the running remainder is q_tail*b at every step, so each leading
+    coefficient is divisible exactly when the division succeeds at all, and
+    each quotient monomial is at least tt(a)/tt(b), which stops a failing
+    elimination early.  The remainder's monomials sit in a max-heap with
+    lazy deletion, so no step rescans the remainder (Monagan & Pearce,
+    "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
+    borrow = layout.borrow_mask
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        quot: Poly = {}
+        for m, c in a.items():
+            d = m - mb
+            if d < 0 or d & borrow or c % cb:
+                return None
+            quot[d] = c // cb
+        return dict(sorted(quot.items(), reverse=True))
+    ta = min(a)
+    tb = min(b)
+    dmin = ta - tb
+    if dmin < 0 or dmin & borrow or a[ta] % b[tb]:
+        return None
+    shift = layout.total_shift
+    b2 = sum([c << (m >> shift) for m, c in b.items()])
+    a2 = sum([c << (m >> shift) for m, c in a.items()])
+    if a2 % b2 if b2 else a2:
+        return None
     mb = max(b)
     cb = b[mb]
+    tail = [(m - mb, c) for m, c in b.items() if m != mb]
     rem = dict(a)
-    quot: Poly = {}
-    borrow = layout.borrow_mask
+    heap = [-m for m in rem]
+    heapify(heap)
+    quot = {}
     while rem:
-        ma = max(rem)
-        ca = rem[ma]
+        ma = -heappop(heap)
+        ca = rem.pop(ma, 0)
+        if not ca:
+            continue  # stale entry: the term cancelled after it was pushed
         d = ma - mb
-        if d < 0 or (d & borrow):
+        if d < dmin or d & borrow:
             return None
         q, r = divmod(ca, cb)
         if r:
             return None
         quot[d] = q
-        for m, c in b.items():
-            mm = m + d
-            v = rem.get(mm, 0) - c * q
-            if v:
-                rem[mm] = v
+        for m, c in tail:
+            mm = ma + m
+            v = rem.get(mm)
+            if v is None:
+                rem[mm] = -c * q
+                heappush(heap, -mm)
             else:
-                del rem[mm]
+                v -= c * q
+                if v:
+                    rem[mm] = v
+                else:
+                    del rem[mm]
     return quot
 
 

@@ -8,6 +8,18 @@ factors, so no multivariate gcd is ever needed: every denominator enters the
 system through rf_inverse, which interns its factors, and later cancellations
 only ever have to recognize those same factors.
 
+rf_make keeps the form canonical by trial division: after every operation
+it divides the numerator by each denominator factor for as long as the
+division is exact.  Interned factors are not known to be irreducible, so no
+trial can be skipped as one that must fail; every factor is tried, and most
+trials fail.  poly.pdiv_exact makes a failing trial cheap with two necessary
+conditions checked before any elimination.  Graded-lex is a monomial order,
+so the trailing terms of a product multiply, and the divisor's trailing term
+must divide the numerator's.  Evaluation at (2, ..., 2) is a ring map
+Z[x] -> Z, so the divisor's value there must divide the numerator's.  A
+trial that these checks reject is one that elimination rejects too, so the
+canonical form does not depend on them.
+
 Zero testing is exact regardless of whether a cancellation opportunity was
 missed: the numerator polynomial is zero iff the function is zero.
 """

@@ -337,24 +337,6 @@ def d_y(e: Expr, eq: HyperbolicEq) -> Expr:
     return _engine(eq).d_y(e)
 
 
-def d_x_n(e: Expr, eq: HyperbolicEq, n: int) -> Expr:
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
-    eng = _engine(eq)
-    for _ in range(n):
-        e = eng.d_x(e)
-    return e
-
-
-def d_y_n(e: Expr, eq: HyperbolicEq, n: int) -> Expr:
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
-    eng = _engine(eq)
-    for _ in range(n):
-        e = eng.d_y(e)
-    return e
-
-
 def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:
     """Exchange the roles of x and y: u_k <-> v_k, each symbol replaced by
     its registered mirror.  Raises when a name has no mirror."""

@@ -20,23 +20,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
 from .expr import normal as N
-from .expr import poly as _poly_mod  # noqa: F401  (re-exported for tests)
 from .expr import tree
-from .expr.context import AUX, PARAM, TSYM, XJET, YJET, Context, std_context
+from .expr.context import PARAM, TSYM, XJET, YJET, Context, std_context
 from .expr.parser import print_expr
 from .expr.poly import (
+    Layout,
     Poly,
     padd_inplace,
     pmul,
     pscale,
-    psorted,
 )
 from .expr.ratfunc import RatFunc, rf_from_poly
 from .expr.tree import Expr, Name
@@ -132,19 +131,11 @@ def _clear_denominators(ctx: Context, R: N.NF) -> Tuple[Dict[int, Poly], RatFunc
     return cleared, den
 
 
-def _mono_split(ctx: Context, mono: int) -> Tuple[int, int]:
-    """Split a packed base monomial into (jet part, coefficient part)."""
-    exps = ctx.layout.unpack(mono)
-    jet = [0] * len(exps)
-    rest = [0] * len(exps)
-    for i, e in enumerate(exps):
-        if not e:
-            continue
-        if ctx.base_vars[i].kind in (XJET, YJET):
-            jet[i] = e
-        else:
-            rest[i] = e
-    return ctx.layout.pack(jet), ctx.layout.pack(rest)
+def _mono_split(layout: Layout, mono: int, mask: int) -> Tuple[int, int]:
+    """Split a packed base monomial into its factors in the variables that
+    mask selects and in the others."""
+    part = layout.restrict(mono, mask)
+    return part, mono - part
 
 
 def _mono_text(ctx: Context, mono: int, layout, names: Sequence[str]) -> str:
@@ -175,10 +166,13 @@ def jet_coefficients(ctx: Context, R: N.NF) -> Tuple[List[Tuple[str, Expr]], Opt
     if not R:
         return [], None
     cleared, den = _clear_denominators(ctx, R)
+    layout = ctx.layout
+    jet_mask = layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
     groups: Dict[int, Dict[int, Poly]] = {}
     for alg_mono, p in cleared.items():
         for mono, c in p.items():
-            jet, rest = _mono_split(ctx, mono)
+            jet, rest = _mono_split(layout, mono, jet_mask)
             bucket = groups.setdefault(jet, {})
             q = bucket.get(alg_mono)
             if q is None:
@@ -194,7 +188,7 @@ def jet_coefficients(ctx: Context, R: N.NF) -> Tuple[List[Tuple[str, Expr]], Opt
                 coeff_nf[alg_mono] = rf_from_poly(ctx, p)
         if not coeff_nf:
             continue
-        out.append((_mono_text(ctx, jet, ctx.layout, _base_names(ctx)),
+        out.append((_mono_text(ctx, jet, layout, _base_names(ctx)),
                     N.nf_to_expr(ctx, coeff_nf)))
     den_expr: Optional[Expr] = None
     if den.den_scalar != 1 or den.den_factors:
@@ -440,17 +434,14 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
     if not R:
         return []
     cleared, _den = _clear_denominators(ctx, R)
-    param_idx = {i for i, v in enumerate(ctx.base_vars) if v.kind == PARAM}
     layout = ctx.layout
+    param_mask = layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind == PARAM)
     groups: Dict[Tuple[int, int], Poly] = {}
     for alg_mono, p in cleared.items():
         for mono, c in p.items():
-            exps = layout.unpack(mono)
-            par = [e if i in param_idx else 0 for i, e in enumerate(exps)]
-            rest = [e if i not in param_idx else 0 for i, e in enumerate(exps)]
-            key = (alg_mono, layout.pack(rest))
-            bucket = groups.setdefault(key, {})
-            pm = layout.pack(par)
+            pm, rest = _mono_split(layout, mono, param_mask)
+            bucket = groups.setdefault((alg_mono, rest), {})
             bucket[pm] = bucket.get(pm, 0) + c
     out: List[Tuple[str, Expr]] = []
     for alg_mono, rest in sorted(groups, key=lambda k: (k[1], k[0]),

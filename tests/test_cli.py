@@ -1,11 +1,18 @@
 """Command-line front end: subcommands, exit codes, structured output
 round-trips, environment catalog paths, and determinism."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import hypersym
 from hypersym import cli, verify
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -227,3 +234,24 @@ def test_unknown_command_is_usage_error(capsys):
         cli.main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("hyp, ev", [("S1", "ev12"), ("S4", "ev17"),
+                                     ("hyp4", "ev10")])
+def test_verify_nonzero_structured_output_is_pinned(hyp, ev):
+    """A nonzero report, run cold in its own process, matches the captured
+    text line for line: cancellation, localization into jet coefficients
+    and the cleared denominator all show in it.  hyp4 ev10 puts exp(u) and
+    parameters into the coefficients, apart from the jet monomials."""
+    env = dict(os.environ)
+    env.pop(cli.ENV_CATALOG, None)
+    src = str(Path(hypersym.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersym.cli", "--format", "structured",
+         "verify", hyp, ev],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    expected = (DATA / f"verify_{hyp}_{ev}.structured").read_text()
+    assert proc.stdout.splitlines() == expected.splitlines()

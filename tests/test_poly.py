@@ -73,6 +73,16 @@ def test_mono_mul_and_divides():
     assert list(LAYOUT.mono_vars(a)) == [0, 1, 3]
 
 
+def test_restrict_matches_unpack_and_pack():
+    rng = random.Random(17)
+    for _ in range(200):
+        exps = [rng.choice([0, 1, 3, rng.randint(0, 4000)]) for _ in range(NVARS)]
+        keep = [i for i in range(NVARS) if rng.random() < 0.5]
+        part = LAYOUT.restrict(LAYOUT.pack(exps), LAYOUT.field_mask(keep))
+        assert part == LAYOUT.pack([e if i in keep else 0
+                                    for i, e in enumerate(exps)])
+
+
 def test_add_sub_neg_match_reference():
     rng = random.Random(2)
     for _ in range(50):
@@ -201,3 +211,184 @@ def test_eval_and_ordering_helpers():
     keys = [m for m, _ in P.psorted(a)]
     assert keys == sorted(a, reverse=True)
     assert P.pvars(a, LAYOUT) == {i for m in a for i in LAYOUT.mono_vars(m)}
+
+
+# -- exact division against the schoolbook reference ----------------------
+
+def ref_div_exact(a, b):
+    """Schoolbook exact division: eliminate the leading term of the
+    remainder, found by a max() scan, until it is empty or a step fails."""
+    mb = max(b)
+    cb = b[mb]
+    rem = dict(a)
+    quot = {}
+    while rem:
+        ma = max(rem)
+        d = ma - mb
+        if d < 0 or d & LAYOUT.borrow_mask:
+            return None
+        q, r = divmod(rem[ma], cb)
+        if r:
+            return None
+        quot[d] = q
+        for m, c in b.items():
+            v = rem.get(m + d, 0) - c * q
+            if v:
+                rem[m + d] = v
+            else:
+                del rem[m + d]
+    return quot
+
+
+def check_div(a, b):
+    """pdiv_exact agrees with the reference; a quotient is exact and
+    listed in descending graded-lex order."""
+    got = P.pdiv_exact(a, b, LAYOUT)
+    assert got == ref_div_exact(a, b)
+    if got is not None:
+        assert P.pmul(got, b, LAYOUT) == a
+        assert list(got) == sorted(got, reverse=True)
+    return got
+
+
+def poly_of(*terms):
+    """Polynomial from (coefficient, exponent list) pairs."""
+    out = {}
+    for c, exps in terms:
+        m = LAYOUT.pack(exps)
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def at_two(p):
+    return ref_eval(p, [2] * NVARS)
+
+
+def nonzero_poly(rng, nterms, maxexp=3):
+    p = {}
+    while not p:
+        p = rand_poly(rng, nterms, maxexp)
+    return p
+
+
+def test_div_exact_single_term_divisors():
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        mono = LAYOUT.pack([rng.randint(0, 2) for _ in range(NVARS)])
+        b = {mono: rng.choice([-6, -3, -2, -1, 1, 2, 3, 7])}
+        q = nonzero_poly(rng, rng.randint(1, 8))
+        a = P.pmul(q, b, LAYOUT)
+        kind = rng.randrange(4)
+        if kind == 1:    # one coefficient off by one: not divisible
+            m = rng.choice(list(a))
+            a[m] += 1
+            a = {k: v for k, v in a.items() if v}
+        elif kind == 2:  # an extra term the divisor's monomial misses
+            a = P.padd(a, {LAYOUT.pack([0] * NVARS): 1})
+        elif kind == 3:  # any polynomial at all
+            a = nonzero_poly(rng, rng.randint(1, 8))
+        if not a:
+            continue
+        outcomes[check_div(a, b) is not None] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def test_div_exact_divisor_vanishing_at_two():
+    x0_minus_x1 = poly_of((1, [1, 0, 0, 0]), (-1, [0, 1, 0, 0]))
+    x0sq_minus_x1x2 = poly_of((1, [2, 0, 0, 0]), (-1, [0, 1, 1, 0]))
+    assert at_two(x0_minus_x1) == 0 and at_two(x0sq_minus_x1x2) == 0
+    rng = random.Random(12)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        b = rng.choice([x0_minus_x1, x0sq_minus_x1x2])
+        if rng.random() < 0.5:
+            b = P.pmul(b, nonzero_poly(rng, 3, 2), LAYOUT)
+        a = P.pmul(nonzero_poly(rng, rng.randint(1, 6)), b, LAYOUT)
+        if rng.random() < 0.5:
+            # an extra term x3^k: nonzero at (2,...,2)
+            a = P.padd(a, {LAYOUT.var_mono(3, rng.randint(1, 9)): 1})
+        if not a:
+            continue
+        outcomes[check_div(a, b) is not None] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20
+
+
+def test_div_exact_rational_but_not_integral_quotient():
+    x0_plus_1 = poly_of((1, [1, 0, 0, 0]), (1, [0, 0, 0, 0]))
+    assert check_div(x0_plus_1, P.pscale(x0_plus_1, 2)) is None
+    assert check_div(P.pscale(x0_plus_1, 2), x0_plus_1) == {0: 2}
+    rng = random.Random(13)
+    for _ in range(100):
+        b = nonzero_poly(rng, rng.randint(1, 5))
+        q = nonzero_poly(rng, rng.randint(1, 5))
+        q = {m: c for m, c in q.items() if c % 2} or {0: 1}
+        k = rng.choice([2, 3, -2, 5])
+        # a = q*b is divisible by b, but by k*b only over the rationals
+        a = P.pmul(q, b, LAYOUT)
+        if any(c % k for c in q.values()):
+            assert check_div(a, P.pscale(b, k)) is None
+        assert check_div(a, b) == q
+
+
+def test_div_exact_trailing_term_mismatch():
+    rng = random.Random(14)
+    fails = 0
+    for _ in range(100):
+        b = nonzero_poly(rng, rng.randint(2, 5))
+        q = nonzero_poly(rng, rng.randint(1, 5))
+        a = P.pmul(q, b, LAYOUT)
+        tb = min(b)
+        if rng.random() < 0.5:
+            # a term below every term of q*b becomes the trailing term
+            ta = min(a)
+            low = [m for m in (0, LAYOUT.var_mono(0), LAYOUT.var_mono(1))
+                   if m < ta and not LAYOUT.mono_divides(tb, m)]
+            if not low:
+                continue
+            a = P.padd(a, {low[0]: 1})
+        else:
+            # the divisor's trailing coefficient no longer divides a's
+            b = dict(b)
+            b[tb] = b[tb] * 7 + (1 if b[tb] > 0 else -1)
+            if min(b) != tb or a[min(a)] % b[tb] == 0:
+                continue
+        fails += check_div(a, b) is None
+    assert fails > 50
+
+
+def test_div_exact_large_dividend():
+    rng = random.Random(15)
+    b = poly_of((3, [2, 1, 0, 0]), (-1, [0, 0, 1, 1]), (2, [1, 0, 0, 0]),
+                (-5, [0, 0, 0, 0]), (1, [0, 3, 0, 1]))
+    q = rand_poly(rng, 400, maxexp=7)
+    a = P.pmul(q, b, LAYOUT)
+    assert len(a) > 500
+    assert check_div(a, b) == q
+    assert check_div(a, q) == b
+    # a perturbation invisible to both O(n) checks: above the trailing term
+    # and zero at (2,...,2), so only elimination can reject it
+    blind = poly_of((1, [6, 6, 6, 6]), (-1, [6, 6, 7, 5]))
+    assert at_two(blind) == 0
+    assert check_div(P.padd(a, blind), b) is None
+    assert check_div(P.padd(a, {LAYOUT.pack([0, 0, 0, 9]): 1}), b) is None
+
+
+def test_div_exact_random_cases_agree_with_reference():
+    rng = random.Random(16)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        b = nonzero_poly(rng, rng.randint(1, 5))
+        q = nonzero_poly(rng, rng.randint(1, 8))
+        a = P.pmul(q, b, LAYOUT)
+        kind = rng.randrange(3)
+        if kind == 1:    # zero at (2,...,2): only elimination sees it
+            m = LAYOUT.pack([rng.randint(1, 4) for _ in range(NVARS)])
+            a = P.padd(a, {m + LAYOUT.var_mono(0): 1,
+                           m + LAYOUT.var_mono(1): -1})
+        elif kind == 2:
+            a = nonzero_poly(rng, rng.randint(1, 10))
+        if not a:
+            continue
+        outcomes[check_div(a, b) is not None] += 1
+    assert outcomes[True] > 80 and outcomes[False] > 80
