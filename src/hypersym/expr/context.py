@@ -1,10 +1,18 @@
-"""Variable and symbol registry.
+"""Variable and symbol registry: the one description of the symbol tower.
 
 A Context owns the ordered list of base variables (jet variables,
 transcendental symbols, auxiliary names, parameters), the algebraic symbols
-with their minimal polynomials and derivative rules, and the packing layouts
-used by the polynomial layer.  Contexts are read-only after construction;
-the lazy caches hanging off one behave as pure functions of it.
+with their minimal polynomials, and the packing layouts used by the
+polynomial layer.  Each definition in default_context carries everything
+the other layers know about its symbol: the relation (minimal polynomial),
+the derivative rule with respect to its argument, the call form used by the
+parser and printer, the mirror under x <-> y, and, for a base variable, the
+band the numeric sampler draws it from.  The jet engines, the normal form,
+the sampler and swap_xy read these fields instead of branching on symbol
+names.  What numeval still does by hand, the Weierstrass closure of
+(W, P, c) and sc = sqrt(c), is a sampling algorithm, not a fact of one
+symbol.  Contexts are read-only after construction; the lazy caches hanging
+off one behave as pure functions of it.
 """
 
 from __future__ import annotations
@@ -23,13 +31,24 @@ PARAM = "param"
 AUX = "aux"
 TSYM = "tsym"  # transcendental symbol: lives in coefficients, has a chain rule
 
+# sampling band of a free base variable; numeval draws each one from its band
+SIGNED = "signed"  # [-2, -1/2] or [1/2, 2]
+POSITIVE = "positive"  # [1/2, 2]
+# [1/2, 0.9] or [1.1, 2]: a logarithm, an inverse square root or a root
+# branch of the variable would degenerate at 0 or at 1
+POSITIVE_AWAY_FROM_ONE = "positive-away-from-one"
+
 
 class BaseVar:
-    __slots__ = ("name", "index", "kind", "order", "arg", "derivative", "call")
+    """A base variable; mirror defaults to the variable's own name."""
+
+    __slots__ = ("name", "index", "kind", "order", "arg", "derivative", "call",
+                 "mirror", "band")
 
     def __init__(self, name: str, index: int, kind: str, order: int = -1,
                  arg: Optional[str] = None, derivative: Optional[Expr] = None,
-                 call: Optional[Tuple[str, Expr]] = None):
+                 call: Optional[Tuple[str, Expr]] = None,
+                 mirror: Optional[str] = None, band: str = SIGNED):
         self.name = name
         self.index = index
         self.kind = kind
@@ -37,6 +56,8 @@ class BaseVar:
         self.arg = arg
         self.derivative = derivative
         self.call = call
+        self.mirror = name if mirror is None else mirror
+        self.band = band
 
     def __repr__(self):
         return f"BaseVar({self.name})"
@@ -83,6 +104,7 @@ class Context:
         self._by_name: Dict[str, BaseVar] = {}
         self._alg_by_name: Dict[str, SymbolDef] = {}
         self._aliases: Dict[str, str] = {}
+        self._chain: Dict[str, Tuple[Optional[str], Optional[Expr]]] = {}
         self.layout: Optional[Layout] = None
         self.alg_layout: Optional[Layout] = None
         self.bound: Dict[str, Fraction] = {}
@@ -97,10 +119,12 @@ class Context:
 
     def add_base(self, name: str, kind: str, order: int = -1,
                  arg: Optional[str] = None, derivative: Optional[Expr] = None,
-                 call: Optional[Tuple[str, Expr]] = None) -> BaseVar:
+                 call: Optional[Tuple[str, Expr]] = None,
+                 mirror: Optional[str] = None, band: str = SIGNED) -> BaseVar:
         if name in self._by_name or name in self._alg_by_name:
             raise ValueError(f"duplicate name {name}")
-        v = BaseVar(name, len(self.base_vars), kind, order, arg, derivative, call)
+        v = BaseVar(name, len(self.base_vars), kind, order, arg, derivative,
+                    call, mirror, band)
         self.base_vars.append(v)
         self._by_name[name] = v
         return v
@@ -123,6 +147,10 @@ class Context:
     def freeze(self) -> None:
         self.layout = Layout(len(self.base_vars))
         self.alg_layout = Layout(len(self.alg_syms))
+        self._chain = {v.name: (v.arg, v.derivative)
+                       for v in self.base_vars if v.kind == TSYM}
+        self._chain.update((s.name, (s.arg, s.derivative))
+                           for s in self.alg_syms)
 
     # -- lookup ------------------------------------------------------------
 
@@ -147,10 +175,11 @@ class Context:
     def is_alg(self, name: str) -> bool:
         return name in self._alg_by_name
 
-    def kind_of(self, name: str) -> str:
-        if self.is_alg(name):
-            return "alg"
-        return self.base(name).kind
+    def chain(self, name: str) -> Optional[Tuple[Optional[str], Optional[Expr]]]:
+        """(argument, derivative rule) of a transcendental or algebraic
+        symbol, so that D(name) = rule * D(argument); None for every other
+        name.  An argument-free symbol (sc) gives (None, None)."""
+        return self._chain.get(name)
 
     def xjet(self, k: int) -> str:
         if k == 0:
@@ -181,44 +210,25 @@ class Context:
         return out
 
     def mirror_of(self, name: str) -> Optional[str]:
-        """swap_xy image of a name, or None when no mirror is registered."""
+        """swap_xy image of a name, or None when no mirror is registered in
+        this context (u_k past the y-jet range mirrors to an absent v_k)."""
         name = self.resolve(name)
-        if name in self._alg_by_name:
-            return self._alg_by_name[name].mirror
-        v = self._by_name.get(name)
-        if v is None:
-            return None
-        if v.kind == XJET:
-            k = v.order
-            if k == 0:
-                return "u"
-            return f"v{k}" if k <= self.max_y_jet else None
-        if v.kind == YJET:
-            k = v.order
-            return f"u{k}" if k <= self.max_x_jet else None
-        if v.name == "L":
-            return "Ly"
-        if v.name == "Ly":
-            return "L"
-        return v.name  # E, V, W, aux, params are fixed under x <-> y
+        d = self._alg_by_name.get(name) or self._by_name.get(name)
+        m = d.mirror if d is not None else None
+        return m if m in self._by_name or m in self._alg_by_name else None
 
     # -- call forms for the parser / printer --------------------------------
 
     def call_table(self) -> Dict[Tuple[str, Expr], str]:
         tbl: Dict[Tuple[str, Expr], str] = {}
-        for v in self.base_vars:
-            if v.call is not None:
-                tbl[v.call] = v.name
-        for s in self.alg_syms:
-            if s.call is not None:
-                tbl[s.call] = s.name
+        for d in self.base_vars + self.alg_syms:
+            if d.call is not None:
+                tbl[d.call] = d.name
         return tbl
 
     def call_form(self, name: str) -> Optional[Tuple[str, Expr]]:
-        if self.is_alg(name):
-            return self._alg_by_name[name].call
-        v = self._by_name.get(name)
-        return v.call if v is not None else None
+        d = self._alg_by_name.get(name) or self._by_name.get(name)
+        return d.call if d is not None else None
 
     # -- parameter binding ---------------------------------------------------
 
@@ -245,7 +255,7 @@ class Context:
         for v in self.base_vars:
             ctx.add_base(v.name, v.kind, v.order, v.arg,
                          tree.substitute(v.derivative, subs) if v.derivative is not None else None,
-                         v.call)
+                         v.call, v.mirror, v.band)
         for s in self.alg_syms:
             ctx.add_alg(s.name, s.arg,
                         tree.substitute(s.derivative, subs) if s.derivative is not None else None,
@@ -280,23 +290,27 @@ def default_context(max_x_jet: int = 10, max_y_jet: int = 6,
 
     ctx.add_base("u", XJET, 0)
     for k in range(1, max_x_jet + 1):
-        ctx.add_base(f"u{k}", XJET, k)
+        ctx.add_base(f"u{k}", XJET, k, mirror=f"v{k}",
+                     band=POSITIVE_AWAY_FROM_ONE if k == 1 else SIGNED)
     for k in range(1, max_y_jet + 1):
-        ctx.add_base(f"v{k}", YJET, k)
+        ctx.add_base(f"v{k}", YJET, k, mirror=f"u{k}",
+                     band=POSITIVE_AWAY_FROM_ONE if k == 1 else SIGNED)
     ctx.add_alias("uy", "v1")
     ctx.add_alias("uyy", "v2")
     ctx.add_alias("uyyy", "v3")
     ctx.add_alias("u0", "u")
 
     ctx.add_base("E", TSYM, arg="u", derivative=Name("E"), call=("exp", u))
-    ctx.add_base("V", AUX)
+    ctx.add_base("V", AUX, band=POSITIVE_AWAY_FROM_ONE)
     ctx.add_base("W", TSYM, arg="u", derivative=Name("P"), call=("w", u))
-    ctx.add_base("L", TSYM, arg="u1", derivative=1 / u1, call=("ln", u1))
-    ctx.add_base("Ly", TSYM, arg="v1", derivative=1 / v1, call=("ln", v1))
+    ctx.add_base("L", TSYM, arg="u1", derivative=1 / u1, call=("ln", u1),
+                 mirror="Ly")
+    ctx.add_base("Ly", TSYM, arg="v1", derivative=1 / v1, call=("ln", v1),
+                 mirror="L")
     ctx.add_base("phi", AUX)
     ctx.add_base("s", AUX)
     for p in ("C2", "a", "b", "c", "lam1", "lam2", "mu", "mu1", "mu2"):
-        ctx.add_base(p, PARAM)
+        ctx.add_base(p, PARAM, band=POSITIVE if p == "b" else SIGNED)
 
     one = Const(1)
 

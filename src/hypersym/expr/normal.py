@@ -21,7 +21,7 @@ from ..errors import NotInvertibleError, SizeLimitError, UnknownNameError
 from . import poly as P
 from . import ratfunc as R
 from . import tree
-from .context import Context
+from .context import PARAM, Context
 from .ratfunc import RatFunc
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
 
@@ -367,13 +367,10 @@ def deriv_nf(ctx: Context, name: str) -> NF:
     cached = ctx._deriv_nf.get(name)
     if cached is not None:
         return cached
-    if ctx.is_alg(name):
-        d = ctx.alg(name).derivative
-    else:
-        d = ctx.base(name).derivative
-    if d is None:
+    link = ctx.chain(name)
+    if link is None or link[1] is None:
         raise UnknownNameError(f"symbol {name!r} has no derivative rule")
-    nf = normalize(ctx, d)
+    nf = normalize(ctx, link[1])
     ctx._deriv_nf[name] = nf
     return nf
 
@@ -383,7 +380,7 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
     every registered symbol whose argument is that variable."""
     var_name = ctx.resolve(var_name)
     v = ctx.base(var_name)
-    if v.kind == "param":
+    if v.kind == PARAM:
         raise ValueError(f"partial derivative w.r.t. parameter {var_name!r} "
                          "is not defined (symbol relations depend on it)")
     vi = v.index
@@ -432,7 +429,7 @@ def _poly_to_expr(ctx: Context, p: P.Poly) -> Expr:
         parts: List[Expr] = []
         if c != 1 or m == 0:
             parts.append(Const(Fraction(c)))
-        for i in sorted(lay.mono_vars(m)):
+        for i in lay.mono_vars(m):
             e = lay.exp(m, i)
             nm = Name(ctx.base_vars[i].name)
             parts.append(nm if e == 1 else Pow(nm, e))
@@ -468,7 +465,7 @@ def nf_to_expr(ctx: Context, a: NF) -> Expr:
             continue
         if coeff != tree.ONE:
             parts.append(coeff)
-        for i in sorted(lay.mono_vars(m)):
+        for i in lay.mono_vars(m):
             e = lay.exp(m, i)
             nm = Name(ctx.alg_syms[i].name)
             parts.append(nm if e == 1 else Pow(nm, e))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from ..errors import ParseError, UnknownNameError
+from ..errors import ParseError
 from . import tree
 from .context import Context
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow

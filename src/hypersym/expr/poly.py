@@ -102,9 +102,14 @@ class Layout:
         return m | (total << self.total_shift)
 
     def mono_vars(self, mono: int):
-        for i in range(self.nvars):
-            if (mono >> (FIELD_BITS * i)) & FIELD_MASK:
-                yield i
+        """Indices of the variables with a nonzero exponent, ascending: each
+        step jumps to the lowest set bit left below the total-degree field
+        and clears that bit's whole field."""
+        m = mono & ((1 << self.total_shift) - 1)
+        while m:
+            i = ((m & -m).bit_length() - 1) // FIELD_BITS
+            yield i
+            m &= ~(FIELD_MASK << (FIELD_BITS * i))
 
 
 def pconst(c: int) -> Poly:

@@ -311,33 +311,25 @@ def substitute(e: Expr, bindings: Mapping[str, Union[Expr, Rat]]) -> Expr:
     for k in bindings:
         check(k)
 
-    memo: dict = {}
-
-    def walk(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = node
-        elif isinstance(node, Name):
-            out = bindings.get(node.name, node)
-        elif isinstance(node, Add):
-            out = add(*[walk(a) for a in node.args])
-        elif isinstance(node, Mul):
-            out = mul(*[walk(a) for a in node.args])
-        elif isinstance(node, Pow):
-            out = pow_(walk(node.base), node.exp)
-        else:
-            out = div(walk(node.num), walk(node.den))
-        memo[id(node)] = out
-        return out
-
-    return walk(e)
+    return _rebuild(e, lambda node: bindings.get(node.name, node))
 
 
 def map_names(e: Expr, table: Mapping[str, str], on_missing=None) -> Expr:
     """Rename leaves; names absent from the table pass through unless
     on_missing raises for them."""
+    def leaf(node: Name) -> Expr:
+        if node.name in table:
+            return Name(table[node.name])
+        if on_missing is not None:
+            on_missing(node.name)
+        return node
+
+    return _rebuild(e, leaf)
+
+
+def _rebuild(e: Expr, leaf) -> Expr:
+    """Rebuild the tree through the folding helpers, with leaf(node) in
+    place of each Name; shared subtrees are rebuilt once."""
     memo: dict = {}
 
     def walk(node: Expr) -> Expr:
@@ -347,12 +339,7 @@ def map_names(e: Expr, table: Mapping[str, str], on_missing=None) -> Expr:
         if isinstance(node, Const):
             out = node
         elif isinstance(node, Name):
-            if node.name in table:
-                out = Name(table[node.name])
-            else:
-                if on_missing is not None:
-                    on_missing(node.name)
-                out = node
+            out = leaf(node)
         elif isinstance(node, Add):
             out = add(*[walk(a) for a in node.args])
         elif isinstance(node, Mul):

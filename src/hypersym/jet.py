@@ -5,6 +5,12 @@ D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
 tables memoized per equation.  Derivatives are built as expression trees
 (shared subtrees are differentiated once), so the same machinery drives the
 exact normal-form residuals and the independent numeric sampling.
+
+D_x, D_y and partial share one tree walker, _derive, and differ only in the
+rule applied at a name; every symbol's chain rule comes from Context.chain.
+The normal-form engine NFJet keeps its own rules and never goes through the
+trees, so the numeric oracle, which samples the trees, stays independent of
+the normal-form route it checks.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import JetOrderError, UnknownNameError
 from .expr import tree
-from .expr.context import AUX, PARAM, TSYM, XJET, YJET, Context, std_context
+from .expr.context import AUX, PARAM, XJET, YJET, Context, std_context
 from .expr.tree import Add, Const, Div, Expr, Mul, Name, Pow
 from .expr.tree import free_names, map_names
 
@@ -69,16 +75,13 @@ def _check_vars(ctx: Context, e: Expr, allowed: set, what: str) -> None:
         nm = ctx.resolve(nm)
         if nm in allowed:
             continue
-        if ctx.is_alg(nm):
-            arg = ctx.alg(nm).arg
-            if arg is None or arg in allowed:
+        link = ctx.chain(nm)
+        if link is not None:
+            if link[0] is None or link[0] in allowed:
                 continue
-            raise ValueError(f"{what}: symbol {nm} has argument {arg}, "
+            raise ValueError(f"{what}: symbol {nm} has argument {link[0]}, "
                              f"outside {sorted(allowed)}")
-        v = ctx.base(nm)
-        if v.kind == PARAM:
-            continue
-        if v.kind == TSYM and v.arg in allowed:
+        if ctx.base(nm).kind == PARAM:
             continue
         raise ValueError(f"{what}: variable {nm} outside {sorted(allowed)}")
 
@@ -121,11 +124,10 @@ class JetEngine:
         ctx = self.ctx
         if nm in self.custom_dx:
             return self.custom_dx[nm]
-        if ctx.is_alg(nm):
-            s = ctx.alg(nm)
-            if s.arg is None:
-                return tree.ZERO
-            return tree.mul(s.derivative, self._dx_name(s.arg))
+        link = ctx.chain(nm)
+        if link is not None:
+            arg, rule = link
+            return tree.ZERO if arg is None else tree.mul(rule, self._dx_name(arg))
         v = ctx.base(nm)
         if v.kind == XJET:
             if v.order >= ctx.max_x_jet:
@@ -136,19 +138,16 @@ class JetEngine:
             if v.order == 1:
                 return self.eq.F
             return self.dyk_F(v.order - 1)
-        if v.kind == TSYM:
-            return tree.mul(v.derivative, self._dx_name(v.arg))
         return tree.ZERO  # parameters and auxiliaries are constants
 
     def _dy_name(self, nm: str) -> Expr:
         ctx = self.ctx
         if nm in self.custom_dy:
             return self.custom_dy[nm]
-        if ctx.is_alg(nm):
-            s = ctx.alg(nm)
-            if s.arg is None:
-                return tree.ZERO
-            return tree.mul(s.derivative, self._dy_name(s.arg))
+        link = ctx.chain(nm)
+        if link is not None:
+            arg, rule = link
+            return tree.ZERO if arg is None else tree.mul(rule, self._dy_name(arg))
         v = ctx.base(nm)
         if v.kind == YJET:
             if v.order >= ctx.max_y_jet:
@@ -161,57 +160,15 @@ class JetEngine:
             if v.order == 1:
                 return self.eq.F
             return self.dxk_F(v.order - 1)
-        if v.kind == TSYM:
-            return tree.mul(v.derivative, self._dy_name(v.arg))
         return tree.ZERO
 
     # total derivatives --------------------------------------------------------
 
     def d_x(self, e: Expr) -> Expr:
-        return self._total(e, self._memo_x, self._dx_name)
+        return _derive(e, self._memo_x, self._dx_name)
 
     def d_y(self, e: Expr) -> Expr:
-        return self._total(e, self._memo_y, self._dy_name)
-
-    def _total(self, e: Expr, memo: Dict[int, Tuple[Expr, Expr]], name_rule) -> Expr:
-        def go(x: Expr) -> Expr:
-            hit = memo.get(id(x))
-            if hit is not None:
-                return hit[1]
-            if isinstance(x, Const):
-                r = tree.ZERO
-            elif isinstance(x, Name):
-                r = name_rule(x.name)
-            elif isinstance(x, Add):
-                r = tree.add(*[go(t) for t in x.args])
-            elif isinstance(x, Mul):
-                parts = []
-                for i, fi in enumerate(x.args):
-                    dfi = go(fi)
-                    if dfi == tree.ZERO:
-                        continue
-                    rest = x.args[:i] + x.args[i + 1:]
-                    parts.append(tree.mul(dfi, *rest))
-                r = tree.add(*parts) if parts else tree.ZERO
-            elif isinstance(x, Pow):
-                db = go(x.base)
-                if db == tree.ZERO:
-                    r = tree.ZERO
-                else:
-                    r = tree.mul(Const(x.exp), tree.pow_(x.base, x.exp - 1), db)
-            elif isinstance(x, Div):
-                dn, dd = go(x.num), go(x.den)
-                if dd == tree.ZERO:
-                    r = tree.div(dn, x.den)
-                else:
-                    r = tree.sub(tree.div(dn, x.den),
-                                 tree.div(tree.mul(x.num, dd), tree.pow_(x.den, 2)))
-            else:
-                raise TypeError(f"cannot differentiate {type(x).__name__}")
-            memo[id(x)] = (x, r)
-            return r
-
-        return go(e)
+        return _derive(e, self._memo_y, self._dy_name)
 
 
 class NFJet:
@@ -248,18 +205,11 @@ class NFJet:
         ctx = self.ctx
         out = set()
         for nm in self._n.nf_free_vars(ctx, a):
-            if ctx.is_alg(nm):
-                arg = ctx.alg(nm).arg
-                if arg is not None:
-                    out.add(arg)
-                continue
-            v = ctx.base(nm)
-            if v.kind == TSYM:
-                if v.arg is not None:
-                    out.add(v.arg)
-            elif v.kind in (XJET, YJET):
-                out.add(nm)
-            elif v.kind == AUX:
+            link = ctx.chain(nm)
+            if link is not None:
+                if link[0] is not None:
+                    out.add(link[0])
+            elif ctx.base(nm).kind in (XJET, YJET, AUX):
                 out.add(nm)
         return sorted(out)
 
@@ -292,23 +242,18 @@ class NFJet:
         return n.nf_zero(ctx)
 
     def d_x(self, a):
-        n = self._n
-        terms = []
-        for nm in self._vars_to_derive(a):
-            p = n.nf_partial(self.ctx, a, nm)
-            if p:
-                r = self._dx_rule(nm)
-                if r:
-                    terms.append(n.nf_mul(self.ctx, p, r))
-        return n.nf_sum(self.ctx, terms)
+        return self._total(a, self._dx_rule)
 
     def d_y(self, a):
+        return self._total(a, self._dy_rule)
+
+    def _total(self, a, rule):
         n = self._n
         terms = []
         for nm in self._vars_to_derive(a):
             p = n.nf_partial(self.ctx, a, nm)
             if p:
-                r = self._dy_rule(nm)
+                r = rule(nm)
                 if r:
                     terms.append(n.nf_mul(self.ctx, p, r))
         return n.nf_sum(self.ctx, terms)
@@ -343,8 +288,7 @@ def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:
     ctx = ctx or std_context()
     table: Dict[str, str] = {}
     for nm in free_names(e):
-        resolved = ctx.resolve(nm)
-        m = ctx.mirror_of(resolved)
+        m = ctx.mirror_of(nm)
         if m is None:
             raise UnknownNameError(f"{nm!r} has no mirror under x <-> y")
         table[nm] = m
@@ -356,55 +300,56 @@ def partial(e: Expr, var: str, ctx: Optional[Context] = None) -> Expr:
     the registered symbols of that variable; all other jet variables fixed."""
     ctx = ctx or std_context()
     var = ctx.resolve(var)
-    memo: Dict[int, Tuple[Expr, Expr]] = {}
 
     def dname(nm: str) -> Expr:
         nm = ctx.resolve(nm)
         if nm == var:
             return tree.ONE
-        if ctx.is_alg(nm):
-            s = ctx.alg(nm)
-            if s.arg is None:
-                return tree.ZERO
-            return tree.mul(s.derivative, dname(s.arg))
-        v = ctx.base(nm)
-        if v.kind == TSYM:
-            return tree.mul(v.derivative, dname(v.arg))
-        return tree.ZERO
+        link = ctx.chain(nm)
+        if link is None:
+            ctx.base(nm)  # an unregistered name raises; the others are fixed
+            return tree.ZERO
+        arg, rule = link
+        return tree.ZERO if arg is None else tree.mul(rule, dname(arg))
 
-    def go(x: Expr) -> Expr:
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit[1]
-        if isinstance(x, Const):
-            r = tree.ZERO
-        elif isinstance(x, Name):
-            r = dname(x.name)
-        elif isinstance(x, Add):
-            r = tree.add(*[go(t) for t in x.args])
-        elif isinstance(x, Mul):
-            parts = []
-            for i, fi in enumerate(x.args):
-                dfi = go(fi)
-                if dfi == tree.ZERO:
-                    continue
-                rest = x.args[:i] + x.args[i + 1:]
-                parts.append(tree.mul(dfi, *rest))
-            r = tree.add(*parts) if parts else tree.ZERO
-        elif isinstance(x, Pow):
-            db = go(x.base)
-            r = tree.ZERO if db == tree.ZERO else tree.mul(
-                Const(x.exp), tree.pow_(x.base, x.exp - 1), db)
-        elif isinstance(x, Div):
-            dn, dd = go(x.num), go(x.den)
-            if dd == tree.ZERO:
-                r = tree.div(dn, x.den)
-            else:
-                r = tree.sub(tree.div(dn, x.den),
-                             tree.div(tree.mul(x.num, dd), tree.pow_(x.den, 2)))
+    return _derive(e, {}, dname)
+
+
+def _derive(e: Expr, memo: Dict[int, Tuple[Expr, Expr]], name_rule) -> Expr:
+    """Derivative of a tree by the sum, product, power and quotient rules,
+    with name_rule giving the derivative of each name.  memo maps node ids
+    to (node, derivative); holding the node keeps its id valid, and shared
+    subtrees are differentiated once."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if isinstance(e, Const):
+        r = tree.ZERO
+    elif isinstance(e, Name):
+        r = name_rule(e.name)
+    elif isinstance(e, Add):
+        r = tree.add(*[_derive(t, memo, name_rule) for t in e.args])
+    elif isinstance(e, Mul):
+        parts = []
+        for i, fi in enumerate(e.args):
+            dfi = _derive(fi, memo, name_rule)
+            if dfi == tree.ZERO:
+                continue
+            rest = e.args[:i] + e.args[i + 1:]
+            parts.append(tree.mul(dfi, *rest))
+        r = tree.add(*parts) if parts else tree.ZERO
+    elif isinstance(e, Pow):
+        db = _derive(e.base, memo, name_rule)
+        r = tree.ZERO if db == tree.ZERO else tree.mul(
+            Const(e.exp), tree.pow_(e.base, e.exp - 1), db)
+    elif isinstance(e, Div):
+        dn, dd = _derive(e.num, memo, name_rule), _derive(e.den, memo, name_rule)
+        if dd == tree.ZERO:
+            r = tree.div(dn, e.den)
         else:
-            raise TypeError(f"cannot differentiate {type(x).__name__}")
-        memo[id(x)] = (x, r)
-        return r
-
-    return go(e)
+            r = tree.sub(tree.div(dn, e.den),
+                         tree.div(tree.mul(e.num, dd), tree.pow_(e.den, 2)))
+    else:
+        raise TypeError(f"cannot differentiate {type(e).__name__}")
+    memo[id(e)] = (e, r)
+    return r

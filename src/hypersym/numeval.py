@@ -2,10 +2,13 @@
 
 A SamplePoint assigns a double to every base variable and algebraic symbol so
 that all defining relations hold to machine precision: free variables are
-drawn from bands bounded away from 0 (and from 1 where a logarithm or a root
-branch would degenerate), dependent symbols are solved from their minimal
-polynomials with a deterministic branch choice (largest real root), and the
-Weierstrass triple (W, P, c) is closed by defining c = P^2 - 4W^3.
+drawn from the sampling band their definition in the context carries
+(bounded away from 0, and from 1 where a logarithm or a root branch would
+degenerate), transcendental symbols with a closed form are evaluated from the
+head of their call form (exp, ln), dependent symbols are solved from their
+minimal polynomials with a deterministic branch choice (largest real root),
+and the Weierstrass triple (W, P, c) is closed by defining c = P^2 - 4W^3.
+That closure and sc = sqrt(c) are the only symbols sampled by hand here.
 
 Everything here is advisory: the exact normal-form route is authoritative,
 and the two routes are kept independent (expression trees evaluated directly,
@@ -21,8 +24,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EvalError, SampleError
-from .expr import tree
-from .expr.context import AUX, PARAM, TSYM, XJET, YJET, Context, std_context
+from .expr.context import (PARAM, POSITIVE_AWAY_FROM_ONE, SIGNED, TSYM,
+                           Context, std_context)
 from .expr.ratfunc import rf_eval
 from .expr.tree import Add, Const, Div, Expr, Mul, Name, Pow
 
@@ -32,11 +35,8 @@ FD_TOL = 1e-6
 SIMPLE_ROOT_GUARD = 0.1
 MAX_ATTEMPTS = 100
 
-# variables whose logarithm, inverse square root, or root branch must stay
-# away from 0 and 1
-_AWAY_FROM_ONE = ("u1", "v1", "V")
-_POSITIVE_ONLY = ("u1", "v1", "V", "b")
-_TSYM_FUNCS = {"E": math.exp, "L": math.log, "Ly": math.log}
+# closed forms of transcendental symbols, by the head of their call form
+_CALL_FUNCS = {"exp": math.exp, "ln": math.log}
 
 
 @dataclass
@@ -56,16 +56,23 @@ def _draw(rng: random.Random, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _draw_band(rng: random.Random, positive: bool, away_from_one: bool) -> float:
-    """[1/2, 2] (optionally minus (0.9, 1.1)), mirrored negative unless
-    positive-only."""
-    if away_from_one:
+def _draw_band(rng: random.Random, band: str) -> float:
+    """[1/2, 2] (minus (0.9, 1.1) when away from one), mirrored negative
+    when signed."""
+    if band == POSITIVE_AWAY_FROM_ONE:
         x = _draw(rng, 0.5, 0.9) if rng.random() < 0.5 else _draw(rng, 1.1, 2.0)
     else:
         x = _draw(rng, 0.5, 2.0)
-    if not positive and rng.random() < 0.5:
+    if band == SIGNED and rng.random() < 0.5:
         x = -x
     return x
+
+
+def _closed_forms(ctx: Context):
+    """(variable, function) for each transcendental symbol with a closed
+    form, in registration order."""
+    return [(v, _CALL_FUNCS[v.call[0]]) for v in ctx.base_vars
+            if v.kind == TSYM and v.call is not None and v.call[0] in _CALL_FUNCS]
 
 
 def _cbrt(x: float) -> float:
@@ -169,23 +176,29 @@ def _eval_memo(e: Expr, assignment: Mapping[str, float],
     return v
 
 
+def _nf_terms(e, assignment: Mapping[str, float],
+              ctx: Optional[Context]) -> List[float]:
+    """Value of each term of a normal form {packed alg monomial -> RatFunc}."""
+    if ctx is None:
+        raise EvalError("evaluating a normal form requires its context")
+    vec = [assignment.get(v.name, math.nan) for v in ctx.base_vars]
+    lay = ctx.alg_layout
+    out = []
+    for mono, rf in e.items():
+        val = rf_eval(ctx, rf, vec)
+        for i in lay.mono_vars(mono):
+            val *= assignment[ctx.alg_syms[i].name] ** lay.exp(mono, i)
+        out.append(val)
+    return out
+
+
 def eval(e, p: Union[SamplePoint, Mapping[str, float]],
          ctx: Optional[Context] = None) -> float:
     """Evaluate an expression tree or a normal form at a sample point."""
     assignment = p.assignment if isinstance(p, SamplePoint) else p
     if isinstance(e, Expr):
         return _eval_memo(e, assignment, {})
-    # normal form: {packed alg monomial -> RatFunc}
-    if ctx is None:
-        raise EvalError("evaluating a normal form requires its context")
-    vec = [assignment.get(v.name, math.nan) for v in ctx.base_vars]
-    total = []
-    for mono, rf in e.items():
-        val = rf_eval(ctx, rf, vec)
-        for i in ctx.alg_layout.mono_vars(mono):
-            val *= assignment[ctx.alg_syms[i].name] ** ctx.alg_layout.exp(mono, i)
-        total.append(val)
-    v = math.fsum(total)
+    v = math.fsum(_nf_terms(e, assignment, ctx))
     if not math.isfinite(v):
         raise EvalError("non-finite intermediate value")
     return v
@@ -214,20 +227,13 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
     c_pinned = "c" in pinned
 
     for v in ctx.base_vars:
-        if v.kind == PARAM:
-            if v.name in pinned:
-                a[v.name] = pinned[v.name]
-            elif v.name == "c":
-                continue  # closed via (W, P) below
-            else:
-                a[v.name] = _draw_band(rng, v.name in _POSITIVE_ONLY, False)
-        elif v.kind in (XJET, YJET) or v.kind == AUX:
-            a[v.name] = _draw_band(rng, v.name in _POSITIVE_ONLY,
-                                   v.name in _AWAY_FROM_ONE)
-    for name, fn in _TSYM_FUNCS.items():
-        if ctx.is_base(name):
-            arg = ctx.base(name).arg
-            a[name] = fn(a[arg])
+        if v.kind == PARAM and v.name in pinned:
+            a[v.name] = pinned[v.name]
+        elif v.kind != TSYM and v.name != "c":  # c is closed via (W, P) below
+            a[v.name] = _draw_band(rng, v.band)
+    closed = _closed_forms(ctx)
+    for v, fn in closed:
+        a[v.name] = fn(a[v.arg])
 
     if ctx.is_base("W"):
         if c_pinned:
@@ -241,7 +247,7 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
             a["c"] = c_val
         else:
             a["W"] = -_draw(rng, 0.5, 2.0)
-            a["P"] = _draw_band(rng, False, False)
+            a["P"] = _draw_band(rng, SIGNED)
             a["c"] = a["P"] ** 2 - 4 * a["W"] ** 3
     elif not c_pinned and ctx.is_base("c"):
         a["c"] = _draw(rng, 0.5, 2.0)
@@ -261,9 +267,8 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
         relations[s.name] = res
         if abs(res) > RELATION_TOL * (1.0 + scale):
             raise SampleError(f"relation for {s.name} violated at the sample")
-    for name in _TSYM_FUNCS:
-        if ctx.is_base(name):
-            relations[name] = 0.0
+    for v, _fn in closed:
+        relations[v.name] = 0.0
     return SamplePoint(assignment=a, seed=seed, relation_residuals=relations)
 
 
@@ -314,16 +319,7 @@ def _relative_residual(e, p: SamplePoint, ctx: Optional[Context]) -> float:
             contribs = [eval(e, p, ctx)]
         value = math.fsum(contribs)
     else:
-        if ctx is None:
-            raise EvalError("evaluating a normal form requires its context")
-        vec = [p.assignment.get(v.name, math.nan) for v in ctx.base_vars]
-        contribs = []
-        for mono, rf in e.items():
-            val = rf_eval(ctx, rf, vec)
-            for i in ctx.alg_layout.mono_vars(mono):
-                val *= p.assignment[ctx.alg_syms[i].name] ** \
-                    ctx.alg_layout.exp(mono, i)
-            contribs.append(val)
+        contribs = _nf_terms(e, p.assignment, ctx)
         value = math.fsum(contribs)
     scale = max((abs(c) for c in contribs), default=0.0)
     return abs(value) / (1.0 + scale)
@@ -375,18 +371,13 @@ def fd_checks(ctx: Optional[Context] = None, p: Optional[SamplePoint] = None,
         p = sample_point(ctx, None, 0)
     out: List[FDCheck] = []
     memo: Dict[int, Tuple[Expr, float]] = {}
-
-    def sym_val(name: str) -> float:
-        return p.assignment[name]
-
-    for name, fn in _TSYM_FUNCS.items():
-        if not ctx.is_base(name) or (names and name not in names):
+    for v, fn in _closed_forms(ctx):
+        if names and v.name not in names:
             continue
-        v = ctx.base(name)
         x0 = p.assignment[v.arg]
         fd = (fn(x0 + step) - fn(x0 - step)) / (2 * step)
         symb = _eval_memo(v.derivative, p.assignment, memo)
-        out.append(FDCheck(name, v.arg, fd, symb,
+        out.append(FDCheck(v.name, v.arg, fd, symb,
                            abs(fd - symb) / (1 + abs(symb))))
 
     for s in ctx.alg_syms:
@@ -400,12 +391,12 @@ def fd_checks(ctx: Optional[Context] = None, p: Optional[SamplePoint] = None,
             wrt = s.arg
         if wrt not in p.assignment:
             continue
-        cur = sym_val(s.name)
+        cur = p.assignment[s.name]
         vals = []
         for sgn in (+1, -1):
             shifted = dict(p.assignment)
             shifted[wrt] += sgn * step
-            coeffs = [_eval_memo(c, shifted, {}) for c in s.minpoly_coeffs]
+            coeffs = _coeffs_at(ctx, s, shifted)
             vals.append(_solve_sym(coeffs, "nearest", near=cur))
         fd = (vals[0] - vals[1]) / (2 * step)
         symb = _eval_memo(s.derivative, p.assignment, memo)

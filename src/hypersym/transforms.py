@@ -26,7 +26,6 @@ from .expr import normal as N
 from .expr import tree
 from .expr.context import Context, std_context
 from .expr.parser import print_expr
-from .expr.ratfunc import RatFunc
 from .expr.tree import Const, Expr, Name
 from .jet import HyperbolicEq, JetEngine, swap_xy
 
@@ -311,6 +310,15 @@ def _frac_text(q: Fraction) -> str:
     return str(q)
 
 
+def _sign(t: TransformDef, conv: str, plus: str, minus: str) -> int:
+    """+1 or -1 for a two-way sign convention of t."""
+    if conv == plus:
+        return 1
+    if conv == minus:
+        return -1
+    raise TransformError(f"{t.id}: unknown convention {conv!r}")
+
+
 # ---------------------------------------------------------------------------
 # parametrization and scaling identities
 # ---------------------------------------------------------------------------
@@ -385,12 +393,8 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
 
     results = []
     for conv in t.conventions:
-        if conv == "second-coefficient-plus":
-            sign = 1
-        elif conv == "second-coefficient-minus":
-            sign = -1
-        else:
-            raise TransformError(f"{t.id}: unknown convention {conv!r}")
+        sign = _sign(t, conv, "second-coefficient-plus",
+                     "second-coefficient-minus")
         target = tree.add(tree.div(B, 3),
                           tree.mul(Const(Fraction(sign, 6)), lin))
         main = N.nf_sub(ctx, route_u, _nf(ctx, target))
@@ -494,12 +498,7 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
 
     results = []
     for conv in t.conventions:
-        if conv == "root-plus":
-            sign = 1
-        elif conv == "root-minus":
-            sign = -1
-        else:
-            raise TransformError(f"{t.id}: unknown convention {conv!r}")
+        sign = _sign(t, conv, "root-plus", "root-minus")
         w = tree.mul(Const(sign), r)
         eng = JetEngine(eq)
         w_y = eng.d_y(w)
@@ -529,6 +528,24 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
                            tuple(results))
 
 
+def _mapped_source(catalog: Catalog, bind: Mapping[str, object],
+                   source_id: str, source_bind: Mapping[str, object],
+                   pre: Mapping[str, str], do_swap: bool,
+                   post: Mapping[str, str]) -> Tuple[Context, Expr]:
+    """The context with bind applied, and the source's F (with source_bind)
+    after the pre identifications, an optional x<->y swap and the post
+    identifications."""
+    ctx = catalog.ctx.bind({k: Fraction(v) for k, v in bind.items()})
+    e = catalog.get(source_id, dict(source_bind)).F
+    if pre:
+        e = identify_symbols(ctx, e, pre)
+    if do_swap:
+        e = swap_xy(e, ctx)
+    if post:
+        e = identify_symbols(ctx, e, post)
+    return ctx, e
+
+
 def _point_identity(catalog: Catalog, conv: str,
                     source_id: str, source_bind: Mapping[str, object],
                     pre: Mapping[str, str], do_swap: bool,
@@ -538,14 +555,8 @@ def _point_identity(catalog: Catalog, conv: str,
                     bind: Mapping[str, object]) -> ConventionResult:
     """One expression identity source == target after parameter binding,
     optional symbol identifications, and an optional x<->y swap."""
-    ctx = catalog.ctx.bind({k: Fraction(v) for k, v in bind.items()})
-    e = catalog.get(source_id, dict(source_bind)).F
-    if pre:
-        e = identify_symbols(ctx, e, pre)
-    if do_swap:
-        e = swap_xy(e, ctx)
-    if post:
-        e = identify_symbols(ctx, e, post)
+    ctx, e = _mapped_source(catalog, bind, source_id, source_bind,
+                            pre, do_swap, post)
     tgt = catalog.get(target_id, dict(target_bind)).F
     if target_renames:
         tgt = identify_symbols(ctx, tgt, target_renames)
@@ -598,12 +609,7 @@ def _check_s6t(t: TransformDef, catalog: Catalog) -> TransformReport:
 
     results = []
     for conv in t.conventions:
-        if conv == "sc-plus":
-            sign = 1
-        elif conv == "sc-minus":
-            sign = -1
-        else:
-            raise TransformError(f"{t.id}: unknown convention {conv!r}")
+        sign = _sign(t, conv, "sc-plus", "sc-minus")
         den = tree.sub(tree.mul(Const(sign), sc, P), c)
         Ev = tree.div(
             tree.mul(4, c, tree.add(f_, u1), tree.add(fa, v1), W), den)
@@ -681,14 +687,7 @@ def final_list_identities(catalog: Catalog) -> List[ListIdentity]:
     ]
     out = []
     for final_id, src_id, bind, pre, do_swap, post in plan:
-        ctx = catalog.ctx.bind({k: Fraction(v) for k, v in bind.items()})
-        e = catalog.get(src_id, bind).F
-        if pre:
-            e = identify_symbols(ctx, e, pre)
-        if do_swap:
-            e = swap_xy(e, ctx)
-        if post:
-            e = identify_symbols(ctx, e, post)
+        ctx, e = _mapped_source(catalog, bind, src_id, bind, pre, do_swap, post)
         tgt = catalog.get(final_id).F
         holds = N.nf_equal(ctx, _nf(ctx, e), _nf(ctx, tgt))
         out.append(ListIdentity(

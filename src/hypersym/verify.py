@@ -28,7 +28,7 @@ from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
 from .expr import normal as N
 from .expr import tree
-from .expr.context import PARAM, TSYM, XJET, YJET, Context, std_context
+from .expr.context import PARAM, XJET, YJET, Context, std_context
 from .expr.parser import print_expr
 from .expr.poly import (
     Layout,
@@ -341,15 +341,13 @@ def extract_g(G: EvolutionEq) -> Expr:
     for nm in sorted(N.nf_free_vars(ctx, g)):
         if nm == "u1":
             continue
-        if ctx.is_alg(nm):
-            if ctx.alg(nm).arg == "u1":
+        link = ctx.chain(nm)
+        if link is not None:
+            if link[0] == "u1":
                 continue
             raise LemmaPremiseError(
                 f"dG/du_4 carries symbol {nm} not based on u_1")
-        kind = ctx.base(nm).kind
-        if kind in _G_ALLOWED_KINDS:
-            continue
-        if kind == TSYM and ctx.base(nm).arg == "u1":
+        if ctx.base(nm).kind in _G_ALLOWED_KINDS:
             continue
         raise LemmaPremiseError(
             f"dG/du_4 is not 5*u2*g(u_1): stray variable {nm}")

@@ -236,13 +236,27 @@ def test_unknown_command_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("hyp, ev", [("S1", "ev12"), ("S4", "ev17"),
-                                     ("hyp4", "ev10")])
-def test_verify_nonzero_structured_output_is_pinned(hyp, ev):
-    """A nonzero report, run cold in its own process, matches the captured
-    text line for line: cancellation, localization into jet coefficients
-    and the cleared denominator all show in it.  hyp4 ev10 puts exp(u) and
-    parameters into the coefficients, apart from the jet monomials."""
+@pytest.mark.parametrize("argv, code, captured", [
+    pytest.param(["verify", "S1", "ev12"], 1, "verify_S1_ev12", id="S1-ev12"),
+    pytest.param(["verify", "S4", "ev17"], 1, "verify_S4_ev17", id="S4-ev17"),
+    pytest.param(["verify", "hyp4", "ev10"], 1, "verify_hyp4_ev10",
+                 id="hyp4-ev10"),
+    pytest.param(["verify", "hyp4", "ev12", "--samples", "5"], 0,
+                 "verify_hyp4_ev12_samples5", id="hyp4-ev12-samples5"),
+    pytest.param(["sample", "--seed", "3"], 0, "sample_seed3",
+                 id="sample-seed3"),
+    pytest.param(["sample", "--seed", "3", "--param", "c=3", "--param", "a=2"],
+                 0, "sample_seed3_c3_a2", id="sample-seed3-c3-a2"),
+])
+def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
+    """A report, run cold in its own process, matches the captured text line
+    for line.  For nonzero verdicts, cancellation, localization into jet
+    coefficients and the cleared denominator all show in it; hyp4 ev10 puts
+    exp(u) and parameters into the coefficients, apart from the jet
+    monomials.  The sampled verdict pins the repr of numeric_max_residual,
+    and the two sample points pin every drawn value: the bands and closed
+    forms read from the symbol definitions, and, with c pinned, the
+    Weierstrass branch."""
     env = dict(os.environ)
     env.pop(cli.ENV_CATALOG, None)
     src = str(Path(hypersym.__file__).resolve().parent.parent)
@@ -250,8 +264,8 @@ def test_verify_nonzero_structured_output_is_pinned(hyp, ev):
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hypersym.cli", "--format", "structured",
-         "verify", hyp, ev],
+         *argv],
         capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    expected = (DATA / f"verify_{hyp}_{ev}.structured").read_text()
+    assert proc.returncode == code, proc.stderr
+    expected = (DATA / f"{captured}.structured").read_text()
     assert proc.stdout.splitlines() == expected.splitlines()

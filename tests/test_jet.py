@@ -161,6 +161,11 @@ def test_swap_xy_basics(ctx):
         # involution
         assert N.nf_equal(ctx, nf(ctx, swap_xy(swap_xy(ea, ctx), ctx)),
                           nf(ctx, ea))
+    mirrored = [d.name for d in ctx.base_vars + ctx.alg_syms
+                if ctx.mirror_of(d.name) is not None]
+    assert {"L", "Ly", "u1", "v6", "r", "fax", "P", "sc"} <= set(mirrored)
+    for n in mirrored:
+        assert ctx.mirror_of(ctx.mirror_of(n)) == n, n
 
 
 def test_swap_xy_rejects_unmirrored_symbols(ctx):

@@ -70,7 +70,10 @@ def test_mono_mul_and_divides():
     assert LAYOUT.mono_mul(a, b) == LAYOUT.pack([1, 3, 4, 3])
     assert LAYOUT.mono_divides(a, LAYOUT.mono_mul(a, b))
     assert not LAYOUT.mono_divides(LAYOUT.pack([2, 0, 0, 0]), a)
-    assert list(LAYOUT.mono_vars(a)) == [0, 1, 3]
+    for mono, want in ((a, [0, 1, 3]),
+                       (LAYOUT.pack([0, 0, 0, 0x4001]), [3]),
+                       (0, [])):
+        assert list(LAYOUT.mono_vars(mono)) == want
 
 
 def test_restrict_matches_unpack_and_pack():
