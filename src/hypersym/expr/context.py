@@ -107,6 +107,7 @@ class Context:
         self._chain: Dict[str, Tuple[Optional[str], Optional[Expr]]] = {}
         self.layout: Optional[Layout] = None
         self.alg_layout: Optional[Layout] = None
+        self.alg_over = 0  # Layout.over_offset of the symbol degrees
         self.bound: Dict[str, Fraction] = {}
         # lazy caches, filled by the normal-form layer
         self._deriv_nf: Dict[str, object] = {}
@@ -147,6 +148,8 @@ class Context:
     def freeze(self) -> None:
         self.layout = Layout(len(self.base_vars))
         self.alg_layout = Layout(len(self.alg_syms))
+        self.alg_over = self.alg_layout.over_offset(
+            [s.degree for s in self.alg_syms])
         self._chain = {v.name: (v.arg, v.derivative)
                        for v in self.base_vars if v.kind == TSYM}
         self._chain.update((s.name, (s.arg, s.derivative))

@@ -93,15 +93,12 @@ def _accumulate(ctx: Context, out: NF, mono: int, rf: RatFunc) -> None:
     if rf.is_zero():
         return
     lay = ctx.alg_layout
+    offset, borrow = ctx.alg_over, lay.borrow_mask
     stack = [(mono, rf)]
     while stack:
         m, c = stack.pop()
-        over = -1
-        for i, s in enumerate(ctx.alg_syms):
-            if lay.exp(m, i) >= s.degree:
-                over = i
-                break
-        if over < 0:
+        over = (m + offset) & borrow
+        if not over:
             cur = out.get(m)
             tot = c if cur is None else R.rf_add(ctx, cur, c)
             if tot.is_zero():
@@ -109,10 +106,10 @@ def _accumulate(ctx: Context, out: NF, mono: int, rf: RatFunc) -> None:
             else:
                 out[m] = tot
             continue
-        s = ctx.alg_syms[over]
-        d = s.degree
+        # the lowest borrow bit is the first symbol over its degree
+        over = ((over & -over).bit_length() - 1) // P.FIELD_BITS
         unit = lay.unit(over)
-        rest = m - d * unit
+        rest = m - ctx.alg_syms[over].degree * unit
         table = _rewrite_table(ctx, over)
         for k, t in enumerate(table):
             if t.is_zero():

@@ -101,6 +101,12 @@ class Layout:
         total = ((m * self._ones) >> (self.total_shift - FIELD_BITS)) & FIELD_MASK
         return m | (total << self.total_shift)
 
+    def over_offset(self, caps: Sequence[int]) -> int:
+        """Added to a monomial, sets the borrow bit of field i exactly when
+        exponent i reaches caps[i]; both terms are below 2**15, so no carry."""
+        return sum((FIELD_TOP - c) << (FIELD_BITS * i)
+                   for i, c in enumerate(caps))
+
     def mono_vars(self, mono: int):
         """Indices of the variables with a nonzero exponent, ascending: each
         step jumps to the lowest set bit left below the total-degree field

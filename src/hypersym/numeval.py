@@ -12,7 +12,9 @@ That closure and sc = sqrt(c) are the only symbols sampled by hand here.
 
 Everything here is advisory: the exact normal-form route is authoritative,
 and the two routes are kept independent (expression trees evaluated directly,
-never through the normal form being tested).
+never through the normal form being tested).  A tree is compiled once per
+zero test into a straight-line program over float slots, in which equal
+subtrees share one slot, and the program is run at every sample.
 """
 
 from __future__ import annotations
@@ -142,38 +144,88 @@ def _poly_at(coeffs: Sequence[float], x: float) -> Tuple[float, float, float]:
     return v, dv, scale
 
 
-def _eval_memo(e: Expr, assignment: Mapping[str, float],
-               memo: Dict[int, Tuple[Expr, float]]) -> float:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    if isinstance(e, Const):
-        v = float(e.value)
-    elif isinstance(e, Name):
-        try:
-            v = assignment[e.name]
-        except KeyError:
-            raise EvalError(f"no value assigned for {e.name!r}")
-    elif isinstance(e, Add):
-        v = math.fsum(_eval_memo(a, assignment, memo) for a in e.args)
-    elif isinstance(e, Mul):
-        v = 1.0
-        for a in e.args:
-            v *= _eval_memo(a, assignment, memo)
-    elif isinstance(e, Pow):
-        v = _eval_memo(e.base, assignment, memo) ** e.exp
-    elif isinstance(e, Div):
-        den = _eval_memo(e.den, assignment, memo)
-        if abs(den) < 1e-300:
-            raise EvalError("denominator vanished at the sample point")
-        v = _eval_memo(e.num, assignment, memo) / den
-    else:
-        raise EvalError(f"cannot evaluate node {type(e).__name__}")
-    if not math.isfinite(v):
-        raise EvalError("non-finite intermediate value")
-    memo[key] = (e, v)
-    return v
+# op codes of a compiled program; _GUARD checks a denominator and has no slot
+_CONST, _NAME, _ADD, _MUL, _POW, _DIV, _GUARD = range(7)
+
+
+def _compile(roots: Sequence[Expr]) -> Tuple[List[tuple], List[int]]:
+    """Straight-line program for the trees in roots, and the slot of each.
+
+    Each node is visited once, in post-order (a quotient's denominator, its
+    guard, then its numerator), and gets the slot of its op (code, a, b),
+    built from child slots, so equal subtrees share one slot: exact, as
+    equal float inputs give equal outputs.
+    """
+    prog: List[tuple] = []
+    by_id: Dict[int, int] = {}
+    by_key: Dict[tuple, int] = {}
+
+    def visit(e: Expr) -> int:
+        s = by_id.get(id(e))
+        if s is not None:
+            return s
+        t = type(e)
+        if t is Mul or t is Add:
+            op = (_MUL if t is Mul else _ADD, tuple(map(visit, e.args)), None)
+        elif t is Pow:
+            op = (_POW, visit(e.base), e.exp)
+        elif t is Name:
+            op = (_NAME, e.name, None)
+        elif t is Const:
+            op = (_CONST, e.value.numerator, e.value.denominator)
+        elif t is Div:
+            den = visit(e.den)
+            prog.append((_GUARD, den, None))
+            op = (_DIV, visit(e.num), den)
+            if op in by_key:
+                prog.pop()  # an equal quotient already passed this guard
+        else:
+            raise EvalError(f"cannot evaluate node {t.__name__}")
+        s = by_key.get(op)
+        if s is None:
+            s = by_key[op] = len(by_key)
+            prog.append(op)
+        by_id[id(e)] = s
+        return s
+
+    slots = [visit(r) for r in roots]
+    del visit  # a recursive closure is a cycle; free the tables now
+    return prog, slots
+
+
+def _run(prog: List[tuple], slots: Sequence[int],
+         assignment: Mapping[str, float]) -> List[float]:
+    """Run prog at one point, op by op, and return the values of slots."""
+    vals: List[float] = []
+    put, fsum, isfinite = vals.append, math.fsum, math.isfinite
+    try:
+        for code, a, b in prog:
+            if code == _MUL:
+                v = 1.0
+                for i in a:
+                    v *= vals[i]
+            elif code == _ADD:
+                v = fsum([vals[i] for i in a])
+            elif code == _POW:
+                v = vals[a] ** b
+            elif code == _DIV:
+                v = vals[a] / vals[b]
+            elif code == _GUARD:
+                if abs(vals[a]) < 1e-300:
+                    raise EvalError("denominator vanished at the sample point")
+                continue
+            elif code == _CONST:
+                v = a / b  # float(Fraction(a, b))
+            else:
+                v = assignment[a]
+            if not isfinite(v):
+                raise EvalError("non-finite intermediate value")
+            put(v)
+    except OverflowError:  # from **, int / int and fsum
+        raise EvalError("non-finite intermediate value") from None
+    except KeyError as ex:  # only a name lookup raises it
+        raise EvalError(f"no value assigned for {ex.args[0]!r}") from None
+    return [vals[s] for s in slots]
 
 
 def _nf_terms(e, assignment: Mapping[str, float],
@@ -197,7 +249,7 @@ def eval(e, p: Union[SamplePoint, Mapping[str, float]],
     """Evaluate an expression tree or a normal form at a sample point."""
     assignment = p.assignment if isinstance(p, SamplePoint) else p
     if isinstance(e, Expr):
-        return _eval_memo(e, assignment, {})
+        return _run(*_compile([e]), assignment)[0]
     v = math.fsum(_nf_terms(e, assignment, ctx))
     if not math.isfinite(v):
         raise EvalError("non-finite intermediate value")
@@ -217,8 +269,7 @@ def _solve_sym(coeffs: List[float], pick: str, near: float = 0.0) -> float:
 
 
 def _coeffs_at(ctx: Context, sym, assignment: Mapping[str, float]) -> List[float]:
-    memo: Dict[int, Tuple[Expr, float]] = {}
-    return [_eval_memo(c, assignment, memo) for c in sym.minpoly_coeffs]
+    return _run(*_compile(sym.minpoly_coeffs), assignment)
 
 
 def _try_sample(ctx: Context, pinned: Dict[str, float],
@@ -309,37 +360,31 @@ class NumericVerdict:
     seed: int
 
 
-def _relative_residual(e, p: SamplePoint, ctx: Optional[Context]) -> float:
-    """|value| / (1 + largest top-level term contribution)."""
-    if isinstance(e, Expr):
-        if isinstance(e, Add):
-            memo: Dict[int, Tuple[Expr, float]] = {}
-            contribs = [_eval_memo(t, p.assignment, memo) for t in e.args]
-        else:
-            contribs = [eval(e, p, ctx)]
-        value = math.fsum(contribs)
-    else:
-        contribs = _nf_terms(e, p.assignment, ctx)
-        value = math.fsum(contribs)
-    scale = max((abs(c) for c in contribs), default=0.0)
-    return abs(value) / (1.0 + scale)
-
-
 def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
                  ctx: Optional[Context] = None,
                  constraints: Optional[Mapping[str, object]] = None
                  ) -> NumericVerdict:
-    """Probabilistic zero test: relative residual at `samples` points."""
+    """Probabilistic zero test: relative residual at `samples` points,
+    |value| / (1 + largest top-level term contribution)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if ctx is None and isinstance(e, Expr):
-        ctx = std_context()
+    if isinstance(e, Expr):
+        if ctx is None:
+            ctx = std_context()
+        # the root gives the value, its top-level terms the contributions
+        prog, roots = _compile([e, *(e.args if isinstance(e, Add) else (e,))])
     rng = random.Random(seed)
     residuals: List[float] = []
     for _ in range(samples):
         child = rng.getrandbits(48)
         p = sample_point(ctx, constraints, child)
-        residuals.append(_relative_residual(e, p, ctx))
+        if isinstance(e, Expr):
+            value, *contribs = _run(prog, roots, p.assignment)
+        else:
+            contribs = _nf_terms(e, p.assignment, ctx)
+            value = math.fsum(contribs)
+        scale = max((abs(c) for c in contribs), default=0.0)
+        residuals.append(abs(value) / (1.0 + scale))
     mx = max(residuals)
     return NumericVerdict(zero_like=(mx < tol), max_residual=mx,
                           residuals=residuals, samples=samples,
@@ -370,13 +415,12 @@ def fd_checks(ctx: Optional[Context] = None, p: Optional[SamplePoint] = None,
     if p is None:
         p = sample_point(ctx, None, 0)
     out: List[FDCheck] = []
-    memo: Dict[int, Tuple[Expr, float]] = {}
     for v, fn in _closed_forms(ctx):
         if names and v.name not in names:
             continue
         x0 = p.assignment[v.arg]
         fd = (fn(x0 + step) - fn(x0 - step)) / (2 * step)
-        symb = _eval_memo(v.derivative, p.assignment, memo)
+        symb = eval(v.derivative, p)
         out.append(FDCheck(v.name, v.arg, fd, symb,
                            abs(fd - symb) / (1 + abs(symb))))
 
@@ -399,7 +443,7 @@ def fd_checks(ctx: Optional[Context] = None, p: Optional[SamplePoint] = None,
             coeffs = _coeffs_at(ctx, s, shifted)
             vals.append(_solve_sym(coeffs, "nearest", near=cur))
         fd = (vals[0] - vals[1]) / (2 * step)
-        symb = _eval_memo(s.derivative, p.assignment, memo)
+        symb = eval(s.derivative, p)
         if s.name == "P":
             # fd is dP/dW; the rule is dP/du = dP/dW * dW/du with dW/du = P
             fd = fd * p.assignment["P"]

@@ -243,6 +243,8 @@ def test_unknown_command_is_usage_error(capsys):
                  id="hyp4-ev10"),
     pytest.param(["verify", "hyp4", "ev12", "--samples", "5"], 0,
                  "verify_hyp4_ev12_samples5", id="hyp4-ev12-samples5"),
+    pytest.param(["verify-all", "--samples", "3", "--seed", "4", "--jobs", "1"],
+                 0, "verify_all_samples3_seed4", id="verify-all-samples3-seed4"),
     pytest.param(["sample", "--seed", "3"], 0, "sample_seed3",
                  id="sample-seed3"),
     pytest.param(["sample", "--seed", "3", "--param", "c=3", "--param", "a=2"],
@@ -253,10 +255,10 @@ def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
     for line.  For nonzero verdicts, cancellation, localization into jet
     coefficients and the cleared denominator all show in it; hyp4 ev10 puts
     exp(u) and parameters into the coefficients, apart from the jet
-    monomials.  The sampled verdict pins the repr of numeric_max_residual,
-    and the two sample points pin every drawn value: the bands and closed
-    forms read from the symbol definitions, and, with c pinned, the
-    Weierstrass branch."""
+    monomials.  The sampled verdicts pin the repr of numeric_max_residual,
+    of hyp4 ev12 and of all 12 claims, and the two sample points pin every
+    drawn value: the bands and closed forms read from the symbol
+    definitions, and, with c pinned, the Weierstrass branch."""
     env = dict(os.environ)
     env.pop(cli.ENV_CATALOG, None)
     src = str(Path(hypersym.__file__).resolve().parent.parent)

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_expr
 from hypersym.errors import NotInvertibleError, SizeLimitError
 from hypersym.expr import normal as N
+from hypersym.expr import ratfunc as R
 from hypersym.expr import tree
 from hypersym.expr.context import default_context
 from hypersym.expr.parser import parse
@@ -171,3 +172,43 @@ def test_term_budget_enforced():
     e = parse("(u + u1 + u2 + u3 + u4 + v1)^6", small)
     with pytest.raises(SizeLimitError):
         N.normalize(small, e)
+
+
+def ref_accumulate(ctx, out, mono, rf):
+    """_accumulate with the per-symbol scan it replaced: reduce the first
+    symbol, in registration order, whose exponent reaches its degree."""
+    lay = ctx.alg_layout
+    stack = [(mono, rf)]
+    while stack:
+        m, c = stack.pop()
+        over = next((i for i, s in enumerate(ctx.alg_syms)
+                     if lay.exp(m, i) >= s.degree), -1)
+        if over < 0:
+            tot = c if m not in out else R.rf_add(ctx, out[m], c)
+            if tot.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = tot
+            continue
+        unit = lay.unit(over)
+        rest = m - ctx.alg_syms[over].degree * unit
+        for k, t in enumerate(N._rewrite_table(ctx, over)):
+            if not t.is_zero():
+                stack.append((rest + k * unit, R.rf_mul(ctx, c, t)))
+
+
+def test_accumulate_reduces_in_the_same_order(ctx):
+    # several symbols at or over their degree at once: the same terms come
+    # out, inserted in the same order
+    rng = random.Random(5)
+    lay, syms = ctx.alg_layout, ctx.alg_syms
+    for _ in range(40):
+        exps = [rng.choice((0, 0, 1, s.degree, s.degree + 1)) for s in syms]
+        mono = lay.pack(exps)
+        got, want = {}, {}
+        for k in range(2):
+            rf = nf(ctx, f"u1 + {k + 1}")[0]
+            N._accumulate(ctx, got, mono + k * lay.unit(0), rf)
+            ref_accumulate(ctx, want, mono + k * lay.unit(0), rf)
+        assert list(got) == list(want)
+        assert nf_struct_equal(got, want)

@@ -2,6 +2,8 @@
 zero classification, and finite-difference validation of derivative rules."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from hypersym.errors import EvalError, SampleError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.parser import parse
+from hypersym.expr.tree import Add, Const, Div, Mul, Name, Pow
 
 BASE_BAND = (0.5, 2.0)
 
@@ -141,3 +144,204 @@ def test_fd_checks_chain_through_weierstrass(ctx):
     assert row.rel_error < 1e-6
     assert abs(row.symbolic - 6.0 * p["W"] ** 2) < 1e-6 * (
         1 + abs(row.symbolic))
+
+
+def test_eval_maps_overflow_to_eval_error(ctx):
+    p = numeval.sample_point(ctx, None, 0)
+    cases = [
+        parse("(u1*10)^400*u1", ctx),                      # float **
+        Add((Const(Fraction(10 ** 400)), Name("u1"))),     # float(Fraction)
+        Add((Const(Fraction(10 ** 308)), Const(Fraction(10 ** 308)))),  # fsum
+        # an infinite product is caught where it appears, not divided away
+        Div(Const(1), Mul((Const(Fraction(10 ** 300)), Name("u1"),
+                           Const(Fraction(10 ** 300))))),
+    ]
+    for e in cases:
+        with pytest.raises(EvalError, match="non-finite intermediate value"):
+            numeval.eval(e, p, ctx)
+    with pytest.raises(EvalError, match="non-finite intermediate value"):
+        numeval.numeric_zero(cases[0] - parse("u2", ctx), 2, ctx=ctx)
+
+
+# -- the compiled oracle against the tree walker it replaced ---------------
+
+def ref_eval(e, assignment, memo):
+    """Recursive tree walker with an id-keyed memo, first visit wins; a
+    quotient's denominator is evaluated and checked before its numerator."""
+    key = id(e)
+    hit = memo.get(key)
+    if hit is not None and hit[0] is e:
+        return hit[1]
+    if isinstance(e, Const):
+        v = float(e.value)
+    elif isinstance(e, Name):
+        try:
+            v = assignment[e.name]
+        except KeyError:
+            raise EvalError(f"no value assigned for {e.name!r}")
+    elif isinstance(e, Add):
+        v = math.fsum(ref_eval(a, assignment, memo) for a in e.args)
+    elif isinstance(e, Mul):
+        v = 1.0
+        for a in e.args:
+            v *= ref_eval(a, assignment, memo)
+    elif isinstance(e, Pow):
+        v = ref_eval(e.base, assignment, memo) ** e.exp
+    elif isinstance(e, Div):
+        den = ref_eval(e.den, assignment, memo)
+        if abs(den) < 1e-300:
+            raise EvalError("denominator vanished at the sample point")
+        v = ref_eval(e.num, assignment, memo) / den
+    else:
+        raise EvalError(f"cannot evaluate node {type(e).__name__}")
+    if not math.isfinite(v):
+        raise EvalError("non-finite intermediate value")
+    memo[key] = (e, v)
+    return v
+
+
+def outcome(fn):
+    """A value, or the class and message of what was raised; the walker's
+    OverflowError is what the compiled oracle reports as non-finite."""
+    try:
+        return fn()
+    except OverflowError:
+        return (EvalError, "non-finite intermediate value")
+    except (EvalError, ZeroDivisionError) as ex:
+        return (type(ex), str(ex))
+
+
+def copy_tree(e):
+    """A structurally equal tree that shares no node with e."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Name):
+        return Name(e.name)
+    if isinstance(e, (Add, Mul)):
+        return type(e)([copy_tree(a) for a in e.args])
+    if isinstance(e, Pow):
+        return Pow(copy_tree(e.base), e.exp)
+    return Div(copy_tree(e.num), copy_tree(e.den))
+
+
+def id_nodes(e):
+    seen = {}
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            todo.extend(getattr(n, "args", ()))
+            todo.extend(getattr(n, a) for a in ("base", "num", "den")
+                        if hasattr(n, a))
+    return len(seen)
+
+
+def shared_tree(rng, names, depth, pool):
+    """Random tree over every node kind, built with the node classes so no
+    constant folding changes its shape.  Subtrees built earlier come back
+    from pool, either as the same object or as an equal copy."""
+    if pool and rng.random() < 0.25:
+        t = rng.choice(pool)
+        return t if rng.random() < 0.5 else copy_tree(t)
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            return Const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        return Name(rng.choice(names))
+    kind = rng.choice("AAMMPD")
+    sub = [shared_tree(rng, names, depth - 1, pool)
+           for _ in range(rng.randint(1, 4) if kind in "AM" else 2)]
+    if kind == "A":
+        node = Add(sub)
+    elif kind == "M":
+        node = Mul(sub)
+    elif kind == "P":
+        node = Pow(sub[0], rng.choice((-3, -2, -1, 0, 2, 3)))
+    else:
+        node = Div(*sub)
+    pool.append(node)
+    return node
+
+
+def test_compiled_eval_matches_walker_bit_for_bit(ctx):
+    rng = random.Random(2024)
+    names = ["u1", "u2", "v1", "f", "r", "E", "W", "P", "a", "b"]
+    points = [numeval.sample_point(ctx, None, s).assignment for s in range(4)]
+    seen = {"Add": 0, "other": 0, "value": 0, "error": 0}
+    for _ in range(150):
+        e = shared_tree(rng, names, 5, [])
+        seen["Add" if isinstance(e, Add) else "other"] += 1
+        for a in points:
+            want = outcome(lambda: ref_eval(e, a, {}))
+            got = outcome(lambda: numeval.eval(e, a))
+            assert got == want
+            seen["value" if isinstance(want, float) else "error"] += 1
+    assert min(seen.values()) > 10, seen
+
+
+def test_numeric_zero_matches_walker_residuals(ctx):
+    # numeric_zero's residuals, rebuilt from the walker over the same points:
+    # a top-level Add contributes its terms, any other root itself
+    rng = random.Random(7)
+    names = ["u1", "u2", "v1", "f", "fy", "ry", "L", "c"]
+    roots = 0
+    for _ in range(40):
+        e = shared_tree(rng, names, 4, [])
+        if not isinstance(e, Add) and rng.random() < 0.5:
+            e = Add((e, copy_tree(e), Mul((Const(-2), e))))
+        roots += isinstance(e, Add)
+        draw = random.Random(3)
+        want = []
+        for _ in range(3):
+            child = draw.getrandbits(48)
+            a = numeval.sample_point(ctx, None, child).assignment
+            terms = e.args if isinstance(e, Add) else (e,)
+            memo = {}
+            parts = [outcome(lambda: ref_eval(t, a, memo)) for t in terms]
+            bad = [p for p in parts if not isinstance(p, float)]
+            if bad:
+                want = bad[0]
+                break
+            value = outcome(lambda: math.fsum(parts))
+            if not isinstance(value, float):
+                want = value
+                break
+            want.append(abs(value) / (1.0 + max(abs(p) for p in parts)))
+        got = outcome(lambda: numeval.numeric_zero(
+            e, 3, seed=3, ctx=ctx).residuals)
+        assert got == want
+    assert 0 < roots < 40
+
+
+def test_compiled_errors_match_walker(ctx):
+    a = numeval.sample_point(ctx, None, 1).assignment
+    zero = Add((Name("u1"), Mul((Const(-1), Name("u1")))))
+    missing = Name("nowhere")
+    cases = [
+        Div(Const(1), zero),
+        Div(missing, zero),                    # the guard runs first
+        Add((missing, Div(Const(1), zero))),   # the name comes first
+        Mul((Div(Name("u2"), zero), missing)),
+        Div(Name("u1"), Pow(missing, 2)),
+    ]
+    for e in cases:
+        want = outcome(lambda: ref_eval(e, a, {}))
+        assert isinstance(want, tuple) and want[0] is EvalError
+        assert outcome(lambda: numeval.eval(e, a)) == want
+    assert outcome(lambda: numeval.eval(cases[1], a))[1] == (
+        "denominator vanished at the sample point")
+    assert outcome(lambda: numeval.eval(cases[2], a))[1] == (
+        "no value assigned for 'nowhere'")
+
+
+def test_compiled_program_shares_equal_subtrees(ctx):
+    t = parse("(f(u1)*u2 + 3*u1^2)/(u1 + 1) - exp(u)*u3", ctx)
+    e = Add((t, copy_tree(t), Mul((copy_tree(t), t))))
+    prog, slots = numeval._compile([e])
+    assert len(prog) < id_nodes(e)
+    # the copies compile to the slots of the original
+    prog2, slots2 = numeval._compile([t, copy_tree(t)])
+    assert slots2[0] == slots2[1]
+    assert len(prog2) == len(numeval._compile([t])[0])
+    a = numeval.sample_point(ctx, None, 2).assignment
+    assert numeval.eval(e, a) == ref_eval(e, a, {})
