@@ -222,6 +222,9 @@ def _report_text(r: verify.VerificationReport, out) -> None:
           f"({r.residual_term_count} terms, {r.elapsed:.2f}s)", file=out)
     for mono, coeff in r.failing_coefficients:
         print(f"  coefficient of {mono}: {coeff}", file=out)
+    if r.failing_total > len(r.failing_coefficients):
+        print(f"  ({len(r.failing_coefficients)} of {r.failing_total} "
+              f"failing coefficients shown)", file=out)
     if r.cleared_denominator is not None:
         print(f"  cleared denominator: {r.cleared_denominator}", file=out)
     if r.samples:

@@ -114,6 +114,8 @@ class Context:
         self._reduction: Dict[Tuple[int, int], object] = {}
         self._factor_intern: Dict[tuple, object] = {}
         self.den_atoms: List[object] = []
+        # symbol -> compiled minimal-polynomial coefficients, filled by numeval
+        self._minpoly_progs: Dict[object, object] = {}
         self._bind_cache: Dict[tuple, "Context"] = {}
 
     # -- construction ------------------------------------------------------

@@ -301,15 +301,13 @@ def pcoeff_var(a: Poly, i: int, k: int, layout: Layout) -> Poly:
 
 
 def pvars(a: Poly, layout: Layout) -> set:
-    out: set = set()
-    nv = layout.nvars
+    """Indices of the variables that occur in a.  Fields do not overlap, so
+    a field of the OR of all monomials is nonzero exactly when some
+    monomial uses that variable."""
+    acc = 0
     for m in a:
-        for i in range(nv):
-            if (m >> (FIELD_BITS * i)) & FIELD_MASK:
-                out.add(i)
-        if len(out) == nv:
-            break
-    return out
+        acc |= m
+    return set(layout.mono_vars(acc))
 
 
 def pdiv_exact(a: Poly, b: Poly, layout: Layout) -> Optional[Poly]:

@@ -165,9 +165,11 @@ class JetEngine:
     # total derivatives --------------------------------------------------------
 
     def d_x(self, e: Expr) -> Expr:
+        """Total x-derivative modulo u_xy = F and its consequences."""
         return _derive(e, self._memo_x, self._dx_name)
 
     def d_y(self, e: Expr) -> Expr:
+        """Total y-derivative modulo u_xy = F and its consequences."""
         return _derive(e, self._memo_y, self._dy_name)
 
 
@@ -257,29 +259,6 @@ class NFJet:
                 if r:
                     terms.append(n.nf_mul(self.ctx, p, r))
         return n.nf_sum(self.ctx, terms)
-
-
-_ENGINES: Dict[tuple, JetEngine] = {}
-
-
-def _engine(eq: HyperbolicEq) -> JetEngine:
-    key = (eq.id, id(eq.ctx), tuple(sorted((k, repr(v)) for k, v in eq.params.items())),
-           id(eq.F))
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = JetEngine(eq)
-        _ENGINES[key] = eng
-    return eng
-
-
-def d_x(e: Expr, eq: HyperbolicEq) -> Expr:
-    """Total x-derivative modulo u_xy = F and its consequences."""
-    return _engine(eq).d_x(e)
-
-
-def d_y(e: Expr, eq: HyperbolicEq) -> Expr:
-    """Total y-derivative modulo u_xy = F and its consequences."""
-    return _engine(eq).d_y(e)
 
 
 def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:

@@ -223,6 +223,8 @@ def _run(prog: List[tuple], slots: Sequence[int],
             put(v)
     except OverflowError:  # from **, int / int and fsum
         raise EvalError("non-finite intermediate value") from None
+    except ZeroDivisionError:  # only 0.0 ** negative raises it
+        raise EvalError("denominator vanished at the sample point") from None
     except KeyError as ex:  # only a name lookup raises it
         raise EvalError(f"no value assigned for {ex.args[0]!r}") from None
     return [vals[s] for s in slots]
@@ -269,7 +271,12 @@ def _solve_sym(coeffs: List[float], pick: str, near: float = 0.0) -> float:
 
 
 def _coeffs_at(ctx: Context, sym, assignment: Mapping[str, float]) -> List[float]:
-    return _run(*_compile(sym.minpoly_coeffs), assignment)
+    """Minimal-polynomial coefficients of sym at the assignment; each
+    symbol's coefficient program is compiled once per context."""
+    compiled = ctx._minpoly_progs.get(sym)
+    if compiled is None:
+        compiled = ctx._minpoly_progs[sym] = _compile(sym.minpoly_coeffs)
+    return _run(*compiled, assignment)
 
 
 def _try_sample(ctx: Context, pinned: Dict[str, float],

@@ -154,17 +154,32 @@ def _alg_names(ctx: Context) -> List[str]:
     return [s.name for s in ctx.alg_syms]
 
 
-def jet_coefficients(ctx: Context, R: N.NF) -> Tuple[List[Tuple[str, Expr]], Optional[Expr]]:
+MAX_REPORTED_COEFFS = 64
+
+
+def _factor_order(layout: Layout, fac) -> tuple:
+    """Print order of a denominator factor: total degree, number of terms,
+    then the sorted terms.  Unlike the intern id, it does not depend on
+    what ran earlier in the process."""
+    return layout.total(max(fac.poly)), len(fac.poly), fac.key
+
+
+def jet_coefficients(ctx: Context, R: N.NF
+                     ) -> Tuple[List[Tuple[str, Expr]], Optional[Expr], int]:
     """Coefficients of the denominator-cleared residual, grouped by jet
     monomial in descending graded-lex order.
 
     Returns ([(jet monomial text, coefficient expression)], common denominator
-    expression or None).  The coefficient of each jet monomial collects the
-    algebraic-symbol and parameter content; all coefficients vanish iff the
-    residual is zero.
+    expression or None, number of nonzero coefficients).  The coefficient of
+    each jet monomial collects the algebraic-symbol and parameter content;
+    all coefficients vanish iff the residual is zero.  Only the first
+    MAX_REPORTED_COEFFS groups are turned into expressions.  The count is
+    the number of groups: for a fixed algebraic monomial the cleared
+    polynomial has distinct monomials, and splitting a monomial into (jet
+    part, rest) is injective, so no group can cancel.
     """
     if not R:
-        return [], None
+        return [], None, 0
     cleared, den = _clear_denominators(ctx, R)
     layout = ctx.layout
     jet_mask = layout.field_mask(
@@ -181,6 +196,8 @@ def jet_coefficients(ctx: Context, R: N.NF) -> Tuple[List[Tuple[str, Expr]], Opt
                 padd_inplace(q, {rest: c})
     out: List[Tuple[str, Expr]] = []
     for jet in sorted(groups, reverse=True):
+        if len(out) == MAX_REPORTED_COEFFS:
+            break
         coeff_nf: N.NF = {}
         for alg_mono, p in groups[jet].items():
             p = {m: c for m, c in p.items() if c}
@@ -194,10 +211,11 @@ def jet_coefficients(ctx: Context, R: N.NF) -> Tuple[List[Tuple[str, Expr]], Opt
     if den.den_scalar != 1 or den.den_factors:
         den_expr = N.nf_to_expr(ctx, {0: RatFunc(
             {0: den.den_scalar}, 1, ())})
-        for fac, e in den.den_factors:
+        for fac, e in sorted(den.den_factors,
+                             key=lambda fe: _factor_order(layout, fe[0])):
             den_expr = tree.mul(den_expr, tree.pow_(
                 N._poly_to_expr(ctx, fac.poly), e))
-    return out, den_expr
+    return out, den_expr, len(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +231,8 @@ class VerificationReport:
     bindings: Tuple[Tuple[str, Fraction], ...]
     residual_is_zero: bool
     residual_term_count: int
-    failing_coefficients: List[Tuple[str, str]]
+    failing_coefficients: List[Tuple[str, str]]  # the first MAX_REPORTED_COEFFS
+    failing_total: int  # every nonzero jet coefficient
     cleared_denominator: Optional[str]
     numeric_max_residual: Optional[float]
     numeric_residuals: List[float]
@@ -251,9 +270,6 @@ class VerificationReport:
         return ls
 
 
-MAX_REPORTED_COEFFS = 64
-
-
 def verify_pair(F: HyperbolicEq, G: EvolutionEq, samples: int = 0,
                 seed: int = 0, tol: float = DEFAULT_TOL,
                 direction: str = "x",
@@ -276,11 +292,11 @@ def verify_pair(F: HyperbolicEq, G: EvolutionEq, samples: int = 0,
     zero = N.nf_is_zero(R)
     count = N.nf_size(R)
     failing: List[Tuple[str, str]] = []
+    failing_total = 0
     den_text: Optional[str] = None
     if not zero:
-        coeffs, den = jet_coefficients(ctx, R)
-        failing = [(m, print_expr(c, ctx)) for m, c in
-                   coeffs[:MAX_REPORTED_COEFFS]]
+        coeffs, den, failing_total = jet_coefficients(ctx, R)
+        failing = [(m, print_expr(c, ctx)) for m, c in coeffs]
         if den is not None:
             den_text = print_expr(den, ctx)
     residuals: List[float] = []
@@ -300,6 +316,7 @@ def verify_pair(F: HyperbolicEq, G: EvolutionEq, samples: int = 0,
         residual_is_zero=zero,
         residual_term_count=count,
         failing_coefficients=failing,
+        failing_total=failing_total,
         cleared_denominator=den_text,
         numeric_max_residual=(max(residuals) if residuals else None),
         numeric_residuals=residuals,

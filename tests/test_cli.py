@@ -21,6 +21,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cold(*argv):
+    """The CLI in a fresh process, on this checkout, without a user
+    catalog path."""
+    env = dict(os.environ)
+    env.pop(cli.ENV_CATALOG, None)
+    src = str(Path(hypersym.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hypersym.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
 def parse_structured(text):
     """Blocks of `key = value` lines separated by blank lines."""
     blocks = []
@@ -259,15 +272,28 @@ def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
     of hyp4 ev12 and of all 12 claims, and the two sample points pin every
     drawn value: the bands and closed forms read from the symbol
     definitions, and, with c pinned, the Weierstrass branch."""
-    env = dict(os.environ)
-    env.pop(cli.ENV_CATALOG, None)
-    src = str(Path(hypersym.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypersym.cli", "--format", "structured",
-         *argv],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = run_cold("--format", "structured", *argv)
     assert proc.returncode == code, proc.stderr
     expected = (DATA / f"{captured}.structured").read_text()
     assert proc.stdout.splitlines() == expected.splitlines()
+
+
+def test_report_does_not_depend_on_process_history(catalog):
+    """The cleared denominator's factors print in an order of their own,
+    not in the order they were first met: a report made after verify-all
+    has interned the catalog's factors matches a cold one byte for byte."""
+    verify.verify_all(catalog, jobs=1)
+    r = verify.verify_pair(catalog.get("S4"), catalog.get("ev17"))
+    proc = run_cold("--format", "structured", "verify", "S4", "ev17")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "\n".join(r.structured_lines()) + "\n"
+
+
+def test_text_report_says_when_coefficients_are_cut(capsys):
+    code, out, _ = run(capsys, "verify", "S1", "ev12")
+    assert code == 1
+    assert out.count("  coefficient of ") == verify.MAX_REPORTED_COEFFS
+    assert "  (64 of 116 failing coefficients shown)\n" in out
+    code, out, _ = run(capsys, "verify", "hyp3", "ev12")
+    assert out.count("  coefficient of ") == 5
+    assert "failing coefficients shown" not in out

@@ -10,8 +10,7 @@ from hypersym.errors import HypersymError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.parser import parse
-from hypersym.jet import (EvolutionEq, HyperbolicEq, JetEngine, NFJet,
-                          d_x, d_y, swap_xy)
+from hypersym.jet import EvolutionEq, HyperbolicEq, JetEngine, NFJet, swap_xy
 
 
 def nf(ctx, e):
@@ -143,11 +142,12 @@ def test_custom_rules_override(tz):
     assert N.nf_equal(ctx, nf(ctx, got), nf(ctx, "2*V*u1"))
 
 
-def test_module_level_wrappers(tz):
+def test_fresh_engine_first_derivatives(tz):
     ctx = tz.ctx
-    assert N.nf_equal(ctx, nf(ctx, d_x(parse("u1", ctx), tz)),
+    assert N.nf_equal(ctx, nf(ctx, JetEngine(tz).d_x(parse("u1", ctx))),
                       nf(ctx, "u2"))
-    assert N.nf_equal(ctx, nf(ctx, d_y(parse("u1", ctx), tz)), nf(ctx, tz.F))
+    assert N.nf_equal(ctx, nf(ctx, JetEngine(tz).d_y(parse("u1", ctx))),
+                      nf(ctx, tz.F))
 
 
 def test_swap_xy_basics(ctx):

@@ -163,6 +163,14 @@ def test_eval_maps_overflow_to_eval_error(ctx):
         numeval.numeric_zero(cases[0] - parse("u2", ctx), 2, ctx=ctx)
 
 
+def test_negative_power_of_zero_is_eval_error(ctx):
+    e = parse("(u1-u1)^(-2)", ctx)
+    with pytest.raises(EvalError, match="denominator vanished"):
+        numeval.eval(e, {"u1": 1.3}, ctx)
+    with pytest.raises(EvalError, match="denominator vanished"):
+        numeval.numeric_zero(e, 2, ctx=ctx)
+
+
 # -- the compiled oracle against the tree walker it replaced ---------------
 
 def ref_eval(e, assignment, memo):
@@ -202,12 +210,16 @@ def ref_eval(e, assignment, memo):
 
 def outcome(fn):
     """A value, or the class and message of what was raised; the walker's
-    OverflowError is what the compiled oracle reports as non-finite."""
+    OverflowError is what the compiled oracle reports as non-finite, and
+    its ZeroDivisionError (0.0 to a negative power) as a vanished
+    denominator."""
     try:
         return fn()
     except OverflowError:
         return (EvalError, "non-finite intermediate value")
-    except (EvalError, ZeroDivisionError) as ex:
+    except ZeroDivisionError:
+        return (EvalError, "denominator vanished at the sample point")
+    except EvalError as ex:
         return (type(ex), str(ex))
 
 

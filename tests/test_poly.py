@@ -216,6 +216,37 @@ def test_eval_and_ordering_helpers():
     assert P.pvars(a, LAYOUT) == {i for m in a for i in LAYOUT.mono_vars(m)}
 
 
+def ref_pvars(a, layout):
+    """The per-term scan pvars replaced: every field of every monomial."""
+    out = set()
+    for m in a:
+        for i in range(layout.nvars):
+            if (m >> (P.FIELD_BITS * i)) & P.FIELD_MASK:
+                out.add(i)
+    return out
+
+
+def test_pvars_matches_field_scan():
+    rng = random.Random(12)
+    for layout in (LAYOUT, P.Layout(33)):
+        top = layout.var_mono(layout.nvars - 1)
+        cases = [{}, {0: 5}, {top: 2}, {0: 1, top: -1}]
+        for _ in range(200):
+            p = {}
+            for _ in range(rng.randint(1, 6)):
+                exps = [rng.randint(1, 3) if rng.random() < 0.15 else 0
+                        for _ in range(layout.nvars)]
+                p[layout.pack(exps)] = rng.choice((-2, -1, 1, 3))
+            if rng.random() < 0.3:
+                p[0] = 7  # the constant monomial
+            cases.append(p)
+        assert sum(0 in p for p in cases) > 10
+        assert sum(any(layout.exp(m, layout.nvars - 1) for m in p)
+                   for p in cases) > 10
+        for p in cases:
+            assert P.pvars(p, layout) == ref_pvars(p, layout)
+
+
 # -- exact division against the schoolbook reference ----------------------
 
 def ref_div_exact(a, b):

@@ -8,7 +8,9 @@ import pytest
 from hypersym import verify
 from hypersym.errors import LemmaPremiseError
 from hypersym.expr import normal as N
+from hypersym.expr.context import XJET, YJET
 from hypersym.expr.parser import parse, print_expr
+from hypersym.expr.ratfunc import rf_from_poly
 from hypersym.jet import EvolutionEq, HyperbolicEq, swap_xy
 
 # pairings whose residual must be exactly zero, with their bindings
@@ -63,6 +65,52 @@ def test_near_miss_localizes_failing_coefficients(catalog):
         ("u2*u3", "20"),
     ]
     assert r.cleared_denominator == "exp(u)"
+
+
+def ref_jet_coefficients(ctx, R):
+    """The full conversion jet_coefficients made before it stopped at the
+    printed groups: every group, in descending jet order."""
+    cleared, _den = verify._clear_denominators(ctx, R)
+    layout = ctx.layout
+    jet_mask = layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
+    groups = {}
+    for alg_mono, p in cleared.items():
+        for mono, c in p.items():
+            jet, rest = verify._mono_split(layout, mono, jet_mask)
+            bucket = groups.setdefault(jet, {}).setdefault(alg_mono, {})
+            bucket[rest] = bucket.get(rest, 0) + c
+    out = []
+    for jet in sorted(groups, reverse=True):
+        coeff_nf = {}
+        for alg_mono, p in groups[jet].items():
+            p = {m: c for m, c in p.items() if c}
+            if p:
+                coeff_nf[alg_mono] = rf_from_poly(ctx, p)
+        if coeff_nf:
+            out.append((verify._mono_text(ctx, jet, layout,
+                                          verify._base_names(ctx)),
+                        N.nf_to_expr(ctx, coeff_nf)))
+    return out
+
+
+@pytest.mark.parametrize("hid, eid, groups", [
+    ("hyp4", "ev10", 13), ("S1", "ev12", 116), ("S4", "ev17", 541)])
+def test_jet_coefficients_convert_only_printed_groups(catalog, hid, eid,
+                                                       groups):
+    F, G = get_pair(catalog, hid, eid, {})
+    ctx = F.ctx
+    R = verify.determining_residual(F, G)
+    ref = ref_jet_coefficients(ctx, R)
+    got, _den, total = verify.jet_coefficients(ctx, R)
+    assert total == len(ref) == groups
+    assert len(got) == min(total, verify.MAX_REPORTED_COEFFS)
+    text = [(m, print_expr(c, ctx)) for m, c in got]
+    assert text == [(m, print_expr(c, ctx))
+                    for m, c in ref[:verify.MAX_REPORTED_COEFFS]]
+    r = verify.verify_pair(F, G)
+    assert r.failing_total == total
+    assert r.failing_coefficients == text
 
 
 def test_pure_exponential_neighbor_is_also_exact(catalog):
