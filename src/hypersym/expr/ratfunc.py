@@ -8,11 +8,30 @@ factors, so no multivariate gcd is ever needed: every denominator enters the
 system through rf_inverse, which interns its factors, and later cancellations
 only ever have to recognize those same factors.
 
-rf_make keeps the form canonical by trial division: after every operation
-it divides the numerator by each denominator factor for as long as the
-division is exact.  Interned factors are not known to be irreducible, so no
-trial can be skipped as one that must fail; every factor is tried, and most
-trials fail.  poly.pdiv_exact makes a failing trial cheap with two necessary
+rf_make reduces by trial division: after every operation it divides the
+numerator by each denominator factor for as long as the division is exact.
+The reduced form is unique when the factors are square-free and pairwise
+coprime.  If N1/D1 = N2/D2 are both reduced and a factor f occurs e1 > e2
+times in D1 and D2, then f**e1 divides N2*D1 = N1*D2; f is square-free and
+coprime to every other factor of D2, so f**(e1 - e2) divides N1, and the
+trial would have cancelled it.  Two such forms therefore agree however the
+function was reached, for example whichever order a mixed derivative was
+taken in.
+
+intern_factors builds that base as far as it can without factoring.  It
+splits off the monomial content one variable at a time, and splits a
+univariate remainder into its square-free parts by Yun's algorithm; so
+(u1^3 - 1)^3 is interned as (u1^3 - 1, 3), not as a factor of its own.  It
+does not split a square-free part further, so u1^3 - 1 stays one factor
+although u1 - 1 divides it, and it interns a multivariate remainder whole.
+Factors that share a factor are still possible, for example u1^3 - 1 next
+to u1 - 1, or two multivariate factors with a common divisor; then the
+reduced form can depend on the order of the trials.  No workload of the
+catalog interns such a pair among its univariate factors.
+
+Interned factors are not known to be irreducible, so no trial can be
+skipped as one that must fail; every factor is tried, and most trials
+fail.  poly.pdiv_exact makes a failing trial cheap with two necessary
 conditions checked before any elimination.  Graded-lex is a monomial order,
 so the trailing terms of a product multiply, and the divisor's trailing term
 must divide the numerator's.  Evaluation at (2, ..., 2) is a ring map
@@ -27,6 +46,7 @@ missed: the numerator polynomial is zero iff the function is zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -53,6 +73,16 @@ def poly_key(p: P.Poly) -> tuple:
     return tuple(sorted(p.items()))
 
 
+def _primitive(p: P.Poly) -> Tuple[int, P.Poly]:
+    """(c, q) with p == c * q, q primitive with a positive leading
+    coefficient."""
+    c = P.pcontent(p)
+    _, lc = P.pleading(p)
+    if lc < 0:
+        c = -c
+    return c, {m: v // c for m, v in p.items()}
+
+
 def intern_factor(ctx: Context, p: P.Poly) -> Tuple[int, Factor]:
     """Normalize p to unit * content * primitive-positive-lead and intern.
 
@@ -60,11 +90,7 @@ def intern_factor(ctx: Context, p: P.Poly) -> Tuple[int, Factor]:
     """
     if not p:
         raise DivisionByZeroError("zero polynomial cannot be a factor")
-    c = P.pcontent(p)
-    _, lc = P.pleading(p)
-    if lc < 0:
-        c = -c
-    prim = {m: v // c for m, v in p.items()}
+    c, prim = _primitive(p)
     key = poly_key(prim)
     f = ctx._factor_intern.get(key)
     if f is None:
@@ -82,7 +108,9 @@ def intern_factors(ctx: Context, p: P.Poly) -> Tuple[int, "FactorVec"]:
 
     The monomial content is split into per-variable factors so later
     cancellation can peel single powers (1/u1^2 becomes (u1)^2, not an
-    opaque atom u1^2); the primitive remainder is interned whole."""
+    opaque atom u1^2).  A univariate primitive remainder is split into its
+    square-free parts, each interned with its multiplicity; a multivariate
+    one is interned whole."""
     if not p:
         raise DivisionByZeroError("zero polynomial cannot be a factor")
     lay = ctx.layout
@@ -94,11 +122,108 @@ def intern_factors(ctx: Context, p: P.Poly) -> Tuple[int, "FactorVec"]:
             _, f = intern_factor(ctx, {lay.var_mono(i): 1})
             fs.append((f, lay.exp(mono, i)))
     if len(p) == 1 and 0 in p:
-        mult = p[0]
-    else:
-        mult, f = intern_factor(ctx, p)
-        fs.append((f, 1))
+        return p[0], _sort_factors(fs)
+    mult, prim = _primitive(p)
+    var = P.pvars(prim, lay)
+    parts = [(prim, 1)]
+    # an interned univariate factor is one of these parts, so square-free
+    if len(var) == 1 and poly_key(prim) not in ctx._factor_intern:
+        i, = var
+        dense = [prim.get(lay.var_mono(i, k), 0)
+                 for k in range(P.pdeg_var(prim, i) + 1)]
+        parts = [({lay.var_mono(i, k): c for k, c in enumerate(a) if c}, e)
+                 for a, e in square_free_parts(dense)]
+    for q, e in parts:
+        fs.append((intern_factor(ctx, q)[1], e))
     return mult, _sort_factors(fs)
+
+
+# -- square-free split of univariate factors ---------------------------------
+# Dense integer polynomials, coefficient of x^k at index k, no zero leading
+# coefficient; the empty list is zero.
+
+def _dprimitive(a: List[int]) -> List[int]:
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _dtrim(a: List[int]) -> List[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _dderiv(a: List[int]) -> List[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _dquo(a: List[int], b: List[int]) -> List[int]:
+    """Exact quotient a / b, where b divides a in Z[x]."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + db] // lb
+        q[k] = c
+        if c:
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    return q
+
+
+def _dgcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd with positive leading coefficient, by the primitive
+    remainder sequence (Collins, J. ACM 14(1), 1967); a is nonzero."""
+    a = _dprimitive(a)
+    if not b:
+        return a
+    b = _dprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, db, lb = list(a), len(b) - 1, b[-1]
+        while len(r) > db:  # pseudo-remainder, scaled as little as possible
+            c = r.pop()
+            if c:
+                g = gcd(c, lb)
+                s, c = lb // g, c // g
+                k = len(r) - db
+                for j in range(len(r)):
+                    r[j] *= s
+                for j in range(db):
+                    r[k + j] -= c * b[j]
+        if not _dtrim(r):
+            return b
+        a, b = b, _dprimitive(r)
+    return [1]
+
+
+def square_free_parts(a: List[int]) -> List[Tuple[List[int], int]]:
+    """Yun's algorithm (SYMSAC 1976): for a primitive a of positive degree
+    with a positive leading coefficient, the parts (a_i, i) with
+    a = prod a_i**i, every a_i square-free, primitive, of positive degree
+    and leading coefficient, and the a_i pairwise coprime.  Over Z every
+    division below is exact by Gauss's lemma, since each divisor is a
+    primitive divisor over Q."""
+    da = _dderiv(a)
+    c = _dgcd(a, da)
+    if len(c) == 1:
+        return [(a, 1)]
+    w, y = _dquo(a, c), _dquo(da, c)
+    parts: List[Tuple[List[int], int]] = []
+    i = 1
+    while len(w) > 1:
+        z = _dtrim([s - t for s, t in zip_longest(y, _dderiv(w), fillvalue=0)])
+        g = _dgcd(w, z)
+        if len(g) > 1:
+            parts.append((g, i))
+        w, y = _dquo(w, g), _dquo(z, g)
+        i += 1
+    return parts
 
 
 class RatFunc:

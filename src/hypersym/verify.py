@@ -11,9 +11,14 @@ condition into a pair of lower-order identities once dG/du_4 = 5 u_2 g(u_1),
 the second-order ODE test behind the known g/F table, and extraction of the
 parameter conditions carried by a nonzero residual.
 
-Every exact verdict here comes from the normal-form route; the numeric
-cross-check in verify_pair rebuilds the residual independently as an
-expression tree (opposite derivative order, separate engine) and samples it.
+Every exact verdict here comes from the normal-form route, which takes the
+mixed derivative D_xD_yH in whichever order its size estimate says is
+cheaper; on the square-free factor base both orders give the same normal
+form.  The numeric cross-check in verify_pair rebuilds the residual as an
+expression tree with a separate engine and evaluates it in floating point,
+so its independence rests on sharing no code and no normal form with the
+exact route, not on the derivative order.  The tree route always takes
+D_x(D_yH), as before, so the sampled values do not move.
 """
 
 from __future__ import annotations
@@ -74,7 +79,23 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     Fu = N.nf_partial(ctx, Fn, "u")
     dxH = nfj.d_x(H)
     dyH = nfj.d_y(H)
-    mixed = nfj.d_y(dxH)
+    # The mixed derivative in the cheaper order; on a square-free factor
+    # base both orders give the same normal form.  D_x's rules are mostly
+    # the monomials u_{k+1}, so D_x(D_yH) is costed as 50 * size(D_yH).
+    # D_y's rules are the tables D_x^{k-1}F, so D_y(D_xH) is costed as
+    # size(D_xH) * sum of size(D_x^kF) over k <= 4.  Those tables already
+    # exist (D_y(u5) = D_x^4F); D_x^5F is left out, since the D_x order
+    # never needs it.  The factor 50 is fitted: over the 195 hyperbolic x
+    # evolution pairs (one process, 2-core x86-64 VM, Python 3.11), every
+    # pair where D_x(D_yH) was faster by more than 3 ms has a cost ratio
+    # of at least 110 (final2 ev21), and every pair where D_y(D_xH) was,
+    # at most 22 (S3 ev21).  Any factor from 25 to 100 reached the
+    # best-of-both total, 2.27 s against 3.01 s for D_y(D_xH) alone.
+    tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
+    if 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables:
+        mixed = nfj.d_x(dyH)
+    else:
+        mixed = nfj.d_y(dxH)
     R = N.nf_sub(ctx, mixed, N.nf_mul(ctx, Fu1, dxH))
     R = N.nf_sub(ctx, R, N.nf_mul(ctx, Fv1, dyH))
     R = N.nf_sub(ctx, R, N.nf_mul(ctx, Fu, H))
@@ -83,7 +104,9 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
 
 def _tree_residual(F: HyperbolicEq, G: EvolutionEq) -> Expr:
     """The same residual as an expression tree, built independently of the
-    normal-form route (fresh engine, mixed derivative in the other order)."""
+    normal-form route: a fresh JetEngine, trees instead of normal forms, and
+    floats at evaluation.  The mixed derivative is always D_x(D_yH); the
+    exact route may take either order, so the two need not differ in it."""
     ctx = _shared_ctx(F, G)
     eng = JetEngine(F)
     H = tree.add(Name("u5"), G.G)
@@ -503,39 +526,41 @@ def verify_claim(catalog: Catalog, claim: PairingClaim, samples: int = 0,
 
 
 _WORKER_CATALOG: Optional[Catalog] = None
-_WORKER_PATHS: Tuple[str, ...] = ()
 
 
-def _worker_init(extra_paths: Tuple[str, ...]) -> None:
-    global _WORKER_CATALOG, _WORKER_PATHS
-    _WORKER_PATHS = extra_paths
-    _WORKER_CATALOG = Catalog(extra_paths)
+def _worker_init(paths: Tuple[str, ...]) -> None:
+    global _WORKER_CATALOG
+    _WORKER_CATALOG = Catalog(paths)
 
 
 def _worker_run(args) -> VerificationReport:
     claim, samples, seed, tol = args
-    global _WORKER_CATALOG
-    if _WORKER_CATALOG is None:  # direct call without initializer
-        _WORKER_CATALOG = Catalog(_WORKER_PATHS)
     return verify_claim(_WORKER_CATALOG, claim, samples, seed, tol)
 
 
 def verify_all(catalog: Catalog, samples: int = 0, seed: int = 0,
                tol: float = DEFAULT_TOL, jobs: int = 0,
                extra_paths: Sequence[str] = ()) -> List[VerificationReport]:
-    """Verify every shipped pairing claim, deterministically ordered by
-    pairing id.  jobs > 1 fans the independent checks out over processes;
-    the output order does not depend on completion order."""
+    """Verify every pairing claim of catalog, deterministically ordered by
+    pairing id.  With jobs <= 1 the catalog itself is verified in this
+    process; jobs > 1 fans the independent checks out over processes, each
+    of which rebuilds the catalog from its recorded sources (catalog.paths)
+    on the standard context.  The output order does not depend on
+    completion order.  extra_paths may only repeat paths the catalog has
+    loaded; a path it has not loaded raises ValueError, since it would not
+    be verified."""
+    missing = [p for p in extra_paths if p not in catalog.paths]
+    if missing:
+        raise ValueError(f"catalog paths {missing} were not loaded into the "
+                         "catalog; load them with Catalog.load_path first")
     claims = sorted(catalog.pairings(), key=lambda c: c.key)
-    work = [(c, samples, seed, tol) for c in claims]
     if jobs <= 0:
         import os
         jobs = min(len(claims), os.cpu_count() or 1, 8)
     if jobs <= 1 or len(claims) <= 1:
-        _worker_init(tuple(extra_paths))
-        return [_worker_run(w) for w in work]
+        return [verify_claim(catalog, c, samples, seed, tol) for c in claims]
     import multiprocessing as mp
     with mp.Pool(processes=min(jobs, len(claims)),
                  initializer=_worker_init,
-                 initargs=(tuple(extra_paths),)) as pool:
-        return pool.map(_worker_run, work)
+                 initargs=(tuple(catalog.paths),)) as pool:
+        return pool.map(_worker_run, [(c, samples, seed, tol) for c in claims])

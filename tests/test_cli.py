@@ -252,6 +252,7 @@ def test_unknown_command_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, code, captured", [
     pytest.param(["verify", "S1", "ev12"], 1, "verify_S1_ev12", id="S1-ev12"),
     pytest.param(["verify", "S4", "ev17"], 1, "verify_S4_ev17", id="S4-ev17"),
+    pytest.param(["verify", "S1", "ev19"], 1, "verify_S1_ev19", id="S1-ev19"),
     pytest.param(["verify", "hyp4", "ev10"], 1, "verify_hyp4_ev10",
                  id="hyp4-ev10"),
     pytest.param(["verify", "hyp4", "ev12", "--samples", "5"], 0,
@@ -281,12 +282,18 @@ def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
 def test_report_does_not_depend_on_process_history(catalog):
     """The cleared denominator's factors print in an order of their own,
     not in the order they were first met: a report made after verify-all
-    has interned the catalog's factors matches a cold one byte for byte."""
+    has interned the catalog's factors matches a cold one byte for byte.
+    S1 ev19 also matches its pinned text, whose (u1^3 - 1)^5 the
+    square-free factor base makes one factor whatever was interned
+    earlier."""
     verify.verify_all(catalog, jobs=1)
     r = verify.verify_pair(catalog.get("S4"), catalog.get("ev17"))
     proc = run_cold("--format", "structured", "verify", "S4", "ev17")
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "\n".join(r.structured_lines()) + "\n"
+    r = verify.verify_pair(catalog.get("S1"), catalog.get("ev19"))
+    assert r.structured_lines() == (
+        DATA / "verify_S1_ev19.structured").read_text().splitlines()
 
 
 def test_text_report_says_when_coefficients_are_cut(capsys):

@@ -5,11 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypersym import verify
+from hypersym.catalog import Catalog
 from hypersym.errors import DivisionByZeroError
 from hypersym.expr import normal as N
 from hypersym.expr import poly as P
 from hypersym.expr import ratfunc as R
+from hypersym.expr.context import default_context
 from hypersym.expr.parser import parse
 
 
@@ -154,3 +159,118 @@ def test_rf_eval_matches_fraction_arithmetic(ctx):
     values[ctx.base("u2").index] = -1.0
     got = R.rf_eval(ctx, a, values)
     assert abs(got - (4.0 + 1.0) / 7.0) < 1e-14
+
+
+# -- the square-free factor base ---------------------------------------------
+# Dense integer polynomials, coefficient of x^k at index k.  The reference
+# gcd below works over Q with Fractions, apart from the integer one under
+# test.
+
+def dmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q, by Euclid on Fraction coefficients."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while any(b):
+        while b and not b[-1]:
+            b.pop()
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            k = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[k + j] -= q * c
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    while a and not a[-1]:
+        a.pop()
+    return len(a) - 1
+
+
+small_polys = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(
+    lambda a: a[-1] != 0 and a[0] != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(small_polys, st.integers(1, 4)),
+                min_size=1, max_size=4))
+def test_square_free_parts_property(pieces):
+    a = [1]
+    for b, e in pieces:
+        for _ in range(e):
+            a = dmul(a, b)
+    a = R._dprimitive(a)
+    parts = R.square_free_parts(a)
+    back = [1]
+    for b, e in parts:
+        assert len(b) > 1 and b[-1] > 0
+        for _ in range(e):
+            back = dmul(back, b)
+        # square-free: no common factor with its derivative
+        assert ref_gcd_degree(b, [k * c for k, c in enumerate(b)][1:]) == 0
+    assert back == a
+    for i, (b, _) in enumerate(parts):
+        for c, _ in parts[i + 1:]:
+            assert ref_gcd_degree(b, c) == 0
+
+
+def test_square_free_parts_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = ["(x**3 - 1)**5", "(x**3 - 1)**3*(19*x**3 + 8)**2",
+             "(x - 1)**2*(x + 1)**2*(2*x + 3)**7", "(x**2 + x + 1)*(x - 1)**4",
+             "(x**3 - 1)**28", "(3*x**2 - 2)**2*(x**5 + x + 1)"]
+    for text in cases:
+        poly = sympy.Poly(sympy.sympify(text), x)
+        dense = [int(c) for c in reversed(poly.all_coeffs())]
+        _, want = sympy.sqf_list(poly)
+        want = sorted((tuple(int(c) for c in reversed(f.all_coeffs())), e)
+                      for f, e in want)
+        got = sorted((tuple(b), e) for b, e in R.square_free_parts(dense))
+        assert got == want, text
+
+
+def test_intern_factors_splits_univariate_powers(ctx):
+    mult, fs = R.intern_factors(
+        ctx, poly_of(ctx, "-3*u1^2*(u1^3 - 1)^3*(u1 + 2)"))
+    assert mult == -3
+    want = {(R.poly_key(poly_of(ctx, t)), e)
+            for t, e in (("u1", 2), ("u1^3 - 1", 3), ("u1 + 2", 1))}
+    assert {(f.key, e) for f, e in fs} == want
+    # a multivariate remainder is interned whole
+    _, fs = R.intern_factors(ctx, poly_of(ctx, "(u1 + v1)^2"))
+    assert [(f.key, e) for f, e in fs] == [
+        (R.poly_key(poly_of(ctx, "(u1 + v1)^2")), 1)]
+
+
+def test_factor_base_stays_coprime_on_the_workloads():
+    """After exact verify-all and the 26 screen pairs, no two interned
+    univariate factors in the same variable share a factor."""
+    cat = Catalog(ctx=default_context())
+    verify.verify_all(cat, jobs=1)
+    for e in cat.list("hyperbolic"):
+        for ev in ("ev12", "ev21"):
+            verify.verify_pair(cat.get(e.id), cat.get(ev))
+    lay = cat.ctx.layout
+    by_var = {}
+    for f in cat.ctx.den_atoms:
+        var = P.pvars(f.poly, lay)
+        if len(var) == 1:
+            i, = var
+            dense = [f.poly.get(lay.var_mono(i, k), 0)
+                     for k in range(P.pdeg_var(f.poly, i) + 1)]
+            by_var.setdefault(i, []).append(dense)
+    assert by_var
+    for dense in by_var.values():
+        for j, a in enumerate(dense):
+            assert R.square_free_parts(a) == [(a, 1)]
+            for b in dense[j + 1:]:
+                assert ref_gcd_degree(a, b) == 0

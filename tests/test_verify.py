@@ -1,17 +1,19 @@
 """The determining identity: exact residuals, coefficient localization, the
 order-reduction conditions, ODE checks, and parameter forcing."""
 
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from hypersym import verify
+from hypersym.catalog import Catalog
 from hypersym.errors import LemmaPremiseError
 from hypersym.expr import normal as N
-from hypersym.expr.context import XJET, YJET
+from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
-from hypersym.jet import EvolutionEq, HyperbolicEq, swap_xy
+from hypersym.jet import EvolutionEq, HyperbolicEq, NFJet, swap_xy
 
 # pairings whose residual must be exactly zero, with their bindings
 ZERO_PAIRS = [
@@ -290,3 +292,72 @@ def test_verify_claim_uses_declared_bindings(catalog):
     assert r.residual_is_zero
     assert dict(r.bindings)["mu"] == 0
     assert r.pairing is claim
+
+
+def test_verify_all_verifies_the_catalog_it_is_given(catalog):
+    std = std_context()
+    before = len(std.den_atoms)
+    own = Catalog(ctx=default_context())
+    reports = verify.verify_all(own, jobs=1)
+    assert len(own.ctx.den_atoms) > 0
+    assert len(std.den_atoms) == before
+    assert [r.structured_lines() for r in reports] == [
+        r.structured_lines() for r in verify.verify_all(catalog, jobs=1)]
+
+
+def test_verify_all_workers_load_the_catalog_paths(tmp_path):
+    extra = tmp_path / "extra.txt"
+    extra.write_text(textwrap.dedent("""\
+        id: hyp4copy
+        role: hyperbolic
+        params:
+        provenance: test
+        expr:
+        exp(u) + exp(-2*u)
+        """))
+    (tmp_path / "pairs.txt").write_text(
+        "hyp4copy ev12 x asserted-by-paper\n")
+    cat = Catalog()
+    cat.load_path(str(tmp_path))
+    for jobs in (1, 2):
+        reports = verify.verify_all(cat, jobs=jobs)
+        assert len(reports) == 13
+        assert all(r.residual_is_zero for r in reports)
+        assert "hyp4copy ev12 x" in [r.key for r in reports]
+    with pytest.raises(ValueError):
+        verify.verify_all(Catalog(), jobs=1, extra_paths=[str(tmp_path)])
+
+
+def _mixed_both_orders(F, G):
+    """D_y(D_xH) and D_x(D_yH) for H = u5 + G, as normal forms."""
+    ctx = F.ctx
+    nfj = NFJet(F)
+    H = N.nf_add(ctx, N.nf_base(ctx, "u5"), N.normalize(ctx, G.G))
+    return nfj.d_y(nfj.d_x(H)), nfj.d_x(nfj.d_y(H))
+
+
+def _nf_shape(a):
+    """Every coefficient's numerator, scalar and factor keys and exponents."""
+    return {m: (rf.num, rf.den_scalar,
+                tuple((f.key, e) for f, e in rf.den_factors))
+            for m, rf in a.items()}
+
+
+@pytest.mark.parametrize("hid,eid,direction,bindings", ZERO_PAIRS + [
+    ("S1", "ev19", "x", {}),
+    ("S3", "ev19", "x", {}),
+    ("hyp2", "ev18", "x", {}),
+    ("final2", "ev18", "x", {}),
+])
+def test_mixed_derivative_does_not_depend_on_order(catalog, hid, eid,
+                                                   direction, bindings):
+    """On the square-free factor base a rational function has one reduced
+    form, so determining_residual may take the mixed derivative in either
+    order: the two normal forms agree key for key and factor for factor."""
+    F, G = get_pair(catalog, hid, eid, bindings)
+    if direction == "y":
+        F = HyperbolicEq(F.id, swap_xy(F.F, F.ctx), params=F.params,
+                         ctx=F.ctx)
+    yx, xy = _mixed_both_orders(F, G)
+    assert yx
+    assert _nf_shape(yx) == _nf_shape(xy)
