@@ -14,7 +14,6 @@ from .normal import (
     nf_inverse,
     nf_is_zero,
     nf_mul,
-    nf_mul_rf,
     nf_neg,
     nf_partial,
     nf_pow,
@@ -22,6 +21,7 @@ from .normal import (
     nf_size,
     nf_sub,
     nf_sum,
+    nf_sum_products,
     nf_sym,
     nf_to_expr,
     nf_zero,
@@ -52,9 +52,9 @@ from .tree import (
 __all__ = [
     "Context", "default_context", "std_context",
     "NF", "deriv_nf", "nf_add", "nf_base", "nf_const", "nf_equal",
-    "nf_free_vars", "nf_inverse", "nf_is_zero", "nf_mul", "nf_mul_rf",
-    "nf_neg", "nf_partial", "nf_pow", "nf_scale", "nf_size", "nf_sub",
-    "nf_sum", "nf_sym", "nf_to_expr", "nf_zero", "normalize",
+    "nf_free_vars", "nf_inverse", "nf_is_zero", "nf_mul", "nf_neg",
+    "nf_partial", "nf_pow", "nf_scale", "nf_size", "nf_sub", "nf_sum",
+    "nf_sum_products", "nf_sym", "nf_to_expr", "nf_zero", "normalize",
     "parse", "print_expr",
     "Add", "Const", "Div", "Expr", "Mul", "Name", "Pow",
     "add", "const", "div", "free_names", "map_names", "mul", "name",

@@ -2,9 +2,17 @@
 
 A normal form (NF) is a dict mapping a packed monomial in the algebraic
 symbols (exponent of each symbol kept below its degree) to a RatFunc
-coefficient in the base variables.  The empty dict is zero.  All arithmetic
-reduces eagerly against the registered minimal polynomials, so equality of
-normal forms is plain structural equality and the zero test is exact.
+coefficient in the base variables.  The empty dict is zero.  Results are
+reduced against the registered minimal polynomials and their coefficients
+by ratfunc.rf_make, so equality of normal forms is plain structural
+equality and the zero test is exact.
+
+Coefficients are reduced once per result, not once per term product:
+nf_sum_products forms the term products unreduced, rewrites symbol powers
+over their degree on them, groups them by monomial and reduces each group
+with one rf_sum.  That gives the form that reducing every step gives,
+because on the square-free, pairwise coprime factor base a reduced
+rational function is unique (see ratfunc).
 
 Inverses are computed by the extended Euclidean algorithm in K[s]/(m(s)),
 where s is the highest registered symbol occurring in the operand and K is
@@ -26,6 +34,7 @@ from .ratfunc import RatFunc
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
 
 NF = Dict[int, RatFunc]
+Groups = Dict[int, List[RatFunc]]  # unreduced terms of each monomial
 
 
 # -- constructors ----------------------------------------------------------
@@ -88,10 +97,9 @@ def _rewrite_table(ctx: Context, i: int) -> Tuple[RatFunc, ...]:
     return table
 
 
-def _accumulate(ctx: Context, out: NF, mono: int, rf: RatFunc) -> None:
-    """Add rf * (alg monomial), reducing any out-of-range symbol powers."""
-    if rf.is_zero():
-        return
+def _collect(ctx: Context, groups: Groups, mono: int, rf: RatFunc) -> None:
+    """Add the unreduced rf * (alg monomial) to the group of its monomial,
+    rewriting any out-of-range symbol powers first."""
     lay = ctx.alg_layout
     offset, borrow = ctx.alg_over, lay.borrow_mask
     stack = [(mono, rf)]
@@ -99,12 +107,7 @@ def _accumulate(ctx: Context, out: NF, mono: int, rf: RatFunc) -> None:
         m, c = stack.pop()
         over = (m + offset) & borrow
         if not over:
-            cur = out.get(m)
-            tot = c if cur is None else R.rf_add(ctx, cur, c)
-            if tot.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = tot
+            groups.setdefault(m, []).append(c)
             continue
         # the lowest borrow bit is the first symbol over its degree
         over = ((over & -over).bit_length() - 1) // P.FIELD_BITS
@@ -114,16 +117,20 @@ def _accumulate(ctx: Context, out: NF, mono: int, rf: RatFunc) -> None:
         for k, t in enumerate(table):
             if t.is_zero():
                 continue
-            stack.append((rest + k * unit, R.rf_mul(ctx, c, t)))
+            stack.append((rest + k * unit, R.rf_mul_raw(ctx, c, t)))
 
 
-def _check_size(ctx: Context, a: NF) -> NF:
-    total = 0
-    for rf in a.values():
-        total += len(rf.num)
-    if total > ctx.max_terms:
+def _reduce_groups(ctx: Context, groups: Groups) -> NF:
+    """Each group's sum reduced once, at its monomial; a group is dropped as
+    soon as it is reduced."""
+    out: NF = {}
+    for m in list(groups):
+        tot = R.rf_sum(ctx, groups.pop(m))
+        if not tot.is_zero():
+            out[m] = tot
+    if nf_size(out) > ctx.max_terms:
         raise SizeLimitError(f"normal form exceeds {ctx.max_terms} terms")
-    return a
+    return out
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -156,7 +163,7 @@ def nf_sum(ctx: Context, items) -> NF:
             groups.setdefault(m, []).append(c)
     out: NF = {}
     for m, cs in groups.items():
-        tot = R.rf_sum(ctx, cs)
+        tot = cs[0] if len(cs) == 1 else R.rf_sum(ctx, cs)
         if not tot.is_zero():
             out[m] = tot
     return out
@@ -177,25 +184,20 @@ def nf_scale(ctx: Context, a: NF, q) -> NF:
     return {m: R.rf_scale(ctx, c, q) for m, c in a.items()}
 
 
-def nf_mul_rf(ctx: Context, a: NF, rf: RatFunc) -> NF:
-    if rf.is_zero():
-        return {}
-    out: NF = {}
-    for m, c in a.items():
-        v = R.rf_mul(ctx, c, rf)
-        if not v.is_zero():
-            out[m] = v
-    return out
+def nf_sum_products(ctx: Context, pairs) -> NF:
+    """The sum of a * b over the pairs (a, b).  Every term product is formed
+    unreduced and collected by algebraic monomial, and each coefficient of
+    the result is reduced once."""
+    groups: Groups = {}
+    for a, b in pairs:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                _collect(ctx, groups, ma + mb, R.rf_mul_raw(ctx, ca, cb))
+    return _reduce_groups(ctx, groups)
 
 
 def nf_mul(ctx: Context, a: NF, b: NF) -> NF:
-    if not a or not b:
-        return {}
-    out: NF = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            _accumulate(ctx, out, ma + mb, R.rf_mul(ctx, ca, cb))
-    return _check_size(ctx, out)
+    return nf_sum_products(ctx, ((a, b),))
 
 
 def nf_pow(ctx: Context, a: NF, k: int) -> NF:
@@ -315,14 +317,8 @@ def nf_inverse(ctx: Context, a: NF) -> NF:
         t0, t1 = t1, _upoly_trim(t2)
     c_inv = nf_inverse(ctx, r1[0])
     unit = ctx.alg_layout.unit(i)
-    out: NF = {}
-    for k, tk in enumerate(t1):
-        if not tk:
-            continue
-        piece = nf_mul(ctx, tk, c_inv)
-        for m, rf in piece.items():
-            _accumulate(ctx, out, m + k * unit, rf)
-    return out
+    return nf_sum_products(ctx, [({m + k * unit: c for m, c in tk.items()}, c_inv)
+                                 for k, tk in enumerate(t1)])
 
 
 # -- normalization of expression trees ---------------------------------------
@@ -383,25 +379,23 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
     vi = v.index
     lay = ctx.alg_layout
     chained = ctx.symbols_with_arg(var_name)
-    terms: List[NF] = []
+    groups: Groups = {}
     for m, c in a.items():
-        dc = R.rf_partial(ctx, c, vi)
-        if not dc.is_zero():
-            terms.append({m: dc})
+        for t in R.rf_partial_terms(ctx, c, vi):
+            _collect(ctx, groups, m, t)
         for s in chained:
             if hasattr(s, "alg_index"):
                 e = lay.exp(m, s.alg_index)
                 if e == 0:
                     continue
-                unit = lay.unit(s.alg_index)
-                factor = {m - unit: R.rf_scale(ctx, c, e)}
-                terms.append(nf_mul(ctx, factor, deriv_nf(ctx, s.name)))
+                mf, cf = m - lay.unit(s.alg_index), R.rf_scale(ctx, c, e)
             else:
-                dcs = R.rf_partial(ctx, c, s.index)
-                if dcs.is_zero():
+                mf, cf = m, R.rf_sum(ctx, R.rf_partial_terms(ctx, c, s.index))
+                if cf.is_zero():
                     continue
-                terms.append(nf_mul(ctx, {m: dcs}, deriv_nf(ctx, s.name)))
-    return nf_sum(ctx, terms)
+            for mb, cb in deriv_nf(ctx, s.name).items():
+                _collect(ctx, groups, mf + mb, R.rf_mul_raw(ctx, cf, cb))
+    return _reduce_groups(ctx, groups)
 
 
 def nf_free_vars(ctx: Context, a: NF) -> set:

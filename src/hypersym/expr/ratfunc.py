@@ -8,15 +8,17 @@ factors, so no multivariate gcd is ever needed: every denominator enters the
 system through rf_inverse, which interns its factors, and later cancellations
 only ever have to recognize those same factors.
 
-rf_make reduces by trial division: after every operation it divides the
-numerator by each denominator factor for as long as the division is exact.
-The reduced form is unique when the factors are square-free and pairwise
-coprime.  If N1/D1 = N2/D2 are both reduced and a factor f occurs e1 > e2
-times in D1 and D2, then f**e1 divides N2*D1 = N1*D2; f is square-free and
-coprime to every other factor of D2, so f**(e1 - e2) divides N1, and the
-trial would have cancelled it.  Two such forms therefore agree however the
-function was reached, for example whichever order a mixed derivative was
-taken in.
+rf_make reduces by trial division: it divides the numerator by each
+denominator factor for as long as the division is exact.  It runs once per
+result, not after every step: rf_mul_raw and rf_partial_terms build
+unreduced values, and rf_sum reduces a sum of them with one rf_make.  That
+gives the same form as reducing every step, because the reduced form is
+unique when the factors are square-free and pairwise coprime.  If
+N1/D1 = N2/D2 are both reduced and a factor f occurs e1 > e2 times in D1
+and D2, then f**e1 divides N2*D1 = N1*D2; f is square-free and coprime to
+every other factor of D2, so f**(e1 - e2) divides N1, and the trial would
+have cancelled it.  Two such forms therefore agree however the function was
+reached, for example whichever order a mixed derivative was taken in.
 
 intern_factors builds that base as far as it can without factoring.  It
 splits off the monomial content one variable at a time, and splits a
@@ -26,18 +28,19 @@ does not split a square-free part further, so u1^3 - 1 stays one factor
 although u1 - 1 divides it, and it interns a multivariate remainder whole.
 Factors that share a factor are still possible, for example u1^3 - 1 next
 to u1 - 1, or two multivariate factors with a common divisor; then the
-reduced form can depend on the order of the trials.  No workload of the
-catalog interns such a pair among its univariate factors.
+reduced form can depend on the order of the trials and on where they run.
+No workload of the catalog interns such a pair among its univariate factors.
 
-Interned factors are not known to be irreducible, so no trial can be
-skipped as one that must fail; every factor is tried, and most trials
-fail.  poly.pdiv_exact makes a failing trial cheap with two necessary
-conditions checked before any elimination.  Graded-lex is a monomial order,
-so the trailing terms of a product multiply, and the divisor's trailing term
-must divide the numerator's.  Evaluation at (2, ..., 2) is a ring map
-Z[x] -> Z, so the divisor's value there must divide the numerator's.  A
-trial that these checks reject is one that elimination rejects too, so the
-canonical form does not depend on them.
+Interned factors are not known to be irreducible, so rf_make tries every
+factor, and most trials fail.  Only rf_scale skips them all: by Gauss's
+lemma a primitive factor that divides k*N divides N.  poly.pdiv_exact makes
+a failing trial cheap with two necessary conditions checked before any
+elimination.  Graded-lex is a monomial order, so the trailing terms of a
+product multiply, and the divisor's trailing term must divide the
+numerator's.  Evaluation at (2, ..., 2) is a ring map Z[x] -> Z, so the
+divisor's value there must divide the numerator's.  A trial that these
+checks reject is one that elimination rejects too, so the canonical form
+does not depend on them.
 
 Zero testing is exact regardless of whether a cancellation opportunity was
 missed: the numerator polynomial is zero iff the function is zero.
@@ -242,9 +245,6 @@ class RatFunc:
                 f" * {[(f.fid, e) for f, e in self.den_factors]})")
 
 
-RF_ZERO_NUM: P.Poly = {}
-
-
 def rf_zero(ctx: Context) -> RatFunc:
     return RatFunc({}, 1, ())
 
@@ -273,9 +273,8 @@ def rf_make(ctx: Context, num: P.Poly, den_scalar: int, den_factors) -> RatFunc:
     if den_scalar == 0:
         raise DivisionByZeroError("zero denominator scalar")
     lay = ctx.layout
-    factors: List[Tuple[Factor, int]] = [list(fe) for fe in den_factors]
     reduced: List[Tuple[Factor, int]] = []
-    for f, e in factors:
+    for f, e in den_factors:
         while e > 0:
             q = P.pdiv_exact(num, f.poly, lay)
             if q is None:
@@ -302,11 +301,16 @@ def rf_neg(ctx: Context, a: RatFunc) -> RatFunc:
 
 
 def rf_scale(ctx: Context, a: RatFunc, q) -> RatFunc:
+    """q * a for a reduced a, which no factor trial can reduce further."""
     q = Fraction(q)
     if a.is_zero() or q == 0:
         return rf_zero(ctx)
     num = P.pscale(a.num, q.numerator)
-    return rf_make(ctx, num, a.den_scalar * q.denominator, a.den_factors)
+    den_scalar = a.den_scalar * q.denominator
+    g = gcd(P.pcontent(num), den_scalar)
+    if g > 1:
+        num = {m: v // g for m, v in num.items()}
+    return RatFunc(num, den_scalar // g, a.den_factors)
 
 
 def _den_lcm(items: List[RatFunc]) -> Tuple[int, Dict[int, Tuple[Factor, int]]]:
@@ -322,11 +326,14 @@ def _den_lcm(items: List[RatFunc]) -> Tuple[int, Dict[int, Tuple[Factor, int]]]:
 
 
 def rf_sum(ctx: Context, items: Iterable[RatFunc]) -> RatFunc:
+    """The sum of items, which need not be reduced, over their least common
+    denominator, reduced once."""
     items = [a for a in items if not a.is_zero()]
     if not items:
         return rf_zero(ctx)
     if len(items) == 1:
-        return items[0]
+        a = items[0]
+        return rf_make(ctx, a.num, a.den_scalar, a.den_factors)
     lay = ctx.layout
     s, fmax = _den_lcm(items)
     total: P.Poly = {}
@@ -354,16 +361,25 @@ def rf_sub(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
     return rf_sum(ctx, (a, rf_neg(ctx, b)))
 
 
-def rf_mul(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
+def rf_mul_raw(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
+    """a * b unreduced: numerators and scalars multiplied, factor exponents
+    merged, no trial division.  rf_make or rf_sum reduces the result."""
     if a.is_zero() or b.is_zero():
         return rf_zero(ctx)
     num = P.pmul(a.num, b.num, ctx.layout, ctx.max_terms)
-    merged: Dict[int, Tuple[Factor, int]] = {f.fid: (f, e) for f, e in a.den_factors}
-    for f, e in b.den_factors:
-        cur = merged.get(f.fid)
-        merged[f.fid] = (f, e + (cur[1] if cur else 0))
-    return rf_make(ctx, num, a.den_scalar * b.den_scalar,
-                   tuple(fe for _, fe in sorted(merged.items())))
+    fa, fb = a.den_factors, b.den_factors
+    if fa and fb:
+        merged: Dict[int, Tuple[Factor, int]] = {f.fid: (f, e) for f, e in fa}
+        for f, e in fb:
+            cur = merged.get(f.fid)
+            merged[f.fid] = (f, e + (cur[1] if cur else 0))
+        fa = tuple(fe for _, fe in sorted(merged.items()))
+    return RatFunc(num, a.den_scalar * b.den_scalar, fa or fb)
+
+
+def rf_mul(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
+    p = rf_mul_raw(ctx, a, b)
+    return rf_make(ctx, p.num, p.den_scalar, p.den_factors)
 
 
 def rf_inverse(ctx: Context, a: RatFunc) -> RatFunc:
@@ -377,15 +393,14 @@ def rf_inverse(ctx: Context, a: RatFunc) -> RatFunc:
     return rf_make(ctx, num, c, fs)
 
 
-def rf_partial(ctx: Context, a: RatFunc, var_index: int) -> RatFunc:
-    """Partial derivative treating base variables as independent."""
-    if a.is_zero():
-        return a
+def rf_partial_terms(ctx: Context, a: RatFunc, var_index: int) -> List[RatFunc]:
+    """The unreduced quotient-rule terms whose sum is the partial derivative
+    of a, treating base variables as independent."""
     lay = ctx.layout
     terms: List[RatFunc] = []
     dn = P.pderiv(a.num, var_index, lay)
     if dn:
-        terms.append(rf_make(ctx, dn, a.den_scalar, a.den_factors))
+        terms.append(RatFunc(dn, a.den_scalar, a.den_factors))
     for i, (f, e) in enumerate(a.den_factors):
         df = P.pderiv(f.poly, var_index, lay)
         if not df:
@@ -394,8 +409,8 @@ def rf_partial(ctx: Context, a: RatFunc, var_index: int) -> RatFunc:
         num = P.pscale(num, -e)
         bumped = tuple((g, ex + 1) if j == i else (g, ex)
                        for j, (g, ex) in enumerate(a.den_factors))
-        terms.append(rf_make(ctx, num, a.den_scalar, bumped))
-    return rf_sum(ctx, terms)
+        terms.append(RatFunc(num, a.den_scalar, bumped))
+    return terms
 
 
 def rf_equal(ctx: Context, a: RatFunc, b: RatFunc) -> bool:

@@ -251,14 +251,14 @@ class NFJet:
 
     def _total(self, a, rule):
         n = self._n
-        terms = []
+        pairs = []
         for nm in self._vars_to_derive(a):
             p = n.nf_partial(self.ctx, a, nm)
             if p:
                 r = rule(nm)
                 if r:
-                    terms.append(n.nf_mul(self.ctx, p, r))
-        return n.nf_sum(self.ctx, terms)
+                    pairs.append((p, r))
+        return n.nf_sum_products(self.ctx, pairs)
 
 
 def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:

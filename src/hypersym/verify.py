@@ -33,7 +33,7 @@ from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
 from .expr import normal as N
 from .expr import tree
-from .expr.context import PARAM, XJET, YJET, Context, std_context
+from .expr.context import PARAM, XJET, YJET, Context, default_context, std_context
 from .expr.parser import print_expr
 from .expr.poly import (
     Layout,
@@ -528,9 +528,9 @@ def verify_claim(catalog: Catalog, claim: PairingClaim, samples: int = 0,
 _WORKER_CATALOG: Optional[Catalog] = None
 
 
-def _worker_init(paths: Tuple[str, ...]) -> None:
+def _worker_init(paths: Tuple[str, ...], limits: Tuple[int, int, int]) -> None:
     global _WORKER_CATALOG
-    _WORKER_CATALOG = Catalog(paths)
+    _WORKER_CATALOG = Catalog(paths, ctx=default_context(*limits))
 
 
 def _worker_run(args) -> VerificationReport:
@@ -545,7 +545,8 @@ def verify_all(catalog: Catalog, samples: int = 0, seed: int = 0,
     pairing id.  With jobs <= 1 the catalog itself is verified in this
     process; jobs > 1 fans the independent checks out over processes, each
     of which rebuilds the catalog from its recorded sources (catalog.paths)
-    on the standard context.  The output order does not depend on
+    on a standard context with the limits of catalog.ctx (max_x_jet,
+    max_y_jet, max_terms).  The output order does not depend on
     completion order.  extra_paths may only repeat paths the catalog has
     loaded; a path it has not loaded raises ValueError, since it would not
     be verified."""
@@ -560,7 +561,9 @@ def verify_all(catalog: Catalog, samples: int = 0, seed: int = 0,
     if jobs <= 1 or len(claims) <= 1:
         return [verify_claim(catalog, c, samples, seed, tol) for c in claims]
     import multiprocessing as mp
+    ctx = catalog.ctx
     with mp.Pool(processes=min(jobs, len(claims)),
                  initializer=_worker_init,
-                 initargs=(tuple(catalog.paths),)) as pool:
+                 initargs=(tuple(catalog.paths),
+                           (ctx.max_x_jet, ctx.max_y_jet, ctx.max_terms))) as pool:
         return pool.map(_worker_run, [(c, samples, seed, tol) for c in claims])

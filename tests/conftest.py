@@ -1,11 +1,13 @@
 """Shared fixtures and deterministic random-expression generators."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hypersym.catalog import Catalog
+from hypersym.expr import poly as P
 from hypersym.expr import tree
 
 
@@ -37,3 +39,23 @@ def random_expr(rng: random.Random, names, depth: int) -> tree.Expr:
         return tree.mul(random_expr(rng, names, depth - 1),
                         random_expr(rng, names, depth - 1))
     return tree.pow_(random_expr(rng, names, depth - 1), rng.randint(0, 3))
+
+
+def canonical_invariants(ctx, a):
+    """Assert that the RatFunc a is in canonical reduced form."""
+    if a.is_zero():
+        assert a.den_scalar == 1 and a.den_factors == ()
+        return
+    assert a.den_scalar > 0
+    g = 0
+    for c in a.num.values():
+        g = math.gcd(g, c)
+    assert math.gcd(g, a.den_scalar) == 1
+    fids = [f.fid for f, _ in a.den_factors]
+    assert fids == sorted(fids)
+    assert all(e > 0 for _, e in a.den_factors)
+    for f, _ in a.den_factors:
+        _, lc = P.pleading(f.poly)
+        assert lc > 0 and P.pcontent(f.poly) == 1
+        # reduced: no denominator factor divides the numerator
+        assert P.pdiv_exact(a.num, f.poly, ctx.layout) is None

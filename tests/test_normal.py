@@ -4,8 +4,10 @@ derivative-rule consistency, inverses, and the zero test."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_expr
+from conftest import canonical_invariants, random_expr
 from hypersym.errors import NotInvertibleError, SizeLimitError
 from hypersym.expr import normal as N
 from hypersym.expr import ratfunc as R
@@ -175,8 +177,9 @@ def test_term_budget_enforced():
 
 
 def ref_accumulate(ctx, out, mono, rf):
-    """_accumulate with the per-symbol scan it replaced: reduce the first
-    symbol, in registration order, whose exponent reaches its degree."""
+    """Eager reference for normal._collect: add rf * (alg monomial) to out,
+    reducing every product and every sum as it is formed, and rewriting the
+    first symbol, in registration order, whose exponent reaches its degree."""
     lay = ctx.alg_layout
     stack = [(mono, rf)]
     while stack:
@@ -199,16 +202,91 @@ def ref_accumulate(ctx, out, mono, rf):
 
 def test_accumulate_reduces_in_the_same_order(ctx):
     # several symbols at or over their degree at once: the same terms come
-    # out, inserted in the same order
+    # out, in the same order, as from adding each reduced product eagerly
     rng = random.Random(5)
     lay, syms = ctx.alg_layout, ctx.alg_syms
     for _ in range(40):
         exps = [rng.choice((0, 0, 1, s.degree, s.degree + 1)) for s in syms]
         mono = lay.pack(exps)
-        got, want = {}, {}
+        groups, want = {}, {}
         for k in range(2):
             rf = nf(ctx, f"u1 + {k + 1}")[0]
-            N._accumulate(ctx, got, mono + k * lay.unit(0), rf)
+            N._collect(ctx, groups, mono + k * lay.unit(0), rf)
             ref_accumulate(ctx, want, mono + k * lay.unit(0), rf)
+        got = N._reduce_groups(ctx, groups)
         assert list(got) == list(want)
         assert nf_struct_equal(got, want)
+
+
+def ref_nf_mul(ctx, a, b):
+    """nf_mul reducing eagerly: every term product and every partial sum
+    reduced by rf_make as soon as it is formed."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            ref_accumulate(ctx, out, ma + mb, R.rf_mul(ctx, ca, cb))
+    return out
+
+
+@pytest.fixture(scope="module")
+def own_ctx():
+    # the inverses below intern factors; keep them out of the shared context
+    return default_context()
+
+
+DENOMINATORS = ["1", "u1", "u1 + 1", "sqrt(u1) + 1", "f(u1) + u1", "u2 - u1"]
+
+
+def random_nf(ctx, rng, depth=3):
+    """A random normal form over the tower, divided by one of a few
+    denominators whose factors stay square-free and pairwise coprime."""
+    num = nf(ctx, random_expr(rng, TOWER_NAMES, depth))
+    den = N.nf_inverse(ctx, nf(ctx, rng.choice(DENOMINATORS)))
+    return N.nf_mul(ctx, num, den)
+
+
+def test_nf_mul_matches_eager_reduction(own_ctx):
+    ctx = own_ctx
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b = random_nf(ctx, rng), random_nf(ctx, rng)
+        got = N.nf_mul(ctx, a, b)
+        assert nf_struct_equal(got, ref_nf_mul(ctx, a, b))
+        for c in got.values():
+            canonical_invariants(ctx, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_ring_axioms_property(seed):
+    # a fresh context each time: nf_inverse(a) may intern a factor that
+    # shares a divisor with an earlier one, and the base must stay coprime
+    ctx = default_context()
+    rng = random.Random(seed)
+    a, b, c = (random_nf(ctx, rng, 2) for _ in range(3))
+    mul, add = N.nf_mul, N.nf_add
+    assert nf_struct_equal(mul(ctx, a, b), mul(ctx, b, a))
+    assert nf_struct_equal(mul(ctx, mul(ctx, a, b), c),
+                           mul(ctx, a, mul(ctx, b, c)))
+    assert nf_struct_equal(mul(ctx, a, add(ctx, b, c)),
+                           add(ctx, mul(ctx, a, b), mul(ctx, a, c)))
+    if a:
+        assert nf_struct_equal(mul(ctx, a, N.nf_inverse(ctx, a)),
+                               N.nf_const(ctx, 1))
+
+
+def test_nf_mul_reduces_once_per_output_monomial(ctx, monkeypatch):
+    a = nf(ctx, "f(u1)^2 + sqrt(u1)*f(u1) + u1 + 1/u2")
+    b = nf(ctx, "f(u1) + sqrt(u1) + 2*u2")
+    N.nf_mul(ctx, a, b)  # builds the rewrite tables the product needs
+    calls = []
+    real = R.rf_make
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(R, "rf_make", counting)
+    out = N.nf_mul(ctx, a, b)
+    assert len(out) > 1
+    assert len(calls) == len(out)

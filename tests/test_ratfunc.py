@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import canonical_invariants
+
 from hypersym import verify
 from hypersym.catalog import Catalog
 from hypersym.errors import DivisionByZeroError
@@ -37,24 +39,6 @@ def rand_rf(ctx, rng):
     a = rf_of(ctx, rng.choice(num))
     b = rf_of(ctx, rng.choice(den))
     return R.rf_mul(ctx, a, R.rf_inverse(ctx, b))
-
-
-def canonical_invariants(ctx, a):
-    if a.is_zero():
-        assert a.den_scalar == 1 and a.den_factors == ()
-        return
-    assert a.den_scalar > 0
-    import math
-    g = 0
-    for c in a.num.values():
-        g = math.gcd(g, c)
-    assert math.gcd(g, a.den_scalar) == 1
-    fids = [f.fid for f, _ in a.den_factors]
-    assert fids == sorted(fids)
-    assert all(e > 0 for _, e in a.den_factors)
-    for f, _ in a.den_factors:
-        _, lc = P.pleading(f.poly)
-        assert lc > 0 and P.pcontent(f.poly) == 1
 
 
 def test_constants_and_predicates(ctx):
@@ -149,6 +133,28 @@ def test_sum_and_scale(ctx):
     assert R.rf_equal(ctx, R.rf_scale(ctx, a, Fraction(-3, 2)),
                       R.rf_mul(ctx, R.rf_const(ctx, Fraction(-3, 2)), a))
     assert R.rf_add(ctx, a, R.rf_neg(ctx, a)).is_zero()
+
+
+def ref_rf_scale(ctx, a, q):
+    """rf_scale by trial division: every factor tried on the scaled
+    numerator, as rf_make does."""
+    q = Fraction(q)
+    if a.is_zero() or q == 0:
+        return R.rf_zero(ctx)
+    return R.rf_make(ctx, P.pscale(a.num, q.numerator),
+                     a.den_scalar * q.denominator, a.den_factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32),
+       st.fractions(min_value=-50, max_value=50, max_denominator=36))
+def test_rf_scale_needs_no_trial(ctx, seed, q):
+    rng = random.Random(seed)
+    a = R.rf_mul(ctx, rand_rf(ctx, rng), rand_rf(ctx, rng))
+    got, want = R.rf_scale(ctx, a, q), ref_rf_scale(ctx, a, q)
+    assert (got.num, got.den_scalar, got.den_factors) == \
+        (want.num, want.den_scalar, want.den_factors)
+    canonical_invariants(ctx, got)
 
 
 def test_rf_eval_matches_fraction_arithmetic(ctx):

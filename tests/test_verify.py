@@ -8,7 +8,7 @@ import pytest
 
 from hypersym import verify
 from hypersym.catalog import Catalog
-from hypersym.errors import LemmaPremiseError
+from hypersym.errors import LemmaPremiseError, SizeLimitError
 from hypersym.expr import normal as N
 from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
@@ -326,6 +326,14 @@ def test_verify_all_workers_load_the_catalog_paths(tmp_path):
         assert "hyp4copy ev12 x" in [r.key for r in reports]
     with pytest.raises(ValueError):
         verify.verify_all(Catalog(), jobs=1, extra_paths=[str(tmp_path)])
+
+
+def test_verify_all_workers_keep_the_context_limits():
+    # the size limit of the catalog's context holds whatever the worker count
+    cat = Catalog(ctx=default_context(max_terms=50))
+    for jobs in (1, 2):
+        with pytest.raises(SizeLimitError):
+            verify.verify_all(cat, jobs=jobs)
 
 
 def _mixed_both_orders(F, G):
