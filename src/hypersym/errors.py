@@ -38,7 +38,8 @@ class JetOrderError(HypersymError):
 
 
 class AdmissibilityError(HypersymError):
-    """Parameter binding violates a catalog entry's admissibility condition."""
+    """Parameter binding violates a catalog entry's admissibility condition,
+    or makes the relation of a symbol in use reducible."""
 
 
 class UnknownEntryError(HypersymError):
@@ -54,8 +55,7 @@ class LemmaPremiseError(HypersymError):
 
 
 class TransformError(HypersymError):
-    """Malformed transform definition or an inadmissible symbol
-    identification (mismatched defining relations)."""
+    """Malformed transform definition, or an unknown transform or convention."""
 
 
 class SampleError(HypersymError):

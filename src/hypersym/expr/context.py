@@ -13,6 +13,12 @@ names.  What numeval still does by hand, the Weierstrass closure of
 (W, P, c) and sc = sqrt(c), is a sampling algorithm, not a fact of one
 symbol.  Contexts are read-only after construction; the lazy caches hanging
 off one behave as pure functions of it.
+
+Binding parameters (Context.bind) decides the symbol identities the
+bindings create, in one place: a symbol whose relation becomes that of an
+earlier symbol with the same argument is aliased to it, and a symbol whose
+relation becomes reducible is refused when a normal form first uses it
+(normal._rewrite_table), since it would no longer generate a field.
 """
 
 from __future__ import annotations
@@ -243,7 +249,12 @@ class Context:
         Symbol derivative rules and minimal polynomials have the binding
         substituted, so reduction happens against the specialized relations.
         The variable layout is unchanged (bound parameters simply no longer
-        occur).
+        occur).  Twin symbols, those whose argument and specialized relation
+        equal an earlier-registered symbol's, are aliased to it: at a = 1,
+        fa -> fy and fax -> f; at b = 0, fb -> fa and rb -> ry.  A relation
+        the binding makes reducible (sc at a rational square c, the fa
+        cubics at a = 0) is refused by the first normal form that uses its
+        symbol, with AdmissibilityError.
         """
         items = tuple(sorted((k, Fraction(v)) for k, v in bindings.items()))
         if not items:
@@ -268,6 +279,20 @@ class Context:
                         s.call, s.mirror)
         ctx._aliases = dict(self._aliases)
         ctx.freeze()
+        from . import normal as N  # normal imports this module
+
+        def same_relation(s: SymbolDef, t: SymbolDef) -> bool:
+            return (s.arg == t.arg and s.degree == t.degree and all(
+                N.nf_equal(ctx, N.normalize(ctx, p), N.normalize(ctx, q))
+                for p, q in zip(s.minpoly_coeffs, t.minpoly_coeffs)))
+
+        canonical: List[SymbolDef] = []
+        for s in ctx.alg_syms:
+            twin = next((t for t in canonical if same_relation(s, t)), None)
+            if twin is None:
+                canonical.append(s)
+            else:
+                ctx._aliases[s.name] = twin.name
         ctx.bound = dict(self.bound)
         ctx.bound.update({k: v for k, v in items})
         self._bind_cache[items] = ctx

@@ -22,14 +22,16 @@ at pure base-variable rational functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from ..errors import NotInvertibleError, SizeLimitError, UnknownNameError
+from ..errors import (AdmissibilityError, NotInvertibleError, SizeLimitError,
+                      UnknownNameError)
 from . import poly as P
 from . import ratfunc as R
 from . import tree
-from .context import PARAM, Context
+from .context import PARAM, Context, SymbolDef
 from .ratfunc import RatFunc
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
 
@@ -56,6 +58,7 @@ def nf_base(ctx: Context, name: str) -> NF:
 
 def nf_sym(ctx: Context, name: str, power: int = 1) -> NF:
     s = ctx.alg(name)
+    _rewrite_table(ctx, s.alg_index)  # refuses a reducible relation
     if power == 0:
         return nf_const(ctx, 1)
     if power < s.degree:
@@ -72,12 +75,41 @@ def nf_name(ctx: Context, name: str) -> NF:
 
 # -- reduction against minimal polynomials ----------------------------------
 
+def _reducible(ctx: Context, sym: SymbolDef) -> bool:
+    """Whether a relation of degree 2 or 3 splits: it has a repeated root
+    (zero discriminant), or it is a quadratic whose discriminant is a
+    rational square.  Exact for this tower; no general irreducibility test."""
+    c = sym.minpoly_coeffs
+    if sym.degree == 2:
+        disc = c[1] ** 2 - 4 * c[0] * c[2]
+    elif sym.degree == 3:
+        c0, c1, c2, c3 = c
+        disc = (c2 ** 2 * c1 ** 2 - 4 * c3 * c1 ** 3 - 4 * c2 ** 3 * c0
+                - 27 * c3 ** 2 * c0 ** 2 + 18 * c3 * c2 * c1 * c0)
+    else:
+        return False
+    disc = nf_to_expr(ctx, normalize(ctx, disc))
+    if sym.degree == 3 or not isinstance(disc, Const):
+        return disc == tree.ZERO
+    q = disc.value
+    return q >= 0 and all(math.isqrt(k) ** 2 == k
+                          for k in (q.numerator, q.denominator))
+
+
 def _rewrite_table(ctx: Context, i: int) -> Tuple[RatFunc, ...]:
-    """Coefficients t_k with s_i^d = sum_k t_k s_i^k, k < d."""
+    """Coefficients t_k with s_i^d = sum_k t_k s_i^k, k < d.  A relation
+    that a parameter binding made reducible raises AdmissibilityError: its
+    symbol would give zero divisors, not a field.  The registered relations,
+    with their parameters free, are irreducible, so only a bound context
+    is tested."""
     cached = ctx._reduction.get(i)
     if cached is not None:
         return cached
     sym = ctx.alg_syms[i]
+    if ctx.bound and _reducible(ctx, sym):
+        at = ", ".join(f"{k}={v}" for k, v in sorted(ctx.bound.items()))
+        raise AdmissibilityError(f"the relation of {sym.name} is reducible"
+                                 + (f" at {at}" if at else ""))
     coeffs = [normalize(ctx, c) for c in sym.minpoly_coeffs]
     for k, c in enumerate(coeffs):
         for mono in c:

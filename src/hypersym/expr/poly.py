@@ -11,7 +11,6 @@ mapping packed monomials to nonzero integer coefficients.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -122,10 +121,6 @@ def pconst(c: int) -> Poly:
     return {0: c} if c else {}
 
 
-def pcopy(a: Poly) -> Poly:
-    return dict(a)
-
-
 def padd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
@@ -148,17 +143,6 @@ def padd_inplace(out: Poly, b: Poly, scale: int = 1) -> None:
             out[m] = v
         else:
             del out[m]
-
-
-def psub(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, 0) - c
-        if v:
-            out[m] = v
-        else:
-            del out[m]
-    return out
 
 
 def pneg(a: Poly) -> Poly:
@@ -289,17 +273,6 @@ def pdeg_var(a: Poly, i: int) -> int:
     return d
 
 
-def pcoeff_var(a: Poly, i: int, k: int, layout: Layout) -> Poly:
-    """Coefficient of var_i^k: terms with exponent k, with that exponent removed."""
-    shift = FIELD_BITS * i
-    unit = layout.unit(i)
-    out = {}
-    for m, c in a.items():
-        if ((m >> shift) & FIELD_MASK) == k:
-            out[m - k * unit] = c
-    return out
-
-
 def pvars(a: Poly, layout: Layout) -> set:
     """Indices of the variables that occur in a.  Fields do not overlap, so
     a field of the OR of all monomials is nonzero exactly when some
@@ -393,30 +366,6 @@ def pdiv_exact(a: Poly, b: Poly, layout: Layout) -> Optional[Poly]:
                 else:
                     del rem[mm]
     return quot
-
-
-def psubst_var(a: Poly, i: int, value: Fraction, layout: Layout) -> Tuple[Poly, int]:
-    """Substitute a rational value for one variable.
-
-    Returns (poly, den) with den a positive integer such that the result is
-    poly/den.
-    """
-    shift = FIELD_BITS * i
-    unit = layout.unit(i)
-    acc: Dict[int, Fraction] = {}
-    for m, c in a.items():
-        e = (m >> shift) & FIELD_MASK
-        mm = m - e * unit
-        v = acc.get(mm, Fraction(0)) + c * value ** e
-        if v:
-            acc[mm] = v
-        else:
-            acc.pop(mm, None)
-    den = 1
-    for v in acc.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    out = {m: int(v * den) for m, v in acc.items()}
-    return out, den
 
 
 def peval(a: Poly, values: Sequence[float], layout: Layout) -> float:

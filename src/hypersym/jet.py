@@ -178,18 +178,15 @@ class NFJet:
 
     Same reduction rules as JetEngine, but every rule and result is a normal
     form, so large residuals are expanded incrementally instead of as one
-    giant tree.  custom_dx / custom_dy map variable names to normal-form
-    overrides, consulted before the standard rules.
+    giant tree.
     """
 
-    def __init__(self, eq: HyperbolicEq, custom_dx=None, custom_dy=None):
+    def __init__(self, eq: HyperbolicEq):
         from .expr import normal as _n
         self._n = _n
         self.eq = eq
         self.ctx = eq.ctx
         self.F = _n.normalize(eq.ctx, eq.F)
-        self.custom_dx = {k: v for k, v in (custom_dx or {}).items()}
-        self.custom_dy = {k: v for k, v in (custom_dy or {}).items()}
         self._dxk: List = [self.F]
         self._dyk: List = [self.F]
 
@@ -217,8 +214,6 @@ class NFJet:
 
     def _dx_rule(self, nm: str):
         ctx, n = self.ctx, self._n
-        if nm in self.custom_dx:
-            return self.custom_dx[nm]
         v = ctx.base(nm)
         if v.kind == XJET:
             if v.order >= ctx.max_x_jet:
@@ -230,8 +225,6 @@ class NFJet:
 
     def _dy_rule(self, nm: str):
         ctx, n = self.ctx, self._n
-        if nm in self.custom_dy:
-            return self.custom_dy[nm]
         v = ctx.base(nm)
         if v.kind == YJET:
             if v.order >= ctx.max_y_jet:

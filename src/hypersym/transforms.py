@@ -9,8 +9,9 @@ equation — and reports which convention annihilates all of them, together
 with any constant coefficients it fitted along the way.
 
 Also here: the cubic-curve parametrization identity, the scaling law that
-normalizes the constant of the fa-cubic to one, and the point
-identifications behind the reduced four-equation list.
+normalizes the constant of the fa-cubic to one, and the point identities
+behind S4S1, S5S3 and the reduced four-equation list, each a source
+equation at fixed parameters with x and y exchanged where marked.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog
 from .errors import TransformError
@@ -215,37 +216,6 @@ def _check(ctx: Context, name: str, residual: N.NF) -> CheckResult:
     n = N.nf_size(residual)
     text = _print_nf(ctx, residual) if n <= MAX_PRINTED_TERMS else None
     return CheckResult(name, n, text)
-
-
-def identify_symbols(ctx: Context, e: Expr,
-                     renames: Mapping[str, str]) -> Expr:
-    """Replace algebraic symbols by same-relation twins.
-
-    Each src -> dst pair must name algebraic symbols with the same argument
-    variable, the same degree, and (in this context, after any parameter
-    binding) equal defining-polynomial coefficients; otherwise the two
-    symbols are genuinely different functions and the renaming is refused.
-    """
-    for src, dst in renames.items():
-        if not (ctx.is_alg(src) and ctx.is_alg(dst)):
-            raise TransformError(
-                f"identification {src} -> {dst}: both names must be "
-                "algebraic symbols")
-        s1, s2 = ctx.alg(src), ctx.alg(dst)
-        if s1.arg != s2.arg:
-            raise TransformError(
-                f"identification {src} -> {dst}: arguments differ "
-                f"({s1.arg} vs {s2.arg})")
-        if s1.degree != s2.degree:
-            raise TransformError(
-                f"identification {src} -> {dst}: degrees differ")
-        for c1, c2 in zip(s1.minpoly_coeffs, s2.minpoly_coeffs):
-            d = N.nf_sub(ctx, N.normalize(ctx, c1), N.normalize(ctx, c2))
-            if not N.nf_is_zero(d):
-                raise TransformError(
-                    f"identification {src} -> {dst}: defining relations "
-                    "differ in this context")
-    return tree.map_names(e, dict(renames))
 
 
 def _linear_fit(ctx: Context, target: N.NF,
@@ -528,65 +498,42 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
                            tuple(results))
 
 
-def _mapped_source(catalog: Catalog, bind: Mapping[str, object],
-                   source_id: str, source_bind: Mapping[str, object],
-                   pre: Mapping[str, str], do_swap: bool,
-                   post: Mapping[str, str]) -> Tuple[Context, Expr]:
-    """The context with bind applied, and the source's F (with source_bind)
-    after the pre identifications, an optional x<->y swap and the post
-    identifications."""
-    ctx = catalog.ctx.bind({k: Fraction(v) for k, v in bind.items()})
-    e = catalog.get(source_id, dict(source_bind)).F
-    if pre:
-        e = identify_symbols(ctx, e, pre)
-    if do_swap:
-        e = swap_xy(e, ctx)
-    if post:
-        e = identify_symbols(ctx, e, post)
-    return ctx, e
+# equation id -> (source id, bindings, x <-> y exchanged?): the equation is
+# its source at those parameter values, after the exchange where marked.
+# The symbols that the bindings make twins are aliased by Context.bind.
+POINT_IDENTITIES: Dict[str, Tuple[str, Dict[str, int], bool]] = {
+    "S4": ("S1", {"a": 1, "b": 0}, True),
+    "S5": ("S3", {"a": 1, "b": 0}, True),
+    "final1": ("hyp4", {}, False),
+    "final2": ("S1", {"a": 1}, True),
+    "final3": ("S3", {"a": 1, "b": 0}, True),
+    "final4": ("S6", {"a": 1}, False),
+}
 
 
-def _point_identity(catalog: Catalog, conv: str,
-                    source_id: str, source_bind: Mapping[str, object],
-                    pre: Mapping[str, str], do_swap: bool,
-                    post: Mapping[str, str],
-                    target_id: str, target_bind: Mapping[str, object],
-                    target_renames: Mapping[str, str],
-                    bind: Mapping[str, object]) -> ConventionResult:
-    """One expression identity source == target after parameter binding,
-    optional symbol identifications, and an optional x<->y swap."""
-    ctx, e = _mapped_source(catalog, bind, source_id, source_bind,
-                            pre, do_swap, post)
-    tgt = catalog.get(target_id, dict(target_bind)).F
-    if target_renames:
-        tgt = identify_symbols(ctx, tgt, target_renames)
-    diff = N.nf_sub(ctx, _nf(ctx, e), _nf(ctx, tgt))
-    checks = (_check(ctx, "difference", diff),)
+def _point_identity(catalog: Catalog,
+                    eq_id: str) -> Tuple[Context, Expr, Expr, N.NF]:
+    """The bound context, the mapped source, the equation's own F (both
+    spelled with the context's canonical names) and their difference."""
+    source_id, bindings, swap = POINT_IDENTITIES[eq_id]
+    src = catalog.get(source_id, bindings)
+    ctx = src.ctx
+    e = swap_xy(src.F, ctx) if swap else src.F
+    e, tgt = (tree.map_names(x, {n: ctx.resolve(n)
+                                 for n in tree.free_names(x)})
+              for x in (e, catalog.get(eq_id, bindings).F))
+    return ctx, e, tgt, N.nf_sub(ctx, _nf(ctx, e), _nf(ctx, tgt))
+
+
+def _check_point(t: TransformDef, catalog: Catalog) -> TransformReport:
+    """The transform's source is a point image of another equation."""
+    ctx, e, tgt, diff = _point_identity(catalog, t.source)
     notes = (
         ("mapped_source", print_expr(e, ctx)),
         ("target", print_expr(tgt, ctx)),
     )
-    return ConventionResult(conv, checks, (), notes)
-
-
-def _check_s4s1(t: TransformDef, catalog: Catalog) -> TransformReport:
-    res = _point_identity(
-        catalog, t.conventions[0],
-        source_id="S1", source_bind={"a": 1},
-        pre={}, do_swap=True, post={"fax": "f"},
-        target_id=t.source, target_bind={"a": 1, "b": 0},
-        target_renames={}, bind={"a": 1, "b": 0})
-    return TransformReport(t.id, t.source, t.target_text, t.investigative,
-                           (res,))
-
-
-def _check_s5s3(t: TransformDef, catalog: Catalog) -> TransformReport:
-    res = _point_identity(
-        catalog, t.conventions[0],
-        source_id="S3", source_bind={"a": 1, "b": 0},
-        pre={"fb": "fa"}, do_swap=True, post={"fax": "f"},
-        target_id=t.source, target_bind={"a": 1, "b": 0},
-        target_renames={"rb": "ry"}, bind={"a": 1, "b": 0})
+    res = ConventionResult(t.conventions[0],
+                           (_check(ctx, "difference", diff),), (), notes)
     return TransformReport(t.id, t.source, t.target_text, t.investigative,
                            (res,))
 
@@ -637,8 +584,8 @@ _CHECKERS = {
     "T1": _check_t1,
     "S3i": _check_s3i,
     "S3ii": _check_s3ii,
-    "S4S1": _check_s4s1,
-    "S5S3": _check_s5s3,
+    "S4S1": _check_point,
+    "S5S3": _check_point,
     "S6T": _check_s6t,
 }
 
@@ -679,19 +626,12 @@ class ListIdentity:
 def final_list_identities(catalog: Catalog) -> List[ListIdentity]:
     """The four reduced equations match their parametrized sources at the
     stated normalizations (with x and y exchanged where required)."""
-    plan = [
-        ("final1", "hyp4", {}, {}, False, {}),
-        ("final2", "S1", {"a": 1}, {}, True, {"fax": "f"}),
-        ("final3", "S3", {"a": 1, "b": 0}, {"fb": "fa"}, True, {"fax": "f"}),
-        ("final4", "S6", {"a": 1}, {"fa": "fy"}, False, {}),
-    ]
     out = []
-    for final_id, src_id, bind, pre, do_swap, post in plan:
-        ctx, e = _mapped_source(catalog, bind, src_id, bind, pre, do_swap, post)
-        tgt = catalog.get(final_id).F
-        holds = N.nf_equal(ctx, _nf(ctx, e), _nf(ctx, tgt))
+    for final_id in ("final1", "final2", "final3", "final4"):
+        source_id, bindings, swap = POINT_IDENTITIES[final_id]
+        diff = _point_identity(catalog, final_id)[3]
         out.append(ListIdentity(
-            final_id, src_id,
-            tuple(sorted((k, Fraction(v)) for k, v in bind.items())),
-            do_swap, holds))
+            final_id, source_id,
+            tuple(sorted((k, Fraction(v)) for k, v in bindings.items())),
+            swap, N.nf_is_zero(diff)))
     return out

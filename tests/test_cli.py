@@ -133,6 +133,19 @@ def test_verify_admissibility_violation_is_data_error(capsys):
     assert "error:" in err
 
 
+def test_verify_refuses_a_binding_that_splits_a_relation(capsys):
+    """a = 0 turns the fa-cubic into (s + t)^2 (2s - t): S6 and S3 use it
+    and get an error, not a verdict.  c = 4 splits sqrt(c), which S6 does
+    not use, so its verdict stands."""
+    for argv in (["S6", "ev21", "--param", "a=0"],
+                 ["S3", "ev17", "--param", "a=0", "--param", "mu=0"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "error:" in err and "reducible" in err
+    code, out, _ = run(capsys, "verify", "S6", "ev21", "--param", "c=4")
+    assert code == 0 and "residual zero" in out
+
+
 def test_lemma_output(capsys):
     code, out, _ = run(capsys, "lemma", "ev17")
     assert code == 0
@@ -263,6 +276,7 @@ def test_unknown_command_is_usage_error(capsys):
                  id="sample-seed3"),
     pytest.param(["sample", "--seed", "3", "--param", "c=3", "--param", "a=2"],
                  0, "sample_seed3_c3_a2", id="sample-seed3-c3-a2"),
+    pytest.param(["transform"], 0, "transform_all", id="transform-all"),
 ])
 def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
     """A report, run cold in its own process, matches the captured text line

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_invariants, random_expr
-from hypersym.errors import NotInvertibleError, SizeLimitError
+from hypersym.errors import (AdmissibilityError, NotInvertibleError,
+                             SizeLimitError)
 from hypersym.expr import normal as N
 from hypersym.expr import ratfunc as R
 from hypersym.expr import tree
 from hypersym.expr.context import default_context
 from hypersym.expr.parser import parse
+from hypersym.jet import swap_xy
 
 TOWER_NAMES = ["u", "u1", "u2", "v1", "f", "r", "fa", "E", "W"]
 
@@ -75,6 +77,60 @@ def test_ring_axioms_random(ctx):
 def test_defining_relations_normalize_to_zero(ctx):
     for name in ("r", "ry", "f", "fy", "fa", "fax", "fb", "rb", "P", "sc"):
         assert nf(ctx, ctx.alg(name).minpoly_expr) == {}, name
+
+
+def test_bind_aliases_twin_symbols(ctx):
+    """A binding under which two symbols have the same argument and the same
+    relation makes the later one an alias of the earlier, so their
+    difference normalizes to zero instead of being a nonzero zero divisor.
+    Symbols with different arguments or degrees are never aliased."""
+    assert nf(ctx, "fa(uy + b) - fa(uy)") != {}
+    b0 = ctx.bind({"b": 0})
+    a1 = ctx.bind({"a": 1})
+    both = ctx.bind({"a": 1, "b": 0})
+    assert nf(b0, "fa(uy + b) - fa(uy)") == {}
+    assert nf(b0, "sqrt(uy + b) - sqrt(uy)") == {}
+    assert nf(a1, "fa(uy) - f(uy)") == {}
+    assert nf(a1, "fa(u1) - f(u1)") == {}
+    assert nf(both, "fa(uy + b) - f(uy)") == {}
+    twins = {bound: {s.name: bound.resolve(s.name) for s in bound.alg_syms
+                     if bound.resolve(s.name) != s.name}
+             for bound in (b0, a1, both)}
+    assert twins == {b0: {"fb": "fa", "rb": "ry"},
+                     a1: {"fa": "fy", "fax": "f"},
+                     both: {"fa": "fy", "fax": "f", "fb": "fy", "rb": "ry"}}
+    assert nf(a1, "fa(u1) - fa(uy)") != {}
+    assert nf(both, "sqrt(u1) - f(u1)") != {}
+    # fb has no mirror of its own; its twin fa has
+    assert nf(b0, tree.sub(swap_xy(parse("fa(uy + b)", b0), b0),
+                           parse("fa(u1)", b0))) == {}
+
+
+@pytest.mark.parametrize("bindings, text", [
+    ({"c": 4}, "1/(sc - 2)"),
+    ({"c": 4}, "(sc - 2)*(sc + 2)"),
+    ({"c": 0}, "sc"),
+    ({"a": 0}, "fa(uy)"),
+    ({"a": 0}, "fa(u1)"),
+    ({"a": 0}, "fa(uy + b)"),
+])
+def test_bind_refuses_reducible_relations(ctx, bindings, text):
+    """A binding that splits a relation (sqrt(c) rational, or the fa-cubic
+    at a = 0, (s + t)^2 (2s - t)) makes the symbol's first normal form
+    raise; the context stays usable for everything else."""
+    bound = ctx.bind(bindings)
+    with pytest.raises(AdmissibilityError, match="reducible"):
+        nf(bound, text)
+    assert nf(bound, "u1 + f(u1)") != {}
+
+
+def test_bind_keeps_irreducible_relations(ctx):
+    """Bindings under which the relations stay irreducible are accepted."""
+    for c in (2, -4):
+        bound = ctx.bind({"c": c})
+        assert nf(bound, f"(sc - 2)*(sc + 2) - ({c} - 4)") == {}
+    bound = ctx.bind({"a": -1})
+    assert nf(bound, "fa(uy)*(1/fa(uy)) - 1") == {}
 
 
 def test_derivative_rule_is_implicit_derivative_of_relation(ctx):

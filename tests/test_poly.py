@@ -96,9 +96,9 @@ def test_add_sub_neg_match_reference():
             ref[m] = ref.get(m, 0) + c
         ref = {m: c for m, c in ref.items() if c}
         assert s == ref
-        assert P.psub(s, b) == a
+        assert P.padd(s, P.pneg(b)) == a
         assert P.padd(a, P.pneg(a)) == {}
-        out = P.pcopy(a)
+        out = dict(a)
         P.padd_inplace(out, b, scale=3)
         assert out == P.padd(a, P.pscale(b, 3))
 
@@ -169,36 +169,6 @@ def test_div_exact_inverts_mul():
         nondiv = P.padd(P.pmul(a, bx, LAYOUT), P.pconst(1))
         assert P.pdiv_exact(nondiv, bx, LAYOUT) is None
     assert hits > 20
-
-
-def test_coeff_var_reconstructs():
-    rng = random.Random(8)
-    for _ in range(20):
-        a = rand_poly(rng)
-        for i in range(NVARS):
-            deg = P.pdeg_var(a, i)
-            acc = {}
-            for k in range(deg + 1):
-                part = P.pcoeff_var(a, i, k, LAYOUT)
-                for m, c in P.pmul(part, {LAYOUT.var_mono(i, k): 1} if k
-                                   else P.pconst(1), LAYOUT).items():
-                    acc[m] = acc.get(m, 0) + c
-            assert {m: c for m, c in acc.items() if c} == a
-
-
-def test_subst_var_matches_fraction_eval():
-    rng = random.Random(9)
-    for _ in range(20):
-        a = rand_poly(rng)
-        vals = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                for _ in range(NVARS)]
-        out, den = P.psubst_var(a, 2, vals[2], LAYOUT)
-        assert den > 0
-        direct = ref_eval(a, vals)
-        vals_rest = list(vals)
-        vals_rest[2] = Fraction(1)  # variable 2 no longer occurs
-        assert P.pdeg_var(out, 2) == 0
-        assert ref_eval(out, vals_rest) / den == direct
 
 
 def test_eval_and_ordering_helpers():

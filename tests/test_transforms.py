@@ -1,5 +1,6 @@
 """Point transformations between catalog equations: convention search,
-fitted constants, symbol identification, and the final-list identities."""
+fitted constants, and the point identities of S4S1, S5S3 and the final
+list."""
 
 import textwrap
 
@@ -159,25 +160,6 @@ def test_curve_relation_expands_to_depressed_cubic(ctx):
     expanded = parse("2*phi^3 + 3*s*phi^2 - s^3 + 5", ctx)
     assert N.nf_equal(ctx, N.normalize(ctx, built),
                       N.normalize(ctx, expanded))
-
-
-def test_identify_symbols_guards(catalog):
-    ctx = catalog.ctx
-    e = parse("fa(uy + b) + sqrt(u1)", ctx)
-    # unbound: fb and fa have different defining relations (shift by b)
-    with pytest.raises(TransformError):
-        T.identify_symbols(ctx, e, {"fb": "fa"})
-    # bound at b = 0 the relations coincide and the renaming is admitted
-    bctx = catalog.get("S3", {"a": 1, "b": 0}).ctx
-    out = T.identify_symbols(bctx, e, {"fb": "fa"})
-    assert N.nf_equal(bctx, N.normalize(bctx, out),
-                      N.normalize(bctx, parse("fa(uy) + sqrt(u1)", bctx)))
-    # mismatched degree (sqrt vs cubic) is always rejected
-    with pytest.raises(TransformError):
-        T.identify_symbols(bctx, e, {"r": "f"})
-    # mismatched argument is always rejected
-    with pytest.raises(TransformError):
-        T.identify_symbols(bctx, parse("fa(uy)", bctx), {"fa": "fax"})
 
 
 def test_final_list_identities(catalog):
