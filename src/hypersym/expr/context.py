@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import UnknownNameError
+from ..errors import JetOrderError, UnknownNameError
 from . import tree
 from .poly import Layout
 from .tree import Const, Expr, Name
@@ -118,6 +118,7 @@ class Context:
         # lazy caches, filled by the normal-form layer
         self._deriv_nf: Dict[str, object] = {}
         self._reduction: Dict[Tuple[int, int], object] = {}
+        self._minpoly_nf: Dict[int, tuple] = {}
         self._factor_intern: Dict[tuple, object] = {}
         self.den_atoms: List[object] = []
         # symbol -> compiled minimal-polynomial coefficients, filled by numeval
@@ -196,15 +197,31 @@ class Context:
         if k == 0:
             return "u"
         if k > self.max_x_jet:
-            from ..errors import JetOrderError
             raise JetOrderError(f"x-jet order {k} exceeds max_x_jet={self.max_x_jet}")
         return f"u{k}"
 
     def yjet(self, k: int) -> str:
         if k < 1 or k > self.max_y_jet:
-            from ..errors import JetOrderError
             raise JetOrderError(f"y-jet order {k} exceeds max_y_jet={self.max_y_jet}")
         return f"v{k}"
+
+    def jet_rule(self, axis: str, name: str):
+        """The total derivative D_axis (axis "x" or "y") of a base variable
+        modulo u_xy = F: the name of the next jet variable on the axis's own
+        side (D_x(u_k) = u_{k+1}, D_y(u) = v1), an int k for D_other^k F on
+        the other side (D_x(v_k) = D_y^{k-1}F), or None for a constant.
+        Past the axis's jet range it raises JetOrderError."""
+        v = self.base(name)
+        own, top, step = ((XJET, self.max_x_jet, self.xjet) if axis == "x"
+                          else (YJET, self.max_y_jet, self.yjet))
+        if v.kind == own:
+            if v.order >= top:
+                raise JetOrderError(
+                    f"D_{axis}({name}) exceeds max_{axis}_jet={top}")
+            return step(v.order + 1)
+        if v.kind != XJET and v.kind != YJET:
+            return None
+        return step(1) if v.order == 0 else v.order - 1
 
     def params(self) -> List[BaseVar]:
         return [v for v in self.base_vars if v.kind == PARAM]
@@ -283,8 +300,8 @@ class Context:
 
         def same_relation(s: SymbolDef, t: SymbolDef) -> bool:
             return (s.arg == t.arg and s.degree == t.degree and all(
-                N.nf_equal(ctx, N.normalize(ctx, p), N.normalize(ctx, q))
-                for p, q in zip(s.minpoly_coeffs, t.minpoly_coeffs)))
+                N.nf_equal(ctx, p, q)
+                for p, q in zip(N.minpoly_nf(ctx, s), N.minpoly_nf(ctx, t))))
 
         canonical: List[SymbolDef] = []
         for s in ctx.alg_syms:

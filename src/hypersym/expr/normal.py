@@ -22,6 +22,7 @@ at pure base-variable rational functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -75,25 +76,40 @@ def nf_name(ctx: Context, name: str) -> NF:
 
 # -- reduction against minimal polynomials ----------------------------------
 
+def minpoly_nf(ctx: Context, sym: SymbolDef) -> Tuple[NF, ...]:
+    """Normal forms of the minimal-polynomial coefficients of sym, made
+    once per context."""
+    cached = ctx._minpoly_nf.get(sym.alg_index)
+    if cached is None:
+        cached = ctx._minpoly_nf[sym.alg_index] = tuple(
+            normalize(ctx, c) for c in sym.minpoly_coeffs)
+    return cached
+
+
+# discriminant of a relation of degree 2 or 3 in its coefficients c_i, as
+# (integer, indices i of the factors c_i) per term
+_DISCRIMINANT = {
+    2: ((1, (1, 1)), (-4, (0, 2))),
+    3: ((1, (2, 2, 1, 1)), (-4, (3, 1, 1, 1)), (-4, (2, 2, 2, 0)),
+        (-27, (3, 3, 0, 0)), (18, (3, 2, 1, 0))),
+}
+
+
 def _reducible(ctx: Context, sym: SymbolDef) -> bool:
     """Whether a relation of degree 2 or 3 splits: it has a repeated root
     (zero discriminant), or it is a quadratic whose discriminant is a
     rational square.  Exact for this tower; no general irreducibility test."""
-    c = sym.minpoly_coeffs
-    if sym.degree == 2:
-        disc = c[1] ** 2 - 4 * c[0] * c[2]
-    elif sym.degree == 3:
-        c0, c1, c2, c3 = c
-        disc = (c2 ** 2 * c1 ** 2 - 4 * c3 * c1 ** 3 - 4 * c2 ** 3 * c0
-                - 27 * c3 ** 2 * c0 ** 2 + 18 * c3 * c2 * c1 * c0)
-    else:
+    terms = _DISCRIMINANT.get(sym.degree)
+    if terms is None:
         return False
-    disc = nf_to_expr(ctx, normalize(ctx, disc))
-    if sym.degree == 3 or not isinstance(disc, Const):
-        return disc == tree.ZERO
-    q = disc.value
-    return q >= 0 and all(math.isqrt(k) ** 2 == k
-                          for k in (q.numerator, q.denominator))
+    c = minpoly_nf(ctx, sym)
+    disc = nf_sum(ctx, [nf_scale(ctx, functools.reduce(
+        lambda a, b: nf_mul(ctx, a, b), [c[i] for i in ix]), k) for k, ix in terms])
+    if not disc:
+        return True
+    q = R.rf_as_fraction(disc[0]) if sym.degree == 2 and list(disc) == [0] else None
+    return q is not None and q > 0 and all(
+        math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
 
 
 def _rewrite_table(ctx: Context, i: int) -> Tuple[RatFunc, ...]:
@@ -110,7 +126,7 @@ def _rewrite_table(ctx: Context, i: int) -> Tuple[RatFunc, ...]:
         at = ", ".join(f"{k}={v}" for k, v in sorted(ctx.bound.items()))
         raise AdmissibilityError(f"the relation of {sym.name} is reducible"
                                  + (f" at {at}" if at else ""))
-    coeffs = [normalize(ctx, c) for c in sym.minpoly_coeffs]
+    coeffs = minpoly_nf(ctx, sym)
     for k, c in enumerate(coeffs):
         for mono in c:
             if mono != 0:

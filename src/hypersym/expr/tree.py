@@ -314,17 +314,10 @@ def substitute(e: Expr, bindings: Mapping[str, Union[Expr, Rat]]) -> Expr:
     return _rebuild(e, lambda node: bindings.get(node.name, node))
 
 
-def map_names(e: Expr, table: Mapping[str, str], on_missing=None) -> Expr:
-    """Rename leaves; names absent from the table pass through unless
-    on_missing raises for them."""
-    def leaf(node: Name) -> Expr:
-        if node.name in table:
-            return Name(table[node.name])
-        if on_missing is not None:
-            on_missing(node.name)
-        return node
-
-    return _rebuild(e, leaf)
+def map_names(e: Expr, table: Mapping[str, str]) -> Expr:
+    """Rename leaves; names absent from the table pass through."""
+    return _rebuild(e, lambda node: Name(table[node.name])
+                    if node.name in table else node)
 
 
 def _rebuild(e: Expr, leaf) -> Expr:

@@ -2,22 +2,22 @@
 
 Mixed derivatives are never materialized: D_x(v_1) = F, D_x(v_j) =
 D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
-tables memoized per equation.  Derivatives are built as expression trees
-(shared subtrees are differentiated once), so the same machinery drives the
-exact normal-form residuals and the independent numeric sampling.
+tables memoized per equation.  JetEngine builds them as expression trees
+(shared subtrees are differentiated once), NFJet as normal forms.
 
 D_x, D_y and partial share one tree walker, _derive, and differ only in the
-rule applied at a name; every symbol's chain rule comes from Context.chain.
-The normal-form engine NFJet keeps its own rules and never goes through the
-trees, so the numeric oracle, which samples the trees, stays independent of
-the normal-form route it checks.
+rule applied at a name: every symbol's chain rule comes from Context.chain,
+every jet variable's from Context.jet_rule.  NFJet and the numeric oracle
+(numeval.residual_program, on its own ops) apply the same rules and never
+go through each other's terms, so the oracle stays independent of the
+normal-form route it checks.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .errors import JetOrderError, UnknownNameError
+from .errors import UnknownNameError
 from .expr import tree
 from .expr.context import AUX, PARAM, XJET, YJET, Context, std_context
 from .expr.tree import Add, Const, Div, Expr, Mul, Name, Pow
@@ -87,7 +87,9 @@ def _check_vars(ctx: Context, e: Expr, allowed: set, what: str) -> None:
 
 
 class JetEngine:
-    """Total-derivative engine for one hyperbolic equation.
+    """Total-derivative engine for one hyperbolic equation, on trees, for
+    the transform checks and the tree references of the oracle's residual
+    (perfbench/make_expected.py and the tests).
 
     custom_dx / custom_dy map variable names to override derivative trees;
     they take precedence over the standard jet rules (used to adjoin
@@ -120,57 +122,32 @@ class JetEngine:
 
     # name rules -------------------------------------------------------------
 
-    def _dx_name(self, nm: str) -> Expr:
-        ctx = self.ctx
-        if nm in self.custom_dx:
-            return self.custom_dx[nm]
-        link = ctx.chain(nm)
+    def _name(self, axis: str, nm: str) -> Expr:
+        """D_axis(nm): a custom rule, else the symbol's chain rule, else the
+        jet rule of the context."""
+        custom = self.custom_dx if axis == "x" else self.custom_dy
+        if nm in custom:
+            return custom[nm]
+        link = self.ctx.chain(nm)
         if link is not None:
             arg, rule = link
-            return tree.ZERO if arg is None else tree.mul(rule, self._dx_name(arg))
-        v = ctx.base(nm)
-        if v.kind == XJET:
-            if v.order >= ctx.max_x_jet:
-                raise JetOrderError(
-                    f"D_x({nm}) exceeds max_x_jet={ctx.max_x_jet}")
-            return Name(ctx.xjet(v.order + 1))
-        if v.kind == YJET:
-            if v.order == 1:
-                return self.eq.F
-            return self.dyk_F(v.order - 1)
-        return tree.ZERO  # parameters and auxiliaries are constants
-
-    def _dy_name(self, nm: str) -> Expr:
-        ctx = self.ctx
-        if nm in self.custom_dy:
-            return self.custom_dy[nm]
-        link = ctx.chain(nm)
-        if link is not None:
-            arg, rule = link
-            return tree.ZERO if arg is None else tree.mul(rule, self._dy_name(arg))
-        v = ctx.base(nm)
-        if v.kind == YJET:
-            if v.order >= ctx.max_y_jet:
-                raise JetOrderError(
-                    f"D_y({nm}) exceeds max_y_jet={ctx.max_y_jet}")
-            return Name(ctx.yjet(v.order + 1))
-        if v.kind == XJET:
-            if v.order == 0:
-                return Name("v1")
-            if v.order == 1:
-                return self.eq.F
-            return self.dxk_F(v.order - 1)
-        return tree.ZERO
+            return tree.ZERO if arg is None else tree.mul(rule, self._name(axis, arg))
+        r = self.ctx.jet_rule(axis, nm)
+        if r is None:
+            return tree.ZERO  # parameters and auxiliaries are constants
+        if isinstance(r, str):
+            return Name(r)
+        return self.dyk_F(r) if axis == "x" else self.dxk_F(r)
 
     # total derivatives --------------------------------------------------------
 
     def d_x(self, e: Expr) -> Expr:
         """Total x-derivative modulo u_xy = F and its consequences."""
-        return _derive(e, self._memo_x, self._dx_name)
+        return _derive(e, self._memo_x, lambda nm: self._name("x", nm))
 
     def d_y(self, e: Expr) -> Expr:
         """Total y-derivative modulo u_xy = F and its consequences."""
-        return _derive(e, self._memo_y, self._dy_name)
+        return _derive(e, self._memo_y, lambda nm: self._name("y", nm))
 
 
 class NFJet:
@@ -212,43 +189,27 @@ class NFJet:
                 out.add(nm)
         return sorted(out)
 
-    def _dx_rule(self, nm: str):
-        ctx, n = self.ctx, self._n
-        v = ctx.base(nm)
-        if v.kind == XJET:
-            if v.order >= ctx.max_x_jet:
-                raise JetOrderError(f"D_x({nm}) exceeds max_x_jet={ctx.max_x_jet}")
-            return n.nf_base(ctx, ctx.xjet(v.order + 1))
-        if v.kind == YJET:
-            return self.F if v.order == 1 else self.dyk_F(v.order - 1)
-        return n.nf_zero(ctx)
-
-    def _dy_rule(self, nm: str):
-        ctx, n = self.ctx, self._n
-        v = ctx.base(nm)
-        if v.kind == YJET:
-            if v.order >= ctx.max_y_jet:
-                raise JetOrderError(f"D_y({nm}) exceeds max_y_jet={ctx.max_y_jet}")
-            return n.nf_base(ctx, ctx.yjet(v.order + 1))
-        if v.kind == XJET:
-            if v.order == 0:
-                return n.nf_base(ctx, "v1")
-            return self.F if v.order == 1 else self.dxk_F(v.order - 1)
-        return n.nf_zero(ctx)
+    def _rule(self, axis: str, nm: str):
+        n, r = self._n, self.ctx.jet_rule(axis, nm)
+        if r is None:
+            return n.nf_zero(self.ctx)
+        if isinstance(r, str):
+            return n.nf_base(self.ctx, r)
+        return self.dyk_F(r) if axis == "x" else self.dxk_F(r)
 
     def d_x(self, a):
-        return self._total(a, self._dx_rule)
+        return self._total(a, "x")
 
     def d_y(self, a):
-        return self._total(a, self._dy_rule)
+        return self._total(a, "y")
 
-    def _total(self, a, rule):
+    def _total(self, a, axis: str):
         n = self._n
         pairs = []
         for nm in self._vars_to_derive(a):
             p = n.nf_partial(self.ctx, a, nm)
             if p:
-                r = rule(nm)
+                r = self._rule(axis, nm)
                 if r:
                     pairs.append((p, r))
         return n.nf_sum_products(self.ctx, pairs)

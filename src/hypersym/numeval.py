@@ -11,10 +11,13 @@ and the Weierstrass triple (W, P, c) is closed by defining c = P^2 - 4W^3.
 That closure and sc = sqrt(c) are the only symbols sampled by hand here.
 
 Everything here is advisory: the exact normal-form route is authoritative,
-and the two routes are kept independent (expression trees evaluated directly,
-never through the normal form being tested).  A tree is compiled once per
-zero test into a straight-line program over float slots, in which equal
-subtrees share one slot, and the program is run at every sample.
+and the oracle shares no code and no normal form with it.  Terms live in a
+table of hash-consed ops (equal subterms share one op), emitted once per
+zero test into a straight-line program over float slots that runs at every
+sample.  _compile imports trees as they are; residual_program builds the
+determining residual from the trees of F and G by forward differentiation
+on the ops (Baur & Strassen 1983; Griewank & Walther 2008), with the
+folding of expr.tree's helpers, into the program of its jet.JetEngine tree.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import EvalError, SampleError
 from .expr.context import (PARAM, POSITIVE_AWAY_FROM_ONE, SIGNED, TSYM,
@@ -148,49 +152,272 @@ def _poly_at(coeffs: Sequence[float], x: float) -> Tuple[float, float, float]:
 _CONST, _NAME, _ADD, _MUL, _POW, _DIV, _GUARD = range(7)
 
 
-def _compile(roots: Sequence[Expr]) -> Tuple[List[tuple], List[int]]:
-    """Straight-line program for the trees in roots, and the slot of each.
+class Program(NamedTuple):
+    """A straight-line program and the slots of its roots."""
+    ops: List[tuple]
+    roots: List[int]
 
-    Each node is visited once, in post-order (a quotient's denominator, its
-    guard, then its numerator), and gets the slot of its op (code, a, b),
-    built from child slots, so equal subtrees share one slot: exact, as
-    equal float inputs give equal outputs.
-    """
-    prog: List[tuple] = []
-    by_id: Dict[int, int] = {}
-    by_key: Dict[tuple, int] = {}
 
-    def visit(e: Expr) -> int:
-        s = by_id.get(id(e))
-        if s is not None:
-            return s
+class _Ops:
+    """A table of hash-consed ops (code, a, b) whose operands are op ids, so
+    equal terms get one id.  The constructors follow expr.tree's folding
+    helpers rule for rule, so a term built here is the hash-consed image
+    of the tree those helpers would build."""
+
+    def __init__(self):
+        self.ops: List[tuple] = []
+        self.ids: Dict[tuple, int] = {}
+        self.value: Dict[int, Union[int, Fraction]] = {}  # of each constant
+        self._imported: Dict[int, Tuple[Expr, int]] = {}
+        self.zero = self.const(0)
+
+    def op(self, key: tuple) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.ops)
+            self.ops.append(key)
+        return i
+
+    def const(self, v: Union[int, Fraction]) -> int:
+        i = self.op((_CONST, v.numerator, v.denominator))
+        self.value[i] = v
+        return i
+
+    def imp(self, e: Expr) -> int:
+        """The id of a tree, shape kept as it is."""
+        hit = self._imported.get(id(e))
+        if hit is not None:
+            return hit[1]
         t = type(e)
         if t is Mul or t is Add:
-            op = (_MUL if t is Mul else _ADD, tuple(map(visit, e.args)), None)
+            i = self.op((_MUL if t is Mul else _ADD,
+                         tuple(map(self.imp, e.args)), None))
         elif t is Pow:
-            op = (_POW, visit(e.base), e.exp)
+            i = self.op((_POW, self.imp(e.base), e.exp))
         elif t is Name:
-            op = (_NAME, e.name, None)
+            i = self.op((_NAME, e.name, None))
         elif t is Const:
-            op = (_CONST, e.value.numerator, e.value.denominator)
+            v = e.value
+            i = self.const(v.numerator if v.denominator == 1 else v)
         elif t is Div:
-            den = visit(e.den)
-            prog.append((_GUARD, den, None))
-            op = (_DIV, visit(e.num), den)
-            if op in by_key:
-                prog.pop()  # an equal quotient already passed this guard
+            den = self.imp(e.den)
+            i = self.op((_DIV, self.imp(e.num), den))
         else:
             raise EvalError(f"cannot evaluate node {t.__name__}")
-        s = by_key.get(op)
-        if s is None:
-            s = by_key[op] = len(by_key)
-            prog.append(op)
-        by_id[id(e)] = s
+        self._imported[id(e)] = (e, i)  # holding e keeps its id valid
+        return i
+
+    # -- tree.add, tree.mul, tree.sub, tree.div, tree.pow_ ------------------
+
+    def _gather(self, code: int, args, flat: List[int]):
+        """Append the operands of args to flat, opening ops of the same code
+        and folding constants: their sum for ADD, product for MUL."""
+        ops, value = self.ops, self.value
+        acc = 0 if code == _ADD else 1
+        for a in args:
+            c = ops[a][0]
+            if c == code:
+                k = self._gather(code, ops[a][1], flat)
+            elif c == _CONST:
+                k = value[a]
+            else:
+                flat.append(a)
+                continue
+            acc = acc + k if code == _ADD else acc * k
+        return acc
+
+    def add(self, args) -> int:
+        flat: List[int] = []
+        c = self._gather(_ADD, args, flat)
+        if c != 0:
+            flat.append(self.const(c))
+        if not flat:
+            return self.zero
+        return flat[0] if len(flat) == 1 else self.op((_ADD, tuple(flat), None))
+
+    def mul(self, args) -> int:
+        flat: List[int] = []
+        c = self._gather(_MUL, args, flat)
+        if c == 0:
+            return self.zero
+        if c != 1 or not flat:
+            flat.insert(0, self.const(c))
+        return flat[0] if len(flat) == 1 else self.op((_MUL, tuple(flat), None))
+
+    def sub(self, a: int, b: int) -> int:
+        value = self.value
+        if b in value:  # tree.neg of a constant folds; of any other term,
+            return self.add((a, self.const(-value[b])))  # it is Mul(-1, b)
+        return self.add((a, self.op((_MUL, (self.const(-1), b), None))))
+
+    def div(self, a: int, b: int) -> int:
+        value = self.value
+        if b in value:
+            if value[b] == 0:
+                raise ZeroDivisionError("constant zero denominator")
+            if a in value:
+                return self.const(Fraction(value[a]) / value[b])
+            if value[b] == 1:
+                return a
+        if a == self.zero:
+            return a
+        return self.op((_DIV, a, b))
+
+    def pow_(self, a: int, k: int) -> int:
+        if k == 1:
+            return a
+        if k == 0:
+            return self.const(1)
+        v = self.value.get(a)
+        if v is not None:
+            if k < 0 and v == 0:
+                raise ZeroDivisionError("0 raised to a negative power")
+            return self.const(Fraction(v) ** k if k < 0 else v ** k)
+        return self.op((_POW, a, k))
+
+    def derive(self, i: int, memo: Dict[int, int], name_rule) -> int:
+        """Derivative by the sum, product, power and quotient rules, with
+        name_rule giving the id of each name's derivative; memo maps op ids
+        to derivative ids for one direction."""
+        r = memo.get(i)
+        if r is not None:
+            return r
+        code, a, b = self.ops[i]
+        zero = self.zero
+        if code == _CONST:
+            r = zero
+        elif code == _NAME:
+            r = name_rule(a)
+        elif code == _ADD:
+            r = self.add([self.derive(t, memo, name_rule) for t in a])
+        elif code == _MUL:
+            parts = []
+            for k, fk in enumerate(a):
+                d = self.derive(fk, memo, name_rule)
+                if d != zero:
+                    parts.append(self.mul((d,) + a[:k] + a[k + 1:]))
+            r = self.add(parts)
+        elif code == _POW:
+            db = self.derive(a, memo, name_rule)
+            r = zero if db == zero else self.mul(
+                (self.const(b), self.pow_(a, b - 1), db))
+        else:  # _DIV, a over b
+            dn = self.derive(a, memo, name_rule)
+            dd = self.derive(b, memo, name_rule)
+            if dd == zero:
+                r = self.div(dn, b)
+            else:
+                r = self.sub(self.div(dn, b), self.div(
+                    self.mul((a, dd)), self.pow_(b, 2)))
+        memo[i] = r
+        return r
+
+
+def _emit(ops: List[tuple], roots: Sequence[int]) -> Program:
+    """The program of the ops reachable from roots.  Each op is emitted once,
+    in post-order (a quotient's denominator, its guard, then its
+    numerator), into the next float slot."""
+    prog: List[tuple] = []
+    slot: Dict[int, int] = {}
+
+    def visit(i: int) -> int:
+        s = slot.get(i)
+        if s is not None:
+            return s
+        code, a, b = op = ops[i]
+        if code == _MUL or code == _ADD:
+            op = (code, tuple(map(visit, a)), None)
+        elif code == _POW:
+            op = (code, visit(a), b)
+        elif code == _DIV:
+            den = visit(b)
+            prog.append((_GUARD, den, None))
+            op = (code, visit(a), den)
+        s = slot[i] = len(slot)
+        prog.append(op)
         return s
 
-    slots = [visit(r) for r in roots]
+    out = Program(prog, [visit(r) for r in roots])
     del visit  # a recursive closure is a cycle; free the tables now
-    return prog, slots
+    return out
+
+
+def _compile(roots: Sequence[Expr]) -> Program:
+    """Straight-line program for the trees in roots, and the slot of each.
+    Equal subtrees share one slot: exact, as equal float inputs give equal
+    outputs."""
+    table = _Ops()
+    return _emit(table.ops, [table.imp(r) for r in roots])
+
+
+def residual_program(F, G) -> Program:
+    """Program of the compatibility residual of u_xy = F.F and the
+    x-direction flow u_t = u5 + G.G in one shared context,
+
+        R = D_x(D_yH) - F_{u1} D_xH - F_{v1} D_yH - F_u H,   H = u5 + G,
+
+    with R and its top-level terms as roots.  The derivatives are taken on
+    the ops by forward differentiation, one memo per direction, with the
+    name rules of jet.JetEngine and jet.partial, so the program is the one
+    _compile makes from the tree those build.
+    """
+    ctx = F.ctx
+    t = _Ops()
+    f = t.imp(F.F)
+    memo: Dict[str, Dict[int, int]] = {"x": {}, "y": {}}
+    powers = {"x": [f], "y": [f]}  # D_x^k F and D_y^k F
+
+    def total(axis: str, i: int) -> int:
+        return t.derive(i, memo[axis], rules[axis])
+
+    def chained(nm: str, rule) -> Optional[int]:
+        """D(nm) = its derivative rule * D(argument) for a symbol, else None."""
+        link = ctx.chain(nm)
+        if link is None:
+            return None
+        arg, d = link
+        return t.zero if arg is None else t.mul((t.imp(d), rule(arg)))
+
+    def jet_rule(axis: str, other: str):
+        def rule(nm: str) -> int:
+            r = chained(nm, rule)
+            if r is not None:
+                return r
+            r = ctx.jet_rule(axis, nm)
+            if r is None:
+                return t.zero  # parameters and auxiliaries are constants
+            if isinstance(r, str):
+                return t.op((_NAME, r, None))
+            ks = powers[other]  # D_x(v_k) = D_y^{k-1}F, D_y(u_k) = D_x^{k-1}F
+            while len(ks) <= r:
+                ks.append(total(other, ks[-1]))
+            return ks[r]
+        return rule
+
+    rules = {"x": jet_rule("x", "y"), "y": jet_rule("y", "x")}
+
+    def partial(var: str) -> int:
+        def rule(nm: str) -> int:
+            nm = ctx.resolve(nm)
+            if nm == var:
+                return t.const(1)
+            r = chained(nm, rule)
+            if r is None:
+                ctx.base(nm)  # an unregistered name raises; the others are fixed
+                return t.zero
+            return r
+
+        return t.derive(f, {}, rule)
+
+    H = t.add((t.op((_NAME, "u5", None)), t.imp(G.G)))
+    dyH = total("y", H)
+    dxH = total("x", H)
+    mixed = total("x", dyH)
+    Fu1, Fv1, Fu = partial("u1"), partial("v1"), partial("u")
+    R = t.sub(t.sub(t.sub(mixed, t.mul((Fu1, dxH))), t.mul((Fv1, dyH))),
+              t.mul((Fu, H)))
+    code, terms, _ = t.ops[R]
+    return _emit(t.ops, [R, *(terms if code == _ADD else (R,))])
 
 
 def _run(prog: List[tuple], slots: Sequence[int],
@@ -372,21 +599,23 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
                  constraints: Optional[Mapping[str, object]] = None
                  ) -> NumericVerdict:
     """Probabilistic zero test: relative residual at `samples` points,
-    |value| / (1 + largest top-level term contribution)."""
+    |value| / (1 + largest top-level term contribution).  e is a tree, a
+    Program (its first root the value, the others the terms) or a normal
+    form."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if isinstance(e, Expr):
-        if ctx is None:
-            ctx = std_context()
         # the root gives the value, its top-level terms the contributions
-        prog, roots = _compile([e, *(e.args if isinstance(e, Add) else (e,))])
+        e = _compile([e, *(e.args if isinstance(e, Add) else (e,))])
+    if isinstance(e, Program) and ctx is None:
+        ctx = std_context()
     rng = random.Random(seed)
     residuals: List[float] = []
     for _ in range(samples):
         child = rng.getrandbits(48)
         p = sample_point(ctx, constraints, child)
-        if isinstance(e, Expr):
-            value, *contribs = _run(prog, roots, p.assignment)
+        if isinstance(e, Program):
+            value, *contribs = _run(e.ops, e.roots, p.assignment)
         else:
             contribs = _nf_terms(e, p.assignment, ctx)
             value = math.fsum(contribs)

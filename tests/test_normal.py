@@ -2,6 +2,7 @@
 derivative-rule consistency, inverses, and the zero test."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,26 @@ def test_bind_keeps_irreducible_relations(ctx):
         assert nf(bound, f"(sc - 2)*(sc + 2) - ({c} - 4)") == {}
     bound = ctx.bind({"a": -1})
     assert nf(bound, "fa(uy)*(1/fa(uy)) - 1") == {}
+
+
+def test_bind_refuses_a_fractional_square_discriminant(ctx):
+    """sqrt(c) is rational at c = 9/16 too, where the discriminant 9/4 of
+    sc's relation is a square that is not an integer."""
+    bound = ctx.bind({"c": Fraction(9, 16)})
+    with pytest.raises(AdmissibilityError, match="reducible at c=9/16"):
+        nf(bound, "(sc - 3/4)*(sc + 3/4)")
+    bound = ctx.bind({"c": Fraction(9, 8)})
+    assert nf(bound, "sc*sc - 9/8") == {}
+
+
+def test_minpoly_nf_is_made_once_per_context(ctx):
+    bound = ctx.bind({"a": 2, "c": 3})
+    first = [N.minpoly_nf(bound, s) for s in bound.alg_syms]
+    assert all(N.minpoly_nf(bound, s) is f
+               for s, f in zip(bound.alg_syms, first))
+    for s, coeffs in zip(bound.alg_syms, first):
+        assert all(N.nf_equal(bound, a, nf(bound, c))
+                   for a, c in zip(coeffs, s.minpoly_coeffs))
 
 
 def test_derivative_rule_is_implicit_derivative_of_relation(ctx):

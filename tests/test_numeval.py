@@ -3,16 +3,19 @@ zero classification, and finite-difference validation of derivative rules."""
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 from hypersym import numeval, verify
-from hypersym.errors import EvalError, SampleError
+from hypersym.errors import EvalError, JetOrderError, SampleError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
+from hypersym.expr.context import default_context
 from hypersym.expr.parser import parse
 from hypersym.expr.tree import Add, Const, Div, Mul, Name, Pow
+from hypersym.jet import EvolutionEq, HyperbolicEq, JetEngine, partial, swap_xy
 
 BASE_BAND = (0.5, 2.0)
 
@@ -357,3 +360,82 @@ def test_compiled_program_shares_equal_subtrees(ctx):
     assert len(prog2) == len(numeval._compile([t])[0])
     a = numeval.sample_point(ctx, None, 2).assignment
     assert numeval.eval(e, a) == ref_eval(e, a, {})
+
+
+# -- the residual program against the tree route it replaced ----------------
+
+def tree_residual_program(F, G):
+    """The residual built as a JetEngine / jet.partial tree, then compiled,
+    with R and its top-level terms as roots."""
+    ctx = F.ctx
+    eng = JetEngine(F)
+    H = tree.add(Name("u5"), G.G)
+    dyH = eng.d_y(H)
+    dxH = eng.d_x(H)
+    mixed = eng.d_x(dyH)
+    Fu1 = partial(F.F, "u1", ctx)
+    Fv1 = partial(F.F, "v1", ctx)
+    Fu = partial(F.F, "u", ctx)
+    R = tree.sub(
+        tree.sub(tree.sub(mixed, tree.mul(Fu1, dxH)), tree.mul(Fv1, dyH)),
+        tree.mul(Fu, H))
+    return numeval._compile([R, *(R.args if isinstance(R, Add) else (R,))])
+
+
+def shipped_claims(catalog):
+    """(key, F, G) of every shipped claim, F swapped for a y-direction one
+    as verify_pair does."""
+    for c in sorted(catalog.pairings(), key=lambda c: c.key):
+        F = catalog.get(c.hyperbolic_id, dict(c.bindings))
+        G = catalog.get(c.evolution_id, dict(c.bindings))
+        if c.direction == "y":
+            F = HyperbolicEq(F.id, swap_xy(F.F, F.ctx), params=F.params,
+                             ctx=F.ctx)
+        yield c.key, F, G
+
+
+def bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+def test_residual_program_is_the_compiled_tree(catalog):
+    keys = []
+    for key, F, G in shipped_claims(catalog):
+        keys.append(key)
+        want = tree_residual_program(F, G)
+        got = numeval.residual_program(F, G)
+        assert isinstance(got, numeval.Program)
+        assert len(got.ops) == len(want.ops), key
+        assert len(got.roots) == len(want.roots), key
+        assert got == want, key
+        for seed in range(5):
+            a = numeval.sample_point(F.ctx, None, seed).assignment
+            assert bits(numeval._run(*got, a)) == bits(numeval._run(*want, a)), key
+    assert len(keys) == 12
+
+
+def test_residual_program_keeps_the_tree_route_errors(ctx):
+    # a denominator that vanishes at the point: u = v1
+    F = HyperbolicEq("t", parse("u1/(u - v1)", ctx), ctx=ctx)
+    G = EvolutionEq("g", parse("u1*u3", ctx), ctx=ctx)
+    a = numeval.sample_point(ctx, None, 0).assignment
+    a["u"] = a["v1"]
+    want = outcome(lambda: numeval._run(*tree_residual_program(F, G), a))
+    assert want == (EvalError, "denominator vanished at the sample point")
+    assert outcome(lambda: numeval._run(*numeval.residual_program(F, G), a)) == want
+    # D_x(u5) past the x-jet range
+    small = default_context(max_x_jet=5)
+    F = HyperbolicEq("t", parse("u1*v1", small), ctx=small)
+    G = EvolutionEq("g", parse("u2", small), ctx=small)
+    with pytest.raises(JetOrderError, match=r"D_x\(u5\) exceeds max_x_jet=5"):
+        tree_residual_program(F, G)
+    with pytest.raises(JetOrderError, match=r"D_x\(u5\) exceeds max_x_jet=5"):
+        numeval.residual_program(F, G)
+
+
+def test_numeric_zero_takes_a_program(ctx):
+    e = parse("f(u1)*u2 - exp(u) + 3/(u1 + 1)", ctx)
+    prog = numeval._compile([e, *e.args])
+    by_tree = numeval.numeric_zero(e, 4, seed=2, ctx=ctx)
+    by_prog = numeval.numeric_zero(prog, 4, seed=2, ctx=ctx)
+    assert by_prog.residuals == by_tree.residuals
