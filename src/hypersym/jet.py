@@ -2,26 +2,24 @@
 
 Mixed derivatives are never materialized: D_x(v_1) = F, D_x(v_j) =
 D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
-tables memoized per equation.  JetEngine builds them as expression trees
-(shared subtrees are differentiated once), NFJet as normal forms.
-
-D_x, D_y and partial share one tree walker, _derive, and differ only in the
-rule applied at a name: every symbol's chain rule comes from Context.chain,
-every jet variable's from Context.jet_rule.  NFJet and the numeric oracle
-(numeval.residual_program, on its own ops) apply the same rules and never
-go through each other's terms, so the oracle stays independent of the
+tables memoized per equation.  NFJet takes them on normal forms, for the
+exact route.  On trees, JetEngine and partial are adapters over the one
+derivative engine of the numeric oracle, numeval._Jet, which takes them
+on hash-consed ops: a tree is imported into a table of ops, derived there
+(equal subterms are differentiated once) and read back as a tree.  NFJet
+and _Jet read the same rules (every symbol's chain rule from
+Context.chain, every jet variable's from Context.jet_rule) and never go
+through each other's terms, so the oracle stays independent of the
 normal-form route it checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import UnknownNameError
-from .expr import tree
 from .expr.context import AUX, PARAM, XJET, YJET, Context, std_context
-from .expr.tree import Add, Const, Div, Expr, Mul, Name, Pow
-from .expr.tree import free_names, map_names
+from .expr.tree import Expr, free_names, map_names
 
 
 class HyperbolicEq:
@@ -88,8 +86,8 @@ def _check_vars(ctx: Context, e: Expr, allowed: set, what: str) -> None:
 
 class JetEngine:
     """Total-derivative engine for one hyperbolic equation, on trees, for
-    the transform checks and the tree references of the oracle's residual
-    (perfbench/make_expected.py and the tests).
+    the transform checks: each tree is imported into one table of ops, and
+    numeval._Jet derives there and reads the result back as a tree.
 
     custom_dx / custom_dy map variable names to override derivative trees;
     they take precedence over the standard jet rules (used to adjoin
@@ -98,56 +96,24 @@ class JetEngine:
 
     def __init__(self, eq: HyperbolicEq, custom_dx: Optional[Dict[str, Expr]] = None,
                  custom_dy: Optional[Dict[str, Expr]] = None):
+        # imported here, so that only the users of the tree engine pay for
+        # importing numeval (its dataclasses)
+        from .numeval import _Jet, _Ops
         self.eq = eq
         self.ctx = eq.ctx
-        self.custom_dx = dict(custom_dx or {})
-        self.custom_dy = dict(custom_dy or {})
-        self._dxk_F: List[Expr] = [eq.F]
-        self._dyk_F: List[Expr] = [eq.F]
-        # node-id memos; values keep the key node alive so ids stay valid
-        self._memo_x: Dict[int, Tuple[Expr, Expr]] = {}
-        self._memo_y: Dict[int, Tuple[Expr, Expr]] = {}
-
-    # iterated derivative tables -------------------------------------------
-
-    def dxk_F(self, k: int) -> Expr:
-        while len(self._dxk_F) <= k:
-            self._dxk_F.append(self.d_x(self._dxk_F[-1]))
-        return self._dxk_F[k]
-
-    def dyk_F(self, k: int) -> Expr:
-        while len(self._dyk_F) <= k:
-            self._dyk_F.append(self.d_y(self._dyk_F[-1]))
-        return self._dyk_F[k]
-
-    # name rules -------------------------------------------------------------
-
-    def _name(self, axis: str, nm: str) -> Expr:
-        """D_axis(nm): a custom rule, else the symbol's chain rule, else the
-        jet rule of the context."""
-        custom = self.custom_dx if axis == "x" else self.custom_dy
-        if nm in custom:
-            return custom[nm]
-        link = self.ctx.chain(nm)
-        if link is not None:
-            arg, rule = link
-            return tree.ZERO if arg is None else tree.mul(rule, self._name(axis, arg))
-        r = self.ctx.jet_rule(axis, nm)
-        if r is None:
-            return tree.ZERO  # parameters and auxiliaries are constants
-        if isinstance(r, str):
-            return Name(r)
-        return self.dyk_F(r) if axis == "x" else self.dxk_F(r)
-
-    # total derivatives --------------------------------------------------------
+        t = self._ops = _Ops()
+        custom = {(axis, nm): t.imp(d)
+                  for axis, rules in (("x", custom_dx), ("y", custom_dy))
+                  for nm, d in (rules or {}).items()}
+        self._jet = _Jet(t, eq.ctx, t.imp(eq.F), custom)
 
     def d_x(self, e: Expr) -> Expr:
         """Total x-derivative modulo u_xy = F and its consequences."""
-        return _derive(e, self._memo_x, lambda nm: self._name("x", nm))
+        return self._ops.tree(self._jet.total("x", self._ops.imp(e)))
 
     def d_y(self, e: Expr) -> Expr:
         """Total y-derivative modulo u_xy = F and its consequences."""
-        return _derive(e, self._memo_y, lambda nm: self._name("y", nm))
+        return self._ops.tree(self._jet.total("y", self._ops.imp(e)))
 
 
 class NFJet:
@@ -231,58 +197,6 @@ def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:
 def partial(e: Expr, var: str, ctx: Optional[Context] = None) -> Expr:
     """Partial derivative w.r.t. one jet variable, with chain rules through
     the registered symbols of that variable; all other jet variables fixed."""
-    ctx = ctx or std_context()
-    var = ctx.resolve(var)
-
-    def dname(nm: str) -> Expr:
-        nm = ctx.resolve(nm)
-        if nm == var:
-            return tree.ONE
-        link = ctx.chain(nm)
-        if link is None:
-            ctx.base(nm)  # an unregistered name raises; the others are fixed
-            return tree.ZERO
-        arg, rule = link
-        return tree.ZERO if arg is None else tree.mul(rule, dname(arg))
-
-    return _derive(e, {}, dname)
-
-
-def _derive(e: Expr, memo: Dict[int, Tuple[Expr, Expr]], name_rule) -> Expr:
-    """Derivative of a tree by the sum, product, power and quotient rules,
-    with name_rule giving the derivative of each name.  memo maps node ids
-    to (node, derivative); holding the node keeps its id valid, and shared
-    subtrees are differentiated once."""
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Const):
-        r = tree.ZERO
-    elif isinstance(e, Name):
-        r = name_rule(e.name)
-    elif isinstance(e, Add):
-        r = tree.add(*[_derive(t, memo, name_rule) for t in e.args])
-    elif isinstance(e, Mul):
-        parts = []
-        for i, fi in enumerate(e.args):
-            dfi = _derive(fi, memo, name_rule)
-            if dfi == tree.ZERO:
-                continue
-            rest = e.args[:i] + e.args[i + 1:]
-            parts.append(tree.mul(dfi, *rest))
-        r = tree.add(*parts) if parts else tree.ZERO
-    elif isinstance(e, Pow):
-        db = _derive(e.base, memo, name_rule)
-        r = tree.ZERO if db == tree.ZERO else tree.mul(
-            Const(e.exp), tree.pow_(e.base, e.exp - 1), db)
-    elif isinstance(e, Div):
-        dn, dd = _derive(e.num, memo, name_rule), _derive(e.den, memo, name_rule)
-        if dd == tree.ZERO:
-            r = tree.div(dn, e.den)
-        else:
-            r = tree.sub(tree.div(dn, e.den),
-                         tree.div(tree.mul(e.num, dd), tree.pow_(e.den, 2)))
-    else:
-        raise TypeError(f"cannot differentiate {type(e).__name__}")
-    memo[id(e)] = (e, r)
-    return r
+    from .numeval import _Jet, _Ops  # see JetEngine.__init__
+    t = _Ops()
+    return t.tree(_Jet(t, ctx or std_context()).partial(t.imp(e), var))

@@ -17,11 +17,16 @@ zero test into a straight-line program over float slots that runs at every
 sample.  _compile imports trees as they are; residual_program builds the
 determining residual from the trees of F and G by forward differentiation
 on the ops (Baur & Strassen 1983; Griewank & Walther 2008), with the
-folding of expr.tree's helpers, into the program of its jet.JetEngine tree.
+folding of expr.tree's helpers.  That differentiation, _Jet, is the one
+derivative engine on terms: jet.JetEngine and jet.partial import their
+trees into a table, derive with _Jet and read the result back as a tree
+(_Ops.tree), so a residual built from their trees compiles to the program
+residual_program makes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -169,6 +174,7 @@ class _Ops:
         self.ids: Dict[tuple, int] = {}
         self.value: Dict[int, Union[int, Fraction]] = {}  # of each constant
         self._imported: Dict[int, Tuple[Expr, int]] = {}
+        self._trees: Dict[int, Expr] = {}  # of each op read back
         self.zero = self.const(0)
 
     def op(self, key: tuple) -> int:
@@ -195,7 +201,7 @@ class _Ops:
         elif t is Pow:
             i = self.op((_POW, self.imp(e.base), e.exp))
         elif t is Name:
-            i = self.op((_NAME, e.name, None))
+            i = self.name(e.name)
         elif t is Const:
             v = e.value
             i = self.const(v.numerator if v.denominator == 1 else v)
@@ -206,6 +212,30 @@ class _Ops:
             raise EvalError(f"cannot evaluate node {t.__name__}")
         self._imported[id(e)] = (e, i)  # holding e keeps its id valid
         return i
+
+    def name(self, nm: str) -> int:
+        return self.op((_NAME, nm, None))
+
+    def tree(self, i: int) -> Expr:
+        """The tree of op i, one raw node per op, so that equal subterms come
+        back as one node and importing the tree gives i again."""
+        e = self._trees.get(i)
+        if e is not None:
+            return e
+        code, a, b = self.ops[i]
+        if code == _CONST:
+            e = Const(self.value[i])
+        elif code == _NAME:
+            e = Name(a)
+        elif code == _ADD or code == _MUL:
+            e = (Add if code == _ADD else Mul)(map(self.tree, a))
+        elif code == _POW:
+            e = Pow(self.tree(a), b)
+        else:
+            e = Div(self.tree(a), self.tree(b))
+        self._trees[i] = e
+        self._imported[id(e)] = (e, i)
+        return e
 
     # -- tree.add, tree.mul, tree.sub, tree.div, tree.pow_ ------------------
 
@@ -313,6 +343,73 @@ class _Ops:
         return r
 
 
+class _Jet:
+    """Total derivatives D_x, D_y modulo u_xy = F, and partial derivatives,
+    on the ops of one table.  Every symbol's chain rule comes from
+    Context.chain, every jet variable's total derivative from
+    Context.jet_rule: D_x(v_k) = D_y^{k-1}F and D_y(u_k) = D_x^{k-1}F read
+    the tables of D_x^k F and D_y^k F, grown on demand.  custom maps
+    (axis, name) to the id of an override D_axis(name), which precedes the
+    rules (adjoined auxiliaries such as V in the transform checks).  f, the
+    id of F, is needed only by total."""
+
+    def __init__(self, t: _Ops, ctx: Context, f: Optional[int] = None,
+                 custom: Optional[Dict[Tuple[str, str], int]] = None):
+        self.t, self.ctx = t, ctx
+        self.custom = custom or {}
+        self.memo: Dict[str, Dict[int, int]] = {"x": {}, "y": {}}
+        self.powers = {"x": [f], "y": [f]}  # D_x^k F and D_y^k F
+
+    def total(self, axis: str, i: int) -> int:
+        """D_axis of op i, axis "x" or "y"; one memo per axis."""
+        return self.t.derive(i, self.memo[axis],
+                             functools.partial(self._total_name, axis))
+
+    def partial(self, i: int, var: str) -> int:
+        """Partial derivative of op i w.r.t. the jet variable var; every
+        other jet variable is fixed."""
+        return self.t.derive(i, {}, functools.partial(
+            self._partial_name, self.ctx.resolve(var)))
+
+    def _total_name(self, axis: str, nm: str) -> int:
+        t = self.t
+        r = self.custom.get((axis, nm))
+        if r is None:
+            r = self._chained(nm, functools.partial(self._total_name, axis))
+        if r is not None:
+            return r
+        r = self.ctx.jet_rule(axis, nm)
+        if r is None:
+            return t.zero  # parameters and auxiliaries are constants
+        if isinstance(r, str):
+            return t.name(r)
+        other = "y" if axis == "x" else "x"
+        ks = self.powers[other]
+        while len(ks) <= r:
+            ks.append(self.total(other, ks[-1]))
+        return ks[r]
+
+    def _partial_name(self, var: str, nm: str) -> int:
+        nm = self.ctx.resolve(nm)
+        if nm == var:
+            return self.t.const(1)
+        r = self._chained(nm, functools.partial(self._partial_name, var))
+        if r is None:
+            self.ctx.base(nm)  # an unregistered name raises; the others are fixed
+            return self.t.zero
+        return r
+
+    def _chained(self, nm: str, rule) -> Optional[int]:
+        """D(nm) = its derivative rule * D(argument) for a symbol, with rule
+        giving D(argument); None for every other name."""
+        link = self.ctx.chain(nm)
+        if link is None:
+            return None
+        arg, d = link
+        t = self.t
+        return t.zero if arg is None else t.mul((t.imp(d), rule(arg)))
+
+
 def _emit(ops: List[tuple], roots: Sequence[int]) -> Program:
     """The program of the ops reachable from roots.  Each op is emitted once,
     in post-order (a quotient's denominator, its guard, then its
@@ -350,72 +447,28 @@ def _compile(roots: Sequence[Expr]) -> Program:
     return _emit(table.ops, [table.imp(r) for r in roots])
 
 
-def residual_program(F, G) -> Program:
-    """Program of the compatibility residual of u_xy = F.F and the
+def _residual(t: _Ops, F, G) -> int:
+    """The id in t of the compatibility residual of u_xy = F.F and the
     x-direction flow u_t = u5 + G.G in one shared context,
 
-        R = D_x(D_yH) - F_{u1} D_xH - F_{v1} D_yH - F_u H,   H = u5 + G,
-
-    with R and its top-level terms as roots.  The derivatives are taken on
-    the ops by forward differentiation, one memo per direction, with the
-    name rules of jet.JetEngine and jet.partial, so the program is the one
-    _compile makes from the tree those build.
-    """
-    ctx = F.ctx
-    t = _Ops()
+        R = D_x(D_yH) - F_{u1} D_xH - F_{v1} D_yH - F_u H,   H = u5 + G."""
     f = t.imp(F.F)
-    memo: Dict[str, Dict[int, int]] = {"x": {}, "y": {}}
-    powers = {"x": [f], "y": [f]}  # D_x^k F and D_y^k F
+    jet = _Jet(t, F.ctx, f)
+    H = t.add((t.name("u5"), t.imp(G.G)))
+    dyH = jet.total("y", H)
+    dxH = jet.total("x", H)
+    mixed = jet.total("x", dyH)
+    Fu1, Fv1, Fu = (jet.partial(f, v) for v in ("u1", "v1", "u"))
+    return t.sub(t.sub(t.sub(mixed, t.mul((Fu1, dxH))), t.mul((Fv1, dyH))),
+                 t.mul((Fu, H)))
 
-    def total(axis: str, i: int) -> int:
-        return t.derive(i, memo[axis], rules[axis])
 
-    def chained(nm: str, rule) -> Optional[int]:
-        """D(nm) = its derivative rule * D(argument) for a symbol, else None."""
-        link = ctx.chain(nm)
-        if link is None:
-            return None
-        arg, d = link
-        return t.zero if arg is None else t.mul((t.imp(d), rule(arg)))
-
-    def jet_rule(axis: str, other: str):
-        def rule(nm: str) -> int:
-            r = chained(nm, rule)
-            if r is not None:
-                return r
-            r = ctx.jet_rule(axis, nm)
-            if r is None:
-                return t.zero  # parameters and auxiliaries are constants
-            if isinstance(r, str):
-                return t.op((_NAME, r, None))
-            ks = powers[other]  # D_x(v_k) = D_y^{k-1}F, D_y(u_k) = D_x^{k-1}F
-            while len(ks) <= r:
-                ks.append(total(other, ks[-1]))
-            return ks[r]
-        return rule
-
-    rules = {"x": jet_rule("x", "y"), "y": jet_rule("y", "x")}
-
-    def partial(var: str) -> int:
-        def rule(nm: str) -> int:
-            nm = ctx.resolve(nm)
-            if nm == var:
-                return t.const(1)
-            r = chained(nm, rule)
-            if r is None:
-                ctx.base(nm)  # an unregistered name raises; the others are fixed
-                return t.zero
-            return r
-
-        return t.derive(f, {}, rule)
-
-    H = t.add((t.op((_NAME, "u5", None)), t.imp(G.G)))
-    dyH = total("y", H)
-    dxH = total("x", H)
-    mixed = total("x", dyH)
-    Fu1, Fv1, Fu = partial("u1"), partial("v1"), partial("u")
-    R = t.sub(t.sub(t.sub(mixed, t.mul((Fu1, dxH))), t.mul((Fv1, dyH))),
-              t.mul((Fu, H)))
+def residual_program(F, G) -> Program:
+    """Program of the compatibility residual R of u_xy = F.F and the
+    x-direction flow u_t = u5 + G.G (_residual), with R and its top-level
+    terms as roots."""
+    t = _Ops()
+    R = _residual(t, F, G)
     code, terms, _ = t.ops[R]
     return _emit(t.ops, [R, *(terms if code == _ADD else (R,))])
 

@@ -55,7 +55,6 @@ def test_first_jet_replacements(tz):
     # D_y(u2) = D_x(F) along solutions
     assert N.nf_equal(ctx, nf(ctx, eng.d_y(tree.name("u2"))),
                       nf(ctx, eng.d_x(F)))
-    assert N.nf_equal(ctx, nf(ctx, eng.dxk_F(1)), nf(ctx, eng.d_x(F)))
 
 
 def test_chain_rule_on_x_jet_ladder(tz):

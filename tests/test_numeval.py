@@ -362,11 +362,12 @@ def test_compiled_program_shares_equal_subtrees(ctx):
     assert numeval.eval(e, a) == ref_eval(e, a, {})
 
 
-# -- the residual program against the tree route it replaced ----------------
+# -- the residual program against its round trip through trees --------------
 
 def tree_residual_program(F, G):
-    """The residual built as a JetEngine / jet.partial tree, then compiled,
-    with R and its top-level terms as roots."""
+    """The residual built as a tree from JetEngine / jet.partial, whose
+    derivatives are read back from op tables, then compiled, with R and its
+    top-level terms as roots."""
     ctx = F.ctx
     eng = JetEngine(F)
     H = tree.add(Name("u5"), G.G)
@@ -399,6 +400,9 @@ def bits(values):
 
 
 def test_residual_program_is_the_compiled_tree(catalog):
+    """Derivatives read back as trees, combined by expr.tree's helpers and
+    compiled give the program residual_program builds on the ops, op for
+    op, so the read-back keeps every float."""
     keys = []
     for key, F, G in shipped_claims(catalog):
         keys.append(key)
@@ -415,6 +419,7 @@ def test_residual_program_is_the_compiled_tree(catalog):
 
 
 def test_residual_program_keeps_the_tree_route_errors(ctx):
+    # the program and its tree round trip fail alike:
     # a denominator that vanishes at the point: u = v1
     F = HyperbolicEq("t", parse("u1/(u - v1)", ctx), ctx=ctx)
     G = EvolutionEq("g", parse("u1*u3", ctx), ctx=ctx)
@@ -431,6 +436,28 @@ def test_residual_program_keeps_the_tree_route_errors(ctx):
         tree_residual_program(F, G)
     with pytest.raises(JetOrderError, match=r"D_x\(u5\) exceeds max_x_jet=5"):
         numeval.residual_program(F, G)
+
+
+def test_ops_read_back_as_the_trees_they_import(catalog, ctx):
+    """_Ops.tree on the residual roots of every shipped claim: importing
+    the tree gives the op again, it compiles to the program of the op, and
+    it has one node per op, so equal subterms come back as one node."""
+    for key, F, G in shipped_claims(catalog):
+        t, twin = numeval._Ops(), numeval._Ops()
+        R = numeval._residual(t, F, G)
+        assert numeval._residual(twin, F, G) == R, key
+        code, terms, _ = t.ops[R]
+        for i in [R, *(terms if code == numeval._ADD else ())]:
+            e = t.tree(i)
+            assert t.imp(e) == i and twin.imp(e) == i, key
+            prog = numeval._emit(t.ops, [i])
+            assert numeval._compile([e]) == prog, key
+            ops = sum(op[0] != numeval._GUARD for op in prog.ops)
+            assert id_nodes(e) == ops, key
+    t = numeval._Ops()
+    s = parse("f(u1)*u2 + 3*u1^2/(u1 + 1)", ctx)
+    e = t.tree(t.imp(Mul((s, copy_tree(s)))))
+    assert e.args[0] is e.args[1] and e.args[0] == s
 
 
 def test_numeric_zero_takes_a_program(ctx):

@@ -1,8 +1,10 @@
 """The determining identity: exact residuals, coefficient localization, the
 order-reduction conditions, ODE checks, and parameter forcing."""
 
+import hashlib
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -369,3 +371,39 @@ def test_mixed_derivative_does_not_depend_on_order(catalog, hid, eid,
     yx, xy = _mixed_both_orders(F, G)
     assert yx
     assert _nf_shape(yx) == _nf_shape(xy)
+
+
+PAIRS_195 = Path(__file__).parent / "data" / "verify_pairs_195.sha256"
+
+
+def test_every_hyperbolic_evolution_pair_is_pinned():
+    """The exact report of every hyperbolic x evolution pair, made in one
+    process in catalog order, matches its pinned digest (the first 16 hex
+    digits of the sha256 of its structured lines)."""
+    cat = Catalog()
+    lines = []
+    for h in cat.list("hyperbolic"):
+        for e in cat.list("evolution"):
+            r = verify.verify_pair(cat.get(h.id), cat.get(e.id))
+            text = "\n".join(r.structured_lines()).encode()
+            verdict = "zero" if r.residual_is_zero else "nonzero"
+            lines.append(f"{h.id} {e.id} {verdict} "
+                         f"{hashlib.sha256(text).hexdigest()[:16]}\n")
+    assert len(lines) == 195
+    assert "".join(lines).encode() == PAIRS_195.read_bytes()
+    zero = [ln.split()[:2] for ln in lines if ln.split()[2] == "zero"]
+    assert zero == [["hyp2", "ev12"], ["hyp4", "ev12"], ["S1", "ev11"],
+                    ["S2", "ev12"], ["S6", "ev21"], ["final1", "ev12"],
+                    ["final4", "ev21"]]
+
+
+def test_nonzero_report_does_not_depend_on_worker_count(tmp_path):
+    (tmp_path / "pairs.txt").write_text("hyp3 ev12 x asserted-by-paper\n")
+    cat = Catalog()
+    cat.load_path(str(tmp_path))
+    serial, fanned = (verify.verify_all(cat, jobs=jobs) for jobs in (1, 2))
+    nonzero = [r for r in serial if not r.residual_is_zero]
+    assert [r.key for r in nonzero] == ["hyp3 ev12 x"]
+    assert nonzero[0].failing_coefficients
+    assert ([r.structured_lines() for r in fanned]
+            == [r.structured_lines() for r in serial])
