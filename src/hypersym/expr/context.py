@@ -119,6 +119,10 @@ class Context:
         self._deriv_nf: Dict[str, object] = {}
         self._reduction: Dict[Tuple[int, int], object] = {}
         self._minpoly_nf: Dict[int, tuple] = {}
+        # an equation's exact normal forms, keyed on its tree (trees compare
+        # structurally), filled by jet.nf_jet and verify's flow memo
+        self._nf_jets: Dict[Expr, object] = {}
+        self._flow_nf: Dict[Expr, object] = {}
         self._factor_intern: Dict[tuple, object] = {}
         self.den_atoms: List[object] = []
         # symbol -> compiled minimal-polynomial coefficients, filled by numeval

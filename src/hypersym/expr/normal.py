@@ -10,9 +10,12 @@ equality and the zero test is exact.
 Coefficients are reduced once per result, not once per term product:
 nf_sum_products forms the term products unreduced, rewrites symbol powers
 over their degree on them, groups them by monomial and reduces each group
-with one rf_sum.  That gives the form that reducing every step gives,
-because on the square-free, pairwise coprime factor base a reduced
-rational function is unique (see ratfunc).
+with one rf_sum.  A result may be a whole sum of products, such as the
+determining residual (the mixed derivative's chain-rule products and the
+three lower-order products of verify.determining_residual), which is then
+reduced once, not once per operation.  That gives the form that reducing
+every step gives, because on the square-free, pairwise coprime factor base
+a reduced rational function is unique (see ratfunc).
 
 Inverses are computed by the extended Euclidean algorithm in K[s]/(m(s)),
 where s is the highest registered symbol occurring in the operand and K is
@@ -398,7 +401,10 @@ def normalize(ctx: Context, e: Expr) -> NF:
         memo[key] = r
         return r
 
-    return go(e)
+    try:
+        return go(e)
+    finally:
+        del go  # a recursive closure is a cycle; free the memo now
 
 
 # -- differentiation ---------------------------------------------------------

@@ -200,17 +200,20 @@ def pmul(a: Poly, b: Poly, layout: Layout, max_terms: int = 0) -> Poly:
 
 
 def ppow(a: Poly, k: int, layout: Layout, max_terms: int = 0) -> Poly:
+    """a^k by repeated squaring.  For k = 1 the result is a itself, so it
+    must not be changed in place."""
     if k < 0:
         raise ValueError("negative power of a polynomial")
-    out = pconst(1)
-    base = a
-    while k:
+    if k == 0:
+        return pconst(1)
+    out: Optional[Poly] = None
+    while True:
         if k & 1:
-            out = pmul(out, base, layout, max_terms)
+            out = a if out is None else pmul(out, a, layout, max_terms)
         k >>= 1
-        if k:
-            base = pmul(base, base, layout, max_terms)
-    return out
+        if not k:
+            return out
+        a = pmul(a, a, layout, max_terms)
 
 
 def pderiv(a: Poly, i: int, layout: Layout) -> Poly:

@@ -9,6 +9,7 @@ so a parsed expression keeps its shape.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -171,22 +172,25 @@ def name(n: str) -> Expr:
     return Name(n)
 
 
-def add(*args) -> Expr:
-    flat = []
-    const_part = Fraction(0)
-
-    def take(a: Expr) -> None:
-        nonlocal const_part
-        if isinstance(a, Add):
-            for t in a.args:
-                take(t)
+def _flatten(args, kind) -> tuple:
+    """The operands of args, with nested kind nodes spliced in, in order:
+    (the non-constant operands, the constant values)."""
+    flat, consts = [], []
+    stack = [_coerce(a) for a in reversed(args)]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, kind):
+            stack.extend(reversed(a.args))
         elif isinstance(a, Const):
-            const_part += a.value
+            consts.append(a.value)
         else:
             flat.append(a)
+    return flat, consts
 
-    for a in args:
-        take(_coerce(a))
+
+def add(*args) -> Expr:
+    flat, consts = _flatten(args, Add)
+    const_part = sum(consts, Fraction(0))
     if const_part != 0:
         flat.append(Const(const_part))
     if not flat:
@@ -204,21 +208,8 @@ def sub(a, b) -> Expr:
 
 
 def mul(*args) -> Expr:
-    flat = []
-    coeff = Fraction(1)
-
-    def take(a: Expr) -> None:
-        nonlocal coeff
-        if isinstance(a, Mul):
-            for t in a.args:
-                take(t)
-        elif isinstance(a, Const):
-            coeff *= a.value
-        else:
-            flat.append(a)
-
-    for a in args:
-        take(_coerce(a))
+    flat, consts = _flatten(args, Mul)
+    coeff = math.prod(consts, start=Fraction(1))
     if coeff == 0:
         return ZERO
     if not flat:
@@ -308,8 +299,11 @@ def substitute(e: Expr, bindings: Mapping[str, Union[Expr, Rat]]) -> Expr:
             check(d)
         seen_stack.pop()
 
-    for k in bindings:
-        check(k)
+    try:
+        for k in bindings:
+            check(k)
+    finally:
+        del check  # a recursive closure is a cycle; break it now
 
     return _rebuild(e, lambda node: bindings.get(node.name, node))
 
@@ -344,4 +338,7 @@ def _rebuild(e: Expr, leaf) -> Expr:
         memo[id(node)] = out
         return out
 
-    return walk(e)
+    try:
+        return walk(e)
+    finally:
+        del walk  # a recursive closure is a cycle; free the memo now

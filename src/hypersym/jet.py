@@ -10,7 +10,9 @@ on hash-consed ops: a tree is imported into a table of ops, derived there
 and _Jet read the same rules (every symbol's chain rule from
 Context.chain, every jet variable's from Context.jet_rule) and never go
 through each other's terms, so the oracle stays independent of the
-normal-form route it checks.
+normal-form route it checks.  nf_jet keeps one NFJet per context and F,
+so the exact tables of an equation are built once however many flows it
+is paired with.
 """
 
 from __future__ import annotations
@@ -121,17 +123,18 @@ class NFJet:
 
     Same reduction rules as JetEngine, but every rule and result is a normal
     form, so large residuals are expanded incrementally instead of as one
-    giant tree.
+    giant tree.  The tables D_x^k F and D_y^k F and the partials of F are
+    memoized; nf_jet shares one NFJet per F and context across verdicts.
     """
 
     def __init__(self, eq: HyperbolicEq):
         from .expr import normal as _n
         self._n = _n
-        self.eq = eq
         self.ctx = eq.ctx
         self.F = _n.normalize(eq.ctx, eq.F)
         self._dxk: List = [self.F]
         self._dyk: List = [self.F]
+        self._partials: Dict[str, object] = {}
 
     def dxk_F(self, k: int):
         while len(self._dxk) <= k:
@@ -142,6 +145,13 @@ class NFJet:
         while len(self._dyk) <= k:
             self._dyk.append(self.d_y(self._dyk[-1]))
         return self._dyk[k]
+
+    def partial_F(self, var: str):
+        """dF/d(var), with the chain rules of the symbols of var."""
+        p = self._partials.get(var)
+        if p is None:
+            p = self._partials[var] = self._n.nf_partial(self.ctx, self.F, var)
+        return p
 
     def _vars_to_derive(self, a) -> List[str]:
         ctx = self.ctx
@@ -164,12 +174,14 @@ class NFJet:
         return self.dyk_F(r) if axis == "x" else self.dxk_F(r)
 
     def d_x(self, a):
-        return self._total(a, "x")
+        return self._n.nf_sum_products(self.ctx, self.total_terms(a, "x"))
 
     def d_y(self, a):
-        return self._total(a, "y")
+        return self._n.nf_sum_products(self.ctx, self.total_terms(a, "y"))
 
-    def _total(self, a, axis: str):
+    def total_terms(self, a, axis: str) -> List[tuple]:
+        """The pairs (da/dv, D_axis v) whose products sum to D_axis a, for
+        a caller that adds more products before the one reduction."""
         n = self._n
         pairs = []
         for nm in self._vars_to_derive(a):
@@ -178,7 +190,18 @@ class NFJet:
                 r = self._rule(axis, nm)
                 if r:
                     pairs.append((p, r))
-        return n.nf_sum_products(self.ctx, pairs)
+        return pairs
+
+
+def nf_jet(eq: HyperbolicEq) -> NFJet:
+    """The NFJet of eq, made once per context and F: every equation whose F
+    tree is equal (Catalog.get builds a new one per call) shares its tables,
+    so they must not be changed in place (no normal-form operation does)."""
+    memo = eq.ctx._nf_jets
+    nfj = memo.get(eq.F)
+    if nfj is None:
+        nfj = memo[eq.F] = NFJet(eq)
+    return nfj
 
 
 def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:

@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
@@ -39,14 +39,13 @@ from .expr.parser import print_expr
 from .expr.poly import (
     Layout,
     Poly,
-    padd_inplace,
     pmul,
     pscale,
 )
 from .expr.ratfunc import RatFunc, rf_from_poly
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
-from .jet import EvolutionEq, HyperbolicEq, NFJet, partial, swap_xy  # noqa: F401
+from .jet import EvolutionEq, HyperbolicEq, nf_jet, partial, swap_xy  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 
@@ -63,6 +62,15 @@ def _shared_ctx(F: HyperbolicEq, G: EvolutionEq) -> Context:
     return F.ctx
 
 
+def _flow_nf(ctx: Context, G: EvolutionEq) -> N.NF:
+    """H = u_5 + G as a normal form, made once per context and G tree."""
+    H = ctx._flow_nf.get(G.G)
+    if H is None:
+        H = ctx._flow_nf[G.G] = N.nf_add(ctx, N.nf_base(ctx, "u5"),
+                                         N.normalize(ctx, G.G))
+    return H
+
+
 def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     """Normal form of the compatibility residual for u_t = u_5 + G.
 
@@ -73,12 +81,8 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
         raise ValueError("determining_residual expects an x-direction G; "
                          "swap the hyperbolic side for y-direction claims")
     ctx = _shared_ctx(F, G)
-    nfj = NFJet(F)
-    H = N.nf_add(ctx, N.nf_base(ctx, "u5"), N.normalize(ctx, G.G))
-    Fn = nfj.F
-    Fu1 = N.nf_partial(ctx, Fn, "u1")
-    Fv1 = N.nf_partial(ctx, Fn, "v1")
-    Fu = N.nf_partial(ctx, Fn, "u")
+    nfj = nf_jet(F)
+    H = _flow_nf(ctx, G)
     dxH = nfj.d_x(H)
     dyH = nfj.d_y(H)
     # The mixed derivative in the cheaper order; on a square-free factor
@@ -95,25 +99,30 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     # best-of-both total, 2.27 s against 3.01 s for D_y(D_xH) alone.
     tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
     if 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables:
-        mixed = nfj.d_x(dyH)
+        mixed = nfj.total_terms(dyH, "x")
     else:
-        mixed = nfj.d_y(dxH)
-    R = N.nf_sub(ctx, mixed, N.nf_mul(ctx, Fu1, dxH))
-    R = N.nf_sub(ctx, R, N.nf_mul(ctx, Fv1, dyH))
-    R = N.nf_sub(ctx, R, N.nf_mul(ctx, Fu, H))
-    return R
+        mixed = nfj.total_terms(dxH, "y")
+    # R is reduced once: the mixed derivative's products and the three
+    # lower-order ones are summed unreduced, and each coefficient is
+    # reduced at the end (the reduced form is unique, see normal).
+    return N.nf_sum_products(ctx, mixed + [
+        (N.nf_neg(ctx, nfj.partial_F("u1")), dxH),
+        (N.nf_neg(ctx, nfj.partial_F("v1")), dyH),
+        (N.nf_neg(ctx, nfj.partial_F("u")), H)])
 
 
 # ---------------------------------------------------------------------------
 # coefficient reporting
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(ctx: Context, R: N.NF) -> Tuple[Dict[int, Poly], RatFunc]:
+def _clear_denominators(ctx: Context, R: N.NF
+                        ) -> Tuple[Iterator[Tuple[int, Poly]], RatFunc]:
     """Multiply R by the least common denominator of its values.
 
-    Returns (alg-monomial -> integer polynomial, the common denominator as a
-    RatFunc with numerator 1).  The cleared form vanishes iff R does, since
-    denominators are nonzero by construction.
+    Returns (the pairs (alg-monomial, integer polynomial), each made as it
+    is read, so that only one is held at a time; the common denominator as
+    a RatFunc with numerator 1).  The cleared form vanishes iff R does,
+    since denominators are nonzero by construction.
     """
     scalar = 1
     fmax: Dict[int, Tuple[object, int]] = {}
@@ -123,18 +132,18 @@ def _clear_denominators(ctx: Context, R: N.NF) -> Tuple[Dict[int, Poly], RatFunc
             have = fmax.get(fac.fid)
             if have is None or have[1] < e:
                 fmax[fac.fid] = (fac, e)
-    cleared: Dict[int, Poly] = {}
-    for mono, rf in R.items():
-        p = pscale(rf.num, scalar // rf.den_scalar)
-        have = {fac.fid: e for fac, e in rf.den_factors}
-        for fid, (fac, emax) in sorted(fmax.items()):
-            for _ in range(emax - have.get(fid, 0)):
-                p = pmul(p, fac.poly, ctx.layout, ctx.max_terms)
-        cleared[mono] = p
-    one = {0: 1}
-    den = RatFunc(one, scalar,
-                  tuple((fac, e) for _, (fac, e) in sorted(fmax.items())))
-    return cleared, den
+    factors = sorted(fmax.items())
+
+    def cleared():
+        for mono, rf in R.items():
+            p = pscale(rf.num, scalar // rf.den_scalar)
+            have = {fac.fid: e for fac, e in rf.den_factors}
+            for fid, (fac, emax) in factors:
+                for _ in range(emax - have.get(fid, 0)):
+                    p = pmul(p, fac.poly, ctx.layout, ctx.max_terms)
+            yield mono, p
+
+    return cleared(), RatFunc({0: 1}, scalar, tuple(fe for _, fe in factors))
 
 
 def _mono_split(layout: Layout, mono: int, mask: int) -> Tuple[int, int]:
@@ -191,26 +200,15 @@ def jet_coefficients(ctx: Context, R: N.NF
     jet_mask = layout.field_mask(
         v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
     groups: Dict[int, Dict[int, Poly]] = {}
-    for alg_mono, p in cleared.items():
+    for alg_mono, p in cleared:
         for mono, c in p.items():
             jet, rest = _mono_split(layout, mono, jet_mask)
-            bucket = groups.setdefault(jet, {})
-            q = bucket.get(alg_mono)
-            if q is None:
-                bucket[alg_mono] = {rest: c}
-            else:
-                padd_inplace(q, {rest: c})
+            # (jet, rest) is new for this alg_mono: the split is injective
+            groups.setdefault(jet, {}).setdefault(alg_mono, {})[rest] = c
     out: List[Tuple[str, Expr]] = []
-    for jet in sorted(groups, reverse=True):
-        if len(out) == MAX_REPORTED_COEFFS:
-            break
-        coeff_nf: N.NF = {}
-        for alg_mono, p in groups[jet].items():
-            p = {m: c for m, c in p.items() if c}
-            if p:
-                coeff_nf[alg_mono] = rf_from_poly(ctx, p)
-        if not coeff_nf:
-            continue
+    for jet in sorted(groups, reverse=True)[:MAX_REPORTED_COEFFS]:
+        coeff_nf = {alg_mono: rf_from_poly(ctx, p)
+                    for alg_mono, p in groups[jet].items()}
         out.append((_mono_text(ctx, jet, layout, _base_names(ctx)),
                     N.nf_to_expr(ctx, coeff_nf)))
     den_expr: Optional[Expr] = None
@@ -341,10 +339,10 @@ def u5_constraint(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     """Normal form of D_y(dG/du_4) + 5 D_x(dF/du_1), the coefficient
     condition produced at the top jet order."""
     ctx = _shared_ctx(F, G)
-    nfj = NFJet(F)
-    Gu4 = N.nf_partial(ctx, N.normalize(ctx, G.G), "u4")
-    Fu1 = N.nf_partial(ctx, nfj.F, "u1")
-    return N.nf_add(ctx, nfj.d_y(Gu4), N.nf_scale(ctx, nfj.d_x(Fu1), 5))
+    nfj = nf_jet(F)
+    Gu4 = N.nf_partial(ctx, _flow_nf(ctx, G), "u4")  # d(u_5)/du_4 = 0
+    return N.nf_add(ctx, nfj.d_y(Gu4),
+                    N.nf_scale(ctx, nfj.d_x(nfj.partial_F("u1")), 5))
 
 
 _G_ALLOWED_KINDS = (PARAM,)
@@ -396,10 +394,9 @@ def lemma_split(F: HyperbolicEq, g: Expr) -> LemmaDecomposition:
     ctx = F.ctx
     gn = N.normalize(ctx, g)
     gp = N.nf_partial(ctx, gn, "u1")
-    Fn = N.normalize(ctx, F.F)
-    Fu1 = N.nf_partial(ctx, Fn, "u1")
-    Fu = N.nf_partial(ctx, Fn, "u")
-    Fv1 = N.nf_partial(ctx, Fn, "v1")
+    nfj = nf_jet(F)
+    Fn = nfj.F
+    Fu1, Fu, Fv1 = (nfj.partial_F(v) for v in ("u1", "u", "v1"))
     Fu1u1 = N.nf_partial(ctx, Fu1, "u1")
     Fu1u = N.nf_partial(ctx, Fu1, "u")
     Fu1v1 = N.nf_partial(ctx, Fu1, "v1")
@@ -411,7 +408,6 @@ def lemma_split(F: HyperbolicEq, g: Expr) -> LemmaDecomposition:
                  N.nf_add(ctx, Fu1u, N.nf_mul(ctx, gn, Fu))),
         N.nf_mul(ctx, Fn,
                  N.nf_add(ctx, Fu1v1, N.nf_mul(ctx, gn, Fv1))))
-    nfj = NFJet(F)
     lhs = N.nf_add(
         ctx,
         nfj.d_y(N.nf_scale(ctx, N.nf_mul(ctx, N.nf_base(ctx, "u2"), gn), 5)),
@@ -459,7 +455,7 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
     param_mask = layout.field_mask(
         v.index for v in ctx.base_vars if v.kind == PARAM)
     groups: Dict[Tuple[int, int], Poly] = {}
-    for alg_mono, p in cleared.items():
+    for alg_mono, p in cleared:
         for mono, c in p.items():
             pm, rest = _mono_split(layout, mono, param_mask)
             bucket = groups.setdefault((alg_mono, rest), {})

@@ -1,6 +1,7 @@
 """The determining identity: exact residuals, coefficient localization, the
 order-reduction conditions, ODE checks, and parameter forcing."""
 
+import gc
 import hashlib
 import textwrap
 from fractions import Fraction
@@ -15,7 +16,8 @@ from hypersym.expr import normal as N
 from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
-from hypersym.jet import EvolutionEq, HyperbolicEq, NFJet, swap_xy
+from hypersym.jet import EvolutionEq, HyperbolicEq, NFJet, nf_jet, swap_xy
+from hypersym.transforms import check_transform
 
 # pairings whose residual must be exactly zero, with their bindings
 ZERO_PAIRS = [
@@ -79,7 +81,7 @@ def ref_jet_coefficients(ctx, R):
     jet_mask = layout.field_mask(
         v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
     groups = {}
-    for alg_mono, p in cleared.items():
+    for alg_mono, p in cleared:
         for mono, c in p.items():
             jet, rest = verify._mono_split(layout, mono, jet_mask)
             bucket = groups.setdefault(jet, {}).setdefault(alg_mono, {})
@@ -407,3 +409,40 @@ def test_nonzero_report_does_not_depend_on_worker_count(tmp_path):
     assert nonzero[0].failing_coefficients
     assert ([r.structured_lines() for r in fanned]
             == [r.structured_lines() for r in serial])
+
+
+def test_warm_memos_do_not_change_a_report():
+    """The normal forms of F and of u5 + G are memoized per context and
+    tree; a report made with the memos warm from other flows and other
+    equations equals the report made in a fresh context."""
+    warm = Catalog(ctx=default_context())
+    order = [("hyp3", "ev12"), ("hyp3", "ev21"), ("S6", "ev21"),
+             ("S6", "ev12")]
+    for h, e in order:
+        cold = Catalog(ctx=default_context())
+        assert (verify.verify_pair(warm.get(h), warm.get(e)).structured_lines()
+                == verify.verify_pair(cold.get(h),
+                                      cold.get(e)).structured_lines()), (h, e)
+    # Catalog.get builds new trees per call; equal trees share one memo entry
+    assert len(warm.ctx._nf_jets) == 2 and len(warm.ctx._flow_nf) == 2
+    assert nf_jet(warm.get("S6")) is nf_jet(warm.get("S6"))
+    # a bound context keeps its own tables, even for an F free of mu
+    F, Fb = warm.get("hyp3"), warm.get("hyp3", {"mu": 0})
+    assert Fb.ctx is not F.ctx and Fb.F == F.F
+    assert nf_jet(Fb) is not nf_jet(F) and nf_jet(Fb).ctx is Fb.ctx
+
+
+def test_a_verdict_leaves_no_reference_cycles():
+    """Everything a verdict and a transform check build is freed by
+    reference counting: the recursive walkers hold no cycles."""
+    cat = Catalog()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        verify.verify_pair(cat.get("S3"), cat.get("ev21"))
+        check_transform("S6T", cat)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
