@@ -10,9 +10,9 @@ parser and printer, the mirror under x <-> y, and, for a base variable, the
 band the numeric sampler draws it from.  The jet engines, the normal form,
 the sampler and swap_xy read these fields instead of branching on symbol
 names.  What numeval still does by hand, the Weierstrass closure of
-(W, P, c) and sc = sqrt(c), is a sampling algorithm, not a fact of one
-symbol.  Contexts are read-only after construction; the lazy caches hanging
-off one behave as pure functions of it.
+(W, P, c), is a sampling algorithm, not a fact of one symbol.  Contexts are
+read-only after construction; the lazy caches hanging off one behave as
+pure functions of it.
 
 Binding parameters (Context.bind) decides the symbol identities the
 bindings create, in one place: a symbol whose relation becomes that of an

@@ -187,19 +187,7 @@ def _reduce_groups(ctx: Context, groups: Groups) -> NF:
 # -- arithmetic -------------------------------------------------------------
 
 def nf_add(ctx: Context, a: NF, b: NF) -> NF:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for m, c in b.items():
-        cur = out.get(m)
-        tot = c if cur is None else R.rf_add(ctx, cur, c)
-        if tot.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = tot
-    return out
+    return nf_sum(ctx, (a, b))
 
 
 def nf_sum(ctx: Context, items) -> NF:

@@ -371,23 +371,6 @@ def pdiv_exact(a: Poly, b: Poly, layout: Layout) -> Optional[Poly]:
     return quot
 
 
-def peval(a: Poly, values: Sequence[float], layout: Layout) -> float:
-    total = 0.0
-    nv = layout.nvars
-    for m, c in a.items():
-        term = float(c)
-        mm = m
-        for i in range(nv):
-            e = mm & FIELD_MASK
-            if e:
-                term *= values[i] ** e
-            mm >>= FIELD_BITS
-            if not mm:
-                break
-        total += term
-    return total
-
-
 def psorted(a: Poly) -> List[Tuple[int, int]]:
     """Terms in descending graded-lex order."""
     return sorted(a.items(), key=lambda t: t[0], reverse=True)

@@ -53,7 +53,7 @@ from itertools import zip_longest
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..errors import DivisionByZeroError, EvalError
+from ..errors import DivisionByZeroError
 from . import poly as P
 from .context import Context
 
@@ -415,18 +415,6 @@ def rf_partial_terms(ctx: Context, a: RatFunc, var_index: int) -> List[RatFunc]:
 
 def rf_equal(ctx: Context, a: RatFunc, b: RatFunc) -> bool:
     return rf_sub(ctx, a, b).is_zero()
-
-
-def rf_eval(ctx: Context, a: RatFunc, values) -> float:
-    if a.is_zero():
-        return 0.0
-    lay = ctx.layout
-    den = float(a.den_scalar)
-    for f, e in a.den_factors:
-        den *= P.peval(f.poly, values, lay) ** e
-    if den == 0.0 or abs(den) < 1e-300:
-        raise EvalError("denominator vanished at sample point")
-    return P.peval(a.num, values, lay) / den
 
 
 def rf_den_poly(ctx: Context, a: RatFunc) -> P.Poly:

@@ -8,10 +8,13 @@ degenerate), transcendental symbols with a closed form are evaluated from the
 head of their call form (exp, ln), dependent symbols are solved from their
 minimal polynomials with a deterministic branch choice (largest real root),
 and the Weierstrass triple (W, P, c) is closed by defining c = P^2 - 4W^3.
-That closure and sc = sqrt(c) are the only symbols sampled by hand here.
+That closure is the only placement by hand here: every other symbol comes
+from its definition in the context, and fd_checks validates every
+derivative rule by one finite-difference rule.
 
 Everything here is advisory: the exact normal-form route is authoritative,
-and the oracle shares no code and no normal form with it.  Terms live in a
+and the oracle shares no code and no normal form with it; it evaluates
+trees and programs, never a normal form, all through _run.  Terms live in a
 table of hash-consed ops (equal subterms share one op), emitted once per
 zero test into a straight-line program over float slots that runs at every
 sample.  _compile imports trees as they are; residual_program builds the
@@ -37,12 +40,10 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
 from .errors import EvalError, SampleError
 from .expr.context import (PARAM, POSITIVE_AWAY_FROM_ONE, SIGNED, TSYM,
                            Context, std_context)
-from .expr.ratfunc import rf_eval
 from .expr.tree import Add, Const, Div, Expr, Mul, Name, Pow
 
 RELATION_TOL = 1e-12
 FD_STEP = 1e-6
-FD_TOL = 1e-6
 SIMPLE_ROOT_GUARD = 0.1
 MAX_ATTEMPTS = 100
 
@@ -510,32 +511,10 @@ def _run(prog: List[tuple], slots: Sequence[int],
     return [vals[s] for s in slots]
 
 
-def _nf_terms(e, assignment: Mapping[str, float],
-              ctx: Optional[Context]) -> List[float]:
-    """Value of each term of a normal form {packed alg monomial -> RatFunc}."""
-    if ctx is None:
-        raise EvalError("evaluating a normal form requires its context")
-    vec = [assignment.get(v.name, math.nan) for v in ctx.base_vars]
-    lay = ctx.alg_layout
-    out = []
-    for mono, rf in e.items():
-        val = rf_eval(ctx, rf, vec)
-        for i in lay.mono_vars(mono):
-            val *= assignment[ctx.alg_syms[i].name] ** lay.exp(mono, i)
-        out.append(val)
-    return out
-
-
-def eval(e, p: Union[SamplePoint, Mapping[str, float]],
-         ctx: Optional[Context] = None) -> float:
-    """Evaluate an expression tree or a normal form at a sample point."""
+def eval(e: Expr, p: Union[SamplePoint, Mapping[str, float]]) -> float:
+    """Evaluate an expression tree at a sample point."""
     assignment = p.assignment if isinstance(p, SamplePoint) else p
-    if isinstance(e, Expr):
-        return _run(*_compile([e]), assignment)[0]
-    v = math.fsum(_nf_terms(e, assignment, ctx))
-    if not math.isfinite(v):
-        raise EvalError("non-finite intermediate value")
-    return v
+    return _run(*_compile([e]), assignment)[0]
 
 
 def _solve_sym(coeffs: List[float], pick: str, near: float = 0.0) -> float:
@@ -562,12 +541,21 @@ def _coeffs_at(ctx: Context, sym, assignment: Mapping[str, float]) -> List[float
 def _try_sample(ctx: Context, pinned: Dict[str, float],
                 rng: random.Random, seed: int) -> SamplePoint:
     a: Dict[str, float] = {}
+    # The Weierstrass closure, the one placement by hand.  c is not drawn
+    # with the other parameters: W is drawn on its negative branch, P from
+    # its band, and c = P^2 - 4W^3 = P^2 + 4|W|^3 puts P on its curve as a
+    # sum of two positive terms, so no float cancels and no draw is lost.
+    # The placements that solve P from a drawn (W, c) were measured to lose
+    # either accuracy on the oracle's residuals (on S6/ev21, worst points up
+    # to 70 times larger, one above the 1e-9 tolerance) or draws (about 9
+    # attempts per point).  A pinned c takes W = -t cbrt(c/4), so that
+    # P^2 = c (1 - t^3) > 0.
     c_pinned = "c" in pinned
 
     for v in ctx.base_vars:
         if v.kind == PARAM and v.name in pinned:
             a[v.name] = pinned[v.name]
-        elif v.kind != TSYM and v.name != "c":  # c is closed via (W, P) below
+        elif v.kind != TSYM and v.name != "c":
             a[v.name] = _draw_band(rng, v.band)
     closed = _closed_forms(ctx)
     for v, fn in closed:
@@ -593,14 +581,10 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
     relations: Dict[str, float] = {}
     for s in ctx.alg_syms:
         coeffs = _coeffs_at(ctx, s, a)
-        if s.name in a:  # P: already placed on the curve by construction
+        if s.name in a:  # placed on its curve by the closure above
             val = a[s.name]
-        elif s.name == "sc":
-            val = math.sqrt(a["c"])
-            a[s.name] = val
         else:
-            val = _solve_sym(coeffs, "largest")
-            a[s.name] = val
+            val = a[s.name] = _solve_sym(coeffs, "largest")
         res, _dv, scale = _poly_at(coeffs, val)
         relations[s.name] = res
         if abs(res) > RELATION_TOL * (1.0 + scale):
@@ -652,26 +636,22 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
                  constraints: Optional[Mapping[str, object]] = None
                  ) -> NumericVerdict:
     """Probabilistic zero test: relative residual at `samples` points,
-    |value| / (1 + largest top-level term contribution).  e is a tree, a
-    Program (its first root the value, the others the terms) or a normal
-    form."""
+    |value| / (1 + largest top-level term contribution).  e is a tree or a
+    Program (its first root the value, the others the terms)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if isinstance(e, Expr):
         # the root gives the value, its top-level terms the contributions
         e = _compile([e, *(e.args if isinstance(e, Add) else (e,))])
-    if isinstance(e, Program) and ctx is None:
-        ctx = std_context()
+    elif not isinstance(e, Program):
+        raise EvalError(f"cannot evaluate a {type(e).__name__}: "
+                        "expected a tree or a Program")
     rng = random.Random(seed)
     residuals: List[float] = []
     for _ in range(samples):
         child = rng.getrandbits(48)
         p = sample_point(ctx, constraints, child)
-        if isinstance(e, Program):
-            value, *contribs = _run(e.ops, e.roots, p.assignment)
-        else:
-            contribs = _nf_terms(e, p.assignment, ctx)
-            value = math.fsum(contribs)
+        value, *contribs = _run(e.ops, e.roots, p.assignment)
         scale = max((abs(c) for c in contribs), default=0.0)
         residuals.append(abs(value) / (1.0 + scale))
     mx = max(residuals)
@@ -689,53 +669,46 @@ class FDCheck:
     rel_error: float
 
 
-def fd_checks(ctx: Optional[Context] = None, p: Optional[SamplePoint] = None,
-              names: Optional[Sequence[str]] = None,
-              step: float = FD_STEP) -> List[FDCheck]:
+def fd_checks(ctx: Optional[Context] = None,
+              p: Optional[SamplePoint] = None) -> List[FDCheck]:
     """Validate every derivative rule against central finite differences.
 
-    Algebraic symbols are re-solved from their relation at the perturbed
-    argument on the same branch (nearest root).  P has no direct functional
-    dependence on its argument u at a point; its rule dP/du = 6W^2 is checked
-    through the chain dP/dW * dW/du with dP/dW finite-differenced in W.
-    sc is constant (argument-free) and has nothing to check.
+    A transcendental symbol with a closed form is evaluated at its shifted
+    argument.  For an algebraic symbol the argument is shifted by +-h, every
+    symbol chained to that argument moves by +-h times its own rule, and
+    the relation is re-solved at the shifted point on the same branch
+    (nearest root).  So a relation that reads another chained symbol is
+    checked along the chain: dP/du = 6W^2 through W moving by P h.  An
+    argument-free symbol has nothing to check.
     """
     ctx = ctx or std_context()
     if p is None:
         p = sample_point(ctx, None, 0)
+    h = FD_STEP
     out: List[FDCheck] = []
     for v, fn in _closed_forms(ctx):
-        if names and v.name not in names:
-            continue
         x0 = p.assignment[v.arg]
-        fd = (fn(x0 + step) - fn(x0 - step)) / (2 * step)
+        fd = (fn(x0 + h) - fn(x0 - h)) / (2 * h)
         symb = eval(v.derivative, p)
         out.append(FDCheck(v.name, v.arg, fd, symb,
                            abs(fd - symb) / (1 + abs(symb))))
 
     for s in ctx.alg_syms:
-        if names and s.name not in names:
-            continue
         if s.arg is None:
             continue
-        if s.name == "P":
-            wrt = "W"
-        else:
-            wrt = s.arg
-        if wrt not in p.assignment:
-            continue
+        rates = [(t.name, eval(t.derivative, p))
+                 for t in ctx.symbols_with_arg(s.arg)]
         cur = p.assignment[s.name]
         vals = []
-        for sgn in (+1, -1):
+        for step in (h, -h):
             shifted = dict(p.assignment)
-            shifted[wrt] += sgn * step
+            shifted[s.arg] += step
+            for name, rate in rates:
+                shifted[name] += step * rate
             coeffs = _coeffs_at(ctx, s, shifted)
             vals.append(_solve_sym(coeffs, "nearest", near=cur))
-        fd = (vals[0] - vals[1]) / (2 * step)
+        fd = (vals[0] - vals[1]) / (2 * h)
         symb = eval(s.derivative, p)
-        if s.name == "P":
-            # fd is dP/dW; the rule is dP/du = dP/dW * dW/du with dW/du = P
-            fd = fd * p.assignment["P"]
-        out.append(FDCheck(s.name, wrt, fd, symb,
+        out.append(FDCheck(s.name, s.arg, fd, symb,
                            abs(fd - symb) / (1 + abs(symb))))
     return out

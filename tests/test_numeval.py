@@ -82,22 +82,23 @@ def test_cubic_root_sets(ctx):
 def test_eval_exactness_and_errors(ctx):
     p = numeval.sample_point(ctx, None, 0)
     e = parse("u1^2 - u1*u1", ctx)
-    assert numeval.eval(e, p, ctx) == 0.0
+    assert numeval.eval(e, p) == 0.0
     rel = parse("(f(u1) + u1)^2*(2*f(u1) - u1) + 1", ctx)
-    assert abs(numeval.eval(rel, p, ctx)) < 1e-12
+    assert abs(numeval.eval(rel, p)) < 1e-12
     with pytest.raises(EvalError):
-        numeval.eval(tree.div(tree.const(1),
-                              parse("u1 - u1", ctx)), p, ctx)
+        numeval.eval(tree.div(tree.const(1), parse("u1 - u1", ctx)), p)
     with pytest.raises(EvalError):
-        numeval.eval(tree.name("u1"), numeval.SamplePoint({}, 0), ctx)
+        numeval.eval(tree.name("u1"), numeval.SamplePoint({}, 0))
 
 
-def test_eval_accepts_normal_forms(ctx):
+def test_eval_and_numeric_zero_reject_normal_forms(ctx):
+    # the oracle evaluates trees and programs only
     p = numeval.sample_point(ctx, None, 4)
-    e = parse("f(u1)^2*u2 - 3/(u1 + 1)", ctx)
-    via_tree = numeval.eval(e, p, ctx)
-    via_nf = numeval.eval(N.normalize(ctx, e), p, ctx)
-    assert abs(via_tree - via_nf) < 1e-10 * (1 + abs(via_tree))
+    nf = N.normalize(ctx, parse("f(u1)^2*u2 - 3/(u1 + 1)", ctx))
+    with pytest.raises(EvalError):
+        numeval.eval(nf, p)
+    with pytest.raises(EvalError):
+        numeval.numeric_zero(nf, 2, ctx=ctx)
 
 
 def test_numeric_zero_classification(ctx):
@@ -139,14 +140,24 @@ def test_fd_checks_all_rules(ctx):
 
 
 def test_fd_checks_chain_through_weierstrass(ctx):
-    # dP/du has no direct finite difference; it is validated through
-    # dP/dW * dW/du with W itself perturbed
+    # P's relation reads W, not u: shifting u moves W by P*h along its own
+    # rule, so re-solving P checks dP/du = 6W^2 directly
     p = numeval.sample_point(ctx, None, 8)
     row = next(c for c in numeval.fd_checks(ctx, p) if c.name == "P")
-    assert row.wrt == "W"
+    assert row.wrt == "u"
     assert row.rel_error < 1e-6
     assert abs(row.symbolic - 6.0 * p["W"] ** 2) < 1e-6 * (
         1 + abs(row.symbolic))
+
+
+def test_sc_is_sampled_as_sqrt_c(ctx):
+    # sc is solved from its relation like every other symbol, and the
+    # solve gives the correctly rounded square root
+    for seed in range(200):
+        p = numeval.sample_point(ctx, None, seed)
+        assert p["sc"] == math.sqrt(p["c"]), seed
+    p = numeval.sample_point(ctx, {"c": 3}, 0)
+    assert p["c"] == 3.0 and p["sc"] == math.sqrt(3.0)
 
 
 def test_eval_maps_overflow_to_eval_error(ctx):
@@ -161,7 +172,7 @@ def test_eval_maps_overflow_to_eval_error(ctx):
     ]
     for e in cases:
         with pytest.raises(EvalError, match="non-finite intermediate value"):
-            numeval.eval(e, p, ctx)
+            numeval.eval(e, p)
     with pytest.raises(EvalError, match="non-finite intermediate value"):
         numeval.numeric_zero(cases[0] - parse("u2", ctx), 2, ctx=ctx)
 
@@ -169,7 +180,7 @@ def test_eval_maps_overflow_to_eval_error(ctx):
 def test_negative_power_of_zero_is_eval_error(ctx):
     e = parse("(u1-u1)^(-2)", ctx)
     with pytest.raises(EvalError, match="denominator vanished"):
-        numeval.eval(e, {"u1": 1.3}, ctx)
+        numeval.eval(e, {"u1": 1.3})
     with pytest.raises(EvalError, match="denominator vanished"):
         numeval.numeric_zero(e, 2, ctx=ctx)
 

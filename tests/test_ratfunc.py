@@ -157,16 +157,6 @@ def test_rf_scale_needs_no_trial(ctx, seed, q):
     canonical_invariants(ctx, got)
 
 
-def test_rf_eval_matches_fraction_arithmetic(ctx):
-    a = R.rf_mul(ctx, rf_of(ctx, "u1^2 - u2"),
-                 R.rf_inverse(ctx, rf_of(ctx, "3*u1 + 1")))
-    values = [0.0] * ctx.layout.nvars
-    values[ctx.base("u1").index] = 2.0
-    values[ctx.base("u2").index] = -1.0
-    got = R.rf_eval(ctx, a, values)
-    assert abs(got - (4.0 + 1.0) / 7.0) < 1e-14
-
-
 # -- the square-free factor base ---------------------------------------------
 # Dense integer polynomials, coefficient of x^k at index k.  The reference
 # gcd below works over Q with Fractions, apart from the integer one under
