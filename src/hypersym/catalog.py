@@ -170,7 +170,7 @@ def _check_entry_vars(entry: CatalogEntry, ctx: Context) -> None:
     if entry.role == "hyperbolic":
         HyperbolicEq(entry.id, entry.expression, ctx=ctx)
     else:
-        EvolutionEq(entry.id, entry.expression, "x", ctx=ctx)
+        EvolutionEq(entry.id, entry.expression, ctx=ctx)
 
 
 def _order_key(entry: CatalogEntry) -> Tuple[int, int, str]:
@@ -233,6 +233,8 @@ class Catalog:
         self.entries: Dict[str, CatalogEntry] = {}
         self.transform_texts: Dict[str, Dict[str, object]] = {}
         self._pairings: List[PairingClaim] = []
+        # id -> tree as substitute folds it; the oracle follows that shape
+        self._folded: Dict[str, Expr] = {}
         self._load_builtin()
         for p in extra_paths:
             self.load_path(p)
@@ -313,7 +315,8 @@ class Catalog:
         Bindings are exact rationals substituted both in the expression and
         in the symbol relations (so e.g. the constant in the cubic of fa
         specializes).  A binding that violates a declared admissibility
-        condition raises AdmissibilityError.
+        condition raises AdmissibilityError.  With nothing bound, every call
+        returns the same tree.
         """
         e = self.entry(id)
         bound: Dict[str, Fraction] = {}
@@ -324,11 +327,16 @@ class Catalog:
             if spec.nonzero and bound.get(spec.name) == 0:
                 raise AdmissibilityError(
                     f"{id}: {spec.name} = 0 violates '{spec}'")
-        ctx = self.ctx.bind(bound) if bound else self.ctx
-        expression = substitute(
-            e.expression, {k: Const(v) for k, v in bound.items()})
+        if bound:
+            ctx = self.ctx.bind(bound)
+            expression = substitute(
+                e.expression, {k: Const(v) for k, v in bound.items()})
+        else:
+            ctx, expression = self.ctx, self._folded.get(id)
+            if expression is None:
+                expression = self._folded[id] = substitute(e.expression, {})
         params: Dict[str, Optional[Fraction]] = {
             p.name: bound.get(p.name) for p in e.params}
         if e.role == "hyperbolic":
             return HyperbolicEq(id, expression, params=params, ctx=ctx)
-        return EvolutionEq(id, expression, "x", params=params, ctx=ctx)
+        return EvolutionEq(id, expression, params=params, ctx=ctx)

@@ -5,7 +5,10 @@ Exit status: 0 when every requested check passed, 1 when a check failed
 (a residual is nonzero where zero is claimed), 2 on usage or data errors.
 Output comes in two formats: ``text`` (human-oriented, not stable) and
 ``structured`` (line-oriented ``key = value`` pairs, deterministic for a
-fixed seed, safe to pin byte-for-byte in CI).
+fixed seed, safe to pin byte-for-byte in CI).  Each subcommand reads the
+parsed arguments itself and prints to stdout; extra catalog files come
+from ``--catalog`` and then from the ``HYPERSYM_CATALOG`` environment
+variable (a path list).
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import numeval, transforms, verify
 from .catalog import Catalog
@@ -24,27 +26,6 @@ from .expr import normal as N
 from .expr.parser import print_expr
 
 ENV_CATALOG = "HYPERSYM_CATALOG"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    ids: Tuple[str, ...] = ()
-    params: Dict[str, Fraction] = field(default_factory=dict)
-    samples: int = 0
-    tolerance: float = verify.DEFAULT_TOL
-    seed: int = 0
-    fmt: str = "text"
-    catalog_paths: Tuple[str, ...] = ()
-    direction: str = "x"
-    jobs: int = 0
-    role: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.samples < 0:
-            raise ValueError("samples must be nonnegative")
 
 
 def _parse_param(text: str) -> Tuple[str, Fraction]:
@@ -129,40 +110,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    paths = list(args.catalog)
+def _catalog_paths(args: argparse.Namespace) -> List[str]:
+    """The --catalog paths, then those listed in $HYPERSYM_CATALOG."""
     env = os.environ.get(ENV_CATALOG, "")
-    for piece in env.split(os.pathsep):
-        if piece:
-            paths.append(piece)
-    cfg = RunConfig(
-        command=args.command,
-        params=dict(getattr(args, "param", []) or []),
-        samples=getattr(args, "samples", 0),
-        tolerance=getattr(args, "tol", verify.DEFAULT_TOL),
-        seed=getattr(args, "seed", 0),
-        fmt=args.fmt,
-        catalog_paths=tuple(paths),
-        direction=getattr(args, "direction", "x"),
-        jobs=getattr(args, "jobs", 0),
-        role=getattr(args, "role", None),
-    )
-    cfg.validate()
-    return cfg
+    return list(args.catalog) + [p for p in env.split(os.pathsep) if p]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the parsed arguments and prints to stdout
 # ---------------------------------------------------------------------------
 
-def _emit(lines: Sequence[str], out) -> None:
-    for line in lines:
-        print(line, file=out)
-
-
-def _cmd_list(cfg: RunConfig, catalog: Catalog, out) -> int:
-    entries = catalog.list(cfg.role)
-    if cfg.fmt == "structured":
+def _cmd_list(args: argparse.Namespace, catalog: Catalog) -> int:
+    entries = catalog.list(args.role)
+    if args.fmt == "structured":
         lines = [f"entries = {len(entries)}"]
         for i, e in enumerate(entries):
             lines += [
@@ -171,19 +131,18 @@ def _cmd_list(cfg: RunConfig, catalog: Catalog, out) -> int:
                 f"entry[{i}].params = {', '.join(str(p) for p in e.params)}",
                 f"entry[{i}].expr = {e.expr_text}",
             ]
-        _emit(lines, out)
+        print(*lines, sep="\n")
     else:
         width = max(len(e.id) for e in entries)
         for e in entries:
             params = f"  [{', '.join(str(p) for p in e.params)}]" \
                 if e.params else ""
-            print(f"{e.id:<{width}}  {e.role:<10} {e.expr_text}{params}",
-                  file=out)
+            print(f"{e.id:<{width}}  {e.role:<10} {e.expr_text}{params}")
     return 0
 
 
-def _cmd_show(cfg: RunConfig, catalog: Catalog, out) -> int:
-    tid = cfg.ids[0]
+def _cmd_show(args: argparse.Namespace, catalog: Catalog) -> int:
+    tid = args.id
     if tid in catalog.entries:
         e = catalog.entry(tid)
         canonical = print_expr(e.expression, catalog.ctx)
@@ -195,7 +154,7 @@ def _cmd_show(cfg: RunConfig, catalog: Catalog, out) -> int:
             f"expr = {e.expr_text}",
             f"canonical = {canonical}",
         ]
-        _emit(lines, out)
+        print(*lines, sep="\n")
         return 0
     defs = transforms.load_transforms(catalog)
     if tid in defs:
@@ -210,27 +169,27 @@ def _cmd_show(cfg: RunConfig, catalog: Catalog, out) -> int:
         lines += [f"relation[{i}] = {r}" for i, r in enumerate(t.relations)]
         lines += [f"convention[{i}] = {c}"
                   for i, c in enumerate(t.conventions)]
-        _emit(lines, out)
+        print(*lines, sep="\n")
         return 0
     print(f"error: unknown id {tid!r}", file=sys.stderr)
     return 2
 
 
-def _report_text(r: verify.VerificationReport, out) -> None:
+def _report_text(r: verify.VerificationReport) -> None:
     verdict = "zero" if r.residual_is_zero else "NONZERO"
     print(f"{r.key}: residual {verdict} "
-          f"({r.residual_term_count} terms, {r.elapsed:.2f}s)", file=out)
+          f"({r.residual_term_count} terms, {r.elapsed:.2f}s)")
     for mono, coeff in r.failing_coefficients:
-        print(f"  coefficient of {mono}: {coeff}", file=out)
+        print(f"  coefficient of {mono}: {coeff}")
     if r.failing_total > len(r.failing_coefficients):
         print(f"  ({len(r.failing_coefficients)} of {r.failing_total} "
-              f"failing coefficients shown)", file=out)
+              f"failing coefficients shown)")
     if r.cleared_denominator is not None:
-        print(f"  cleared denominator: {r.cleared_denominator}", file=out)
+        print(f"  cleared denominator: {r.cleared_denominator}")
     if r.samples:
         print(f"  numeric: max relative residual {r.numeric_max_residual:.3e}"
               f" over {r.samples} samples (tol {r.tolerance:g}, "
-              f"seed {r.seed})", file=out)
+              f"seed {r.seed})")
 
 
 def _verify_exit(r: verify.VerificationReport) -> int:
@@ -242,57 +201,55 @@ def _verify_exit(r: verify.VerificationReport) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, catalog: Catalog, out) -> int:
-    hyp_id, ev_id = cfg.ids
-    F = catalog.get(hyp_id, cfg.params or None)
-    G = catalog.get(ev_id, cfg.params or None)
-    r = verify.verify_pair(F, G, samples=cfg.samples, seed=cfg.seed,
-                           tol=cfg.tolerance, direction=cfg.direction)
-    if cfg.fmt == "structured":
-        _emit(r.structured_lines(), out)
+def _cmd_verify(args: argparse.Namespace, catalog: Catalog) -> int:
+    params = dict(args.param) or None
+    F = catalog.get(args.hyp, params)
+    G = catalog.get(args.ev, params)
+    r = verify.verify_pair(F, G, samples=args.samples, seed=args.seed,
+                           tol=args.tol, direction=args.direction)
+    if args.fmt == "structured":
+        print(*r.structured_lines(), sep="\n")
     else:
-        _report_text(r, out)
+        _report_text(r)
     return _verify_exit(r)
 
 
-def _cmd_verify_all(cfg: RunConfig, catalog: Catalog, out) -> int:
-    reports = verify.verify_all(
-        catalog, samples=cfg.samples, seed=cfg.seed, tol=cfg.tolerance,
-        jobs=cfg.jobs, extra_paths=cfg.catalog_paths)
+def _cmd_verify_all(args: argparse.Namespace, catalog: Catalog) -> int:
+    reports = verify.verify_all(catalog, samples=args.samples, seed=args.seed,
+                                tol=args.tol, jobs=args.jobs)
     status = 0
     first = True
     for r in reports:
-        if cfg.fmt == "structured":
+        if args.fmt == "structured":
             if not first:
-                print("", file=out)
-            _emit(r.structured_lines(), out)
+                print()
+            print(*r.structured_lines(), sep="\n")
         else:
-            _report_text(r, out)
+            _report_text(r)
         first = False
         status = max(status, _verify_exit(r))
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         n_pass = sum(1 for r in reports if _verify_exit(r) == 0)
-        print(f"{n_pass}/{len(reports)} pairings verified", file=out)
+        print(f"{n_pass}/{len(reports)} pairings verified")
     return status
 
 
-def _cmd_lemma(cfg: RunConfig, catalog: Catalog, out) -> int:
-    ev_id = cfg.ids[0]
-    hyp_id = cfg.ids[1] if len(cfg.ids) > 1 and cfg.ids[1] else None
-    G = catalog.get(ev_id, cfg.params or None)
+def _cmd_lemma(args: argparse.Namespace, catalog: Catalog) -> int:
+    params = dict(args.param) or None
+    G = catalog.get(args.ev, params)
     g = verify.extract_g(G)
     lines = [
-        f"evolution = {ev_id}",
+        f"evolution = {args.ev}",
         f"g = {print_expr(g, G.ctx)}",
     ]
     status = 0
-    if hyp_id is not None:
-        F = catalog.get(hyp_id, cfg.params or None)
+    if args.hyp:
+        F = catalog.get(args.hyp, params)
         dec = verify.lemma_split(F, g)
         ok28 = N.nf_is_zero(dec.eq28)
         ok29 = N.nf_is_zero(dec.eq29)
         lines += [
-            f"hyperbolic = {hyp_id}",
+            f"hyperbolic = {args.hyp}",
             f"first_condition_zero = {str(ok28).lower()}",
             f"second_condition_zero = {str(ok29).lower()}",
         ]
@@ -306,53 +263,53 @@ def _cmd_lemma(cfg: RunConfig, catalog: Catalog, out) -> int:
                 f"{print_expr(N.nf_to_expr(F.ctx, dec.eq29), F.ctx)}")
         if not (ok28 and ok29):
             status = 1
-    _emit(lines, out)
+    print(*lines, sep="\n")
     return status
 
 
-def _cmd_transform(cfg: RunConfig, catalog: Catalog, out) -> int:
+def _cmd_transform(args: argparse.Namespace, catalog: Catalog) -> int:
     defs = transforms.load_transforms(catalog)
-    if cfg.ids and cfg.ids[0]:
-        tid = cfg.ids[0]
-        if tid not in defs:
-            print(f"error: unknown transform id {tid!r}", file=sys.stderr)
+    if args.id:
+        if args.id not in defs:
+            print(f"error: unknown transform id {args.id!r}", file=sys.stderr)
             return 2
-        todo = [tid]
+        todo = [args.id]
     else:
         todo = sorted(defs)
     status = 0
     first = True
     for tid in todo:
         rep = transforms.check_transform(defs[tid], catalog)
-        if cfg.fmt == "structured":
+        if args.fmt == "structured":
             if not first:
-                print("", file=out)
-            _emit(rep.structured_lines(), out)
+                print()
+            print(*rep.structured_lines(), sep="\n")
         else:
             print(f"{rep.id}: {rep.status}"
                   + (f" via {rep.verified_convention}"
-                     if rep.verified_convention else ""), file=out)
+                     if rep.verified_convention else ""))
             for c in rep.conventions:
                 mark = "ok" if c.residual_is_zero else \
                     f"residual terms {c.residual_term_count}"
-                print(f"  {c.name}: {mark}", file=out)
+                print(f"  {c.name}: {mark}")
                 for k, v in c.fitted:
-                    print(f"    {k} = {v}", file=out)
+                    print(f"    {k} = {v}")
         first = False
         if not rep.ok:
             status = 1
     return status
 
 
-def _cmd_sample(cfg: RunConfig, catalog: Catalog, out) -> int:
-    p = numeval.sample_point(ctx=catalog.ctx, constraints=cfg.params or None,
-                             seed=cfg.seed)
+def _cmd_sample(args: argparse.Namespace, catalog: Catalog) -> int:
+    p = numeval.sample_point(ctx=catalog.ctx,
+                             constraints=dict(args.param) or None,
+                             seed=args.seed)
     lines = [f"seed = {p.seed}"]
     for name in sorted(p.assignment):
         lines.append(f"{name} = {p.assignment[name]!r}")
     worst = max(p.relation_residuals.values(), default=0.0)
     lines.append(f"max_relation_residual = {worst!r}")
-    _emit(lines, out)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -367,33 +324,20 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig, out=None) -> int:
-    """Execute one configured command; returns the exit status."""
-    out = out if out is not None else sys.stdout
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line; returns the exit status."""
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "tol", 1.0) <= 0:
+        print("error: tolerance must be positive", file=sys.stderr)
+        return 2
+    if getattr(args, "samples", 0) < 0:
+        print("error: samples must be nonnegative", file=sys.stderr)
+        return 2
     try:
-        catalog = Catalog(extra_paths=cfg.catalog_paths)
-        return _COMMANDS[cfg.command](cfg, catalog, out)
+        return _COMMANDS[args.command](args, Catalog(_catalog_paths(args)))
     except HypersymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        cfg = _config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ids: List[str] = []
-    for attr in ("id", "hyp", "ev"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            ids.append(value)
-    if args.command == "lemma":
-        ids = [args.ev] + ([args.hyp] if args.hyp else [])
-    cfg.ids = tuple(ids)
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -326,11 +326,10 @@ def nf_inverse(ctx: Context, a: NF) -> NF:
     i = syms[-1]
     sym = ctx.alg_syms[i]
     d = sym.degree
-    # minimal polynomial of s_i as a univariate polynomial over the lower field
-    mp: List[NF] = [normalize(ctx, c) for c in sym.minpoly_coeffs]
     av = _upoly_coeffs(ctx, a, i, d)
-    # extended Euclid, tracking only the Bezout coefficient of a
-    r0, r1 = mp, av
+    # extended Euclid on the minimal polynomial of s_i (univariate over the
+    # lower field) and a, tracking only the Bezout coefficient of a
+    r0, r1 = minpoly_nf(ctx, sym), av
     t0: List[NF] = [dict()]
     t1: List[NF] = [nf_const(ctx, 1)]
     while True:

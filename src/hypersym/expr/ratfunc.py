@@ -313,7 +313,9 @@ def rf_scale(ctx: Context, a: RatFunc, q) -> RatFunc:
     return RatFunc(num, den_scalar // g, a.den_factors)
 
 
-def _den_lcm(items: List[RatFunc]) -> Tuple[int, Dict[int, Tuple[Factor, int]]]:
+def _den_lcm(items: Iterable[RatFunc]
+             ) -> Tuple[int, Dict[int, Tuple[Factor, int]]]:
+    """The denominators' lcm: (scalar, {fid: (factor, largest exponent)})."""
     s = 1
     fmax: Dict[int, Tuple[Factor, int]] = {}
     for a in items:

@@ -1,5 +1,9 @@
 """Jet-space calculus: total derivatives D_x, D_y modulo u_xy = F.
 
+The equations are HyperbolicEq, u_xy = F(u_x, u_y, u), and EvolutionEq,
+u_t = u_5 + G along x only: a claim along y is checked as the x claim
+against swap_xy(F).  Each constructor checks the free names of its tree.
+
 Mixed derivatives are never materialized: D_x(v_1) = F, D_x(v_j) =
 D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
 tables memoized per equation.  NFJet takes them on normal forms, for the
@@ -30,42 +34,32 @@ class HyperbolicEq:
     __slots__ = ("id", "F", "params", "ctx")
 
     def __init__(self, id: str, F: Expr, params: Optional[dict] = None,
-                 ctx: Optional[Context] = None, validate: bool = True):
+                 ctx: Optional[Context] = None):
         self.id = id
         self.F = F
         self.params = dict(params or {})
         self.ctx = ctx or std_context()
-        if validate:
-            _check_vars(self.ctx, F, {"u", "u1", "v1"}, f"F of {id}")
+        _check_vars(self.ctx, F, {"u", "u1", "v1"}, f"F of {id}")
 
     def __repr__(self):
         return f"HyperbolicEq({self.id})"
 
 
 class EvolutionEq:
-    """u_t = u_5 + G along one axis; G holds the lower-order part."""
+    """u_t = u_5 + G along x; G holds the lower-order part."""
 
-    __slots__ = ("id", "G", "direction", "params", "ctx")
+    __slots__ = ("id", "G", "params", "ctx")
 
-    def __init__(self, id: str, G: Expr, direction: str = "x",
-                 params: Optional[dict] = None, ctx: Optional[Context] = None,
-                 validate: bool = True):
-        if direction not in ("x", "y"):
-            raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    def __init__(self, id: str, G: Expr, params: Optional[dict] = None,
+                 ctx: Optional[Context] = None):
         self.id = id
         self.G = G
-        self.direction = direction
         self.params = dict(params or {})
         self.ctx = ctx or std_context()
-        if validate:
-            if direction == "x":
-                allowed = {"u", "u1", "u2", "u3", "u4"}
-            else:
-                allowed = {"u", "v1", "v2", "v3", "v4"}
-            _check_vars(self.ctx, G, allowed, f"G of {id}")
+        _check_vars(self.ctx, G, {"u", "u1", "u2", "u3", "u4"}, f"G of {id}")
 
     def __repr__(self):
-        return f"EvolutionEq({self.id}, {self.direction})"
+        return f"EvolutionEq({self.id})"
 
 
 def _check_vars(ctx: Context, e: Expr, allowed: set, what: str) -> None:
@@ -195,8 +189,9 @@ class NFJet:
 
 def nf_jet(eq: HyperbolicEq) -> NFJet:
     """The NFJet of eq, made once per context and F: every equation whose F
-    tree is equal (Catalog.get builds a new one per call) shares its tables,
-    so they must not be changed in place (no normal-form operation does)."""
+    tree is equal (a bound Catalog.get or swap_xy builds a new one) shares
+    its tables, so they must not be changed in place (no normal-form
+    operation does)."""
     memo = eq.ctx._nf_jets
     nfj = memo.get(eq.F)
     if nfj is None:

@@ -130,8 +130,8 @@ def _real_roots(coeffs: Sequence[float]) -> List[float]:
     raise SampleError(f"unsupported minimal-polynomial degree {d}")
 
 
-def _polish(coeffs: Sequence[float], x: float, rounds: int = 4) -> float:
-    for _ in range(rounds):
+def _polish(coeffs: Sequence[float], x: float) -> float:
+    for _ in range(4):
         v = dv = 0.0
         for c in reversed(coeffs):
             dv = dv * x + v
@@ -632,12 +632,11 @@ class NumericVerdict:
 
 
 def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
-                 ctx: Optional[Context] = None,
-                 constraints: Optional[Mapping[str, object]] = None
-                 ) -> NumericVerdict:
+                 ctx: Optional[Context] = None) -> NumericVerdict:
     """Probabilistic zero test: relative residual at `samples` points,
     |value| / (1 + largest top-level term contribution).  e is a tree or a
-    Program (its first root the value, the others the terms)."""
+    Program (its first root the value, the others the terms).  A bound ctx
+    pins its parameters at every sample."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if isinstance(e, Expr):
@@ -650,7 +649,7 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
     residuals: List[float] = []
     for _ in range(samples):
         child = rng.getrandbits(48)
-        p = sample_point(ctx, constraints, child)
+        p = sample_point(ctx, None, child)
         value, *contribs = _run(e.ops, e.roots, p.assignment)
         scale = max((abs(c) for c in contribs), default=0.0)
         residuals.append(abs(value) / (1.0 + scale))

@@ -58,15 +58,11 @@ class TransformDef:
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _relation_names(text: str) -> List[str]:
-    return _IDENT.findall(text)
-
-
 def _validate_relations(t: TransformDef, ctx: Context) -> None:
     call_heads = {cf for (cf, _arg) in ctx.call_table()} | {"exp"}
     allowed = set(t.unknowns)
     for rel in t.relations:
-        for nm in _relation_names(rel):
+        for nm in _IDENT.findall(rel):
             if nm in allowed or nm in call_heads:
                 continue
             if ctx.is_base(nm) or ctx.is_alg(nm):
@@ -272,14 +268,6 @@ def _linear_fit(ctx: Context, target: N.NF,
     return sol
 
 
-def _nf(ctx: Context, e: Expr) -> N.NF:
-    return N.normalize(ctx, e)
-
-
-def _frac_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _sign(t: TransformDef, conv: str, plus: str, minus: str) -> int:
     """+1 or -1 for a two-way sign convention of t."""
     if conv == plus:
@@ -309,7 +297,7 @@ def check_parametrization(ctx: Optional[Context] = None) -> N.NF:
     vinv2 = tree.pow_(V, -2)
     u1_of = tree.div(tree.add(tree.mul(2, V), vinv2), 3)
     f_of = tree.div(tree.sub(V, vinv2), 3)
-    return _nf(ctx, curve_relation(f_of, u1_of, tree.ONE))
+    return N.normalize(ctx, curve_relation(f_of, u1_of, tree.ONE))
 
 
 def check_scaling_law(ctx: Optional[Context] = None) -> N.NF:
@@ -321,7 +309,7 @@ def check_scaling_law(ctx: Optional[Context] = None) -> N.NF:
     scaled = curve_relation(tree.mul(a, phi), tree.mul(a, s),
                             tree.pow_(a, 3))
     unit = curve_relation(phi, s, tree.ONE)
-    return _nf(ctx, tree.sub(scaled, tree.mul(tree.pow_(a, 3), unit)))
+    return N.normalize(ctx, tree.sub(scaled, tree.mul(tree.pow_(a, 3), unit)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +332,23 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
     fa, v1, a = Name("fa"), Name("v1"), Name("a")
     B = tree.add(fa, v1)
     lin = tree.sub(v1, tree.mul(2, fa))          # a^3 * exp(-2v)
-    ident = _nf(ctx, tree.sub(tree.mul(tree.pow_(B, 2), lin),
-                              tree.pow_(a, 3)))
+    ident = N.normalize(ctx, tree.sub(tree.mul(tree.pow_(B, 2), lin),
+                                      tree.pow_(a, 3)))
 
-    route_u = _nf(ctx, tree.div(v1, 2))          # D_y(u/2)
+    route_u = N.normalize(ctx, tree.div(v1, 2))      # D_y(u/2)
     eng = JetEngine(eq)
     v_y = tree.div(eng.d_y(B), B)
-    route_exp = _nf(ctx, eng.d_x(v_y))           # D_x(D_y(B)/B)
+    route_exp = N.normalize(ctx, eng.d_x(v_y))       # D_x(D_y(B)/B)
     ratio_two = N.nf_equal(ctx, route_exp, N.nf_scale(ctx, route_u, 2))
 
     # exact fit: uy/2 = x*B + y*(uy - 2 fa), with c2 = y * a^3
-    sol = _linear_fit(ctx, route_u, [_nf(ctx, B), _nf(ctx, lin)])
+    sol = _linear_fit(ctx, route_u,
+                      [N.normalize(ctx, B), N.normalize(ctx, lin)])
     fitted: Tuple[Tuple[str, str], ...] = ()
     if sol is not None:
         c1, y = sol
         c2_text = print_expr(tree.mul(Const(y), tree.pow_(a, 3)), ctx)
-        fitted = (("c1", _frac_text(c1)), ("c2", c2_text))
+        fitted = (("c1", str(c1)), ("c2", c2_text))
 
     results = []
     for conv in t.conventions:
@@ -367,7 +356,7 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
                      "second-coefficient-minus")
         target = tree.add(tree.div(B, 3),
                           tree.mul(Const(Fraction(sign, 6)), lin))
-        main = N.nf_sub(ctx, route_u, _nf(ctx, target))
+        main = N.nf_sub(ctx, route_u, N.normalize(ctx, target))
         checks = (
             _check(ctx, "exp_minus_2v_identity", ident),
             _check(ctx, "target_identity", main),
@@ -403,7 +392,7 @@ def _s3i_suite(eq: HyperbolicEq, sign: int,
     qq = tree.mul(Const(sign), q)
 
     # does sign*q solve the fa-cubic at the substituted argument?
-    membership = _nf(ctx, curve_relation(qq, p, tree.pow_(a, 3)))
+    membership = N.normalize(ctx, curve_relation(qq, p, tree.pow_(a, 3)))
 
     # independent route: adjoin V with rules forced by uy + shift = p(V)
     pprime = tree.mul(third, tree.sub(Const(2),
@@ -413,21 +402,21 @@ def _s3i_suite(eq: HyperbolicEq, sign: int,
                     custom_dy={"V": tree.div(Name("v2"), pprime)})
     commut = N.nf_sub(
         ctx,
-        _nf(ctx, eng.d_y(eng.d_x(V))),
-        _nf(ctx, eng.d_x(eng.d_y(V))))
+        N.normalize(ctx, eng.d_y(eng.d_x(V))),
+        N.normalize(ctx, eng.d_x(eng.d_y(V))))
     v_y = tree.div(tree.div(Name("v2"), pprime), V)
     vxy_tree = eng.d_x(v_y)
     substitution = {"v1": tree.sub(p, shift), "fb": qq}
     cross = N.nf_sub(ctx,
-                     _nf(ctx, tree.substitute(vxy_tree, substitution)),
-                     _nf(ctx, q))
+                     N.normalize(ctx, tree.substitute(vxy_tree, substitution)),
+                     N.normalize(ctx, q))
 
     checks = (
         _check(ctx, "root_membership", membership),
         _check(ctx, "adjoined_rule_commutation", commut),
         _check(ctx, "v_y_route_residual", cross),
     )
-    notes = (("v_x_route_v_xy", _print_nf(ctx, _nf(ctx, qq))),)
+    notes = (("v_x_route_v_xy", _print_nf(ctx, N.normalize(ctx, qq))),)
     return checks, notes
 
 
@@ -472,19 +461,19 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
         w = tree.mul(Const(sign), r)
         eng = JetEngine(eq)
         w_y = eng.d_y(w)
-        wy_claim = N.nf_sub(ctx, _nf(ctx, w_y),
-                            _nf(ctx, tree.mul(Const(sign), fb)))
+        wy_claim = N.nf_sub(ctx, N.normalize(ctx, w_y),
+                            N.normalize(ctx, tree.mul(Const(sign), fb)))
         wxy = eng.d_x(eng.d_y(w))
-        commut = N.nf_sub(ctx, _nf(ctx, wxy),
-                          _nf(ctx, eng.d_y(eng.d_x(w))))
-        target_form = N.nf_sub(ctx, _nf(ctx, wxy),
-                               _nf(ctx, tree.mul(2, psi, w)))
-        membership = _nf(ctx, curve_relation(
+        commut = N.nf_sub(ctx, N.normalize(ctx, wxy),
+                          N.normalize(ctx, eng.d_y(eng.d_x(w))))
+        target_form = N.nf_sub(ctx, N.normalize(ctx, wxy),
+                               N.normalize(ctx, tree.mul(2, psi, w)))
+        membership = N.normalize(ctx, curve_relation(
             psi, tree.mul(Const(sign), fb), kappa))
         inverse_rel = N.nf_sub(
-            ctx, _nf(ctx, v1),
-            _nf(ctx, tree.add(tree.mul(2, psi),
-                              tree.sub(tree.mul(Const(sign), fb), b))))
+            ctx, N.normalize(ctx, v1),
+            N.normalize(ctx, tree.add(tree.mul(2, psi),
+                                      tree.sub(tree.mul(Const(sign), fb), b))))
         checks = (
             _check(ctx, "w_y_is_shifted_root", wy_claim),
             _check(ctx, "cross_commutation", commut),
@@ -522,7 +511,8 @@ def _point_identity(catalog: Catalog,
     e, tgt = (tree.map_names(x, {n: ctx.resolve(n)
                                  for n in tree.free_names(x)})
               for x in (e, catalog.get(eq_id, bindings).F))
-    return ctx, e, tgt, N.nf_sub(ctx, _nf(ctx, e), _nf(ctx, tgt))
+    return ctx, e, tgt, N.nf_sub(ctx, N.normalize(ctx, e),
+                                 N.normalize(ctx, tgt))
 
 
 def _check_point(t: TransformDef, catalog: Catalog) -> TransformReport:
@@ -564,17 +554,18 @@ def _check_s6t(t: TransformDef, catalog: Catalog) -> TransformReport:
         dx = eng.d_x(Ev)
         dy = eng.d_y(Ev)
         dxy = eng.d_y(dx)
-        commut = N.nf_sub(ctx, _nf(ctx, dxy), _nf(ctx, eng.d_x(dy)))
+        commut = N.nf_sub(ctx, N.normalize(ctx, dxy),
+                          N.normalize(ctx, eng.d_x(dy)))
         vxy = tree.div(tree.sub(tree.mul(dxy, Ev), tree.mul(dx, dy)),
                        tree.pow_(Ev, 2))
         target = tree.sub(Ev, tree.div(tree.mul(4, c, tree.pow_(a, 3)),
                                        tree.pow_(Ev, 2)))
-        residual = _nf(ctx, tree.sub(vxy, target))
+        residual = N.normalize(ctx, tree.sub(vxy, target))
         checks = (
             _check(ctx, "cross_commutation", commut),
             _check(ctx, "target_residual", residual),
         )
-        notes = (("exp_v_terms", str(N.nf_size(_nf(ctx, Ev)))),)
+        notes = (("exp_v_terms", str(N.nf_size(N.normalize(ctx, Ev)))),)
         results.append(ConventionResult(conv, checks, (), notes))
     return TransformReport(t.id, t.source, t.target_text, t.investigative,
                            tuple(results))

@@ -24,7 +24,6 @@ sampled values do not move.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .expr.poly import (
     pmul,
     pscale,
 )
-from .expr.ratfunc import RatFunc, rf_from_poly
+from .expr.ratfunc import RatFunc, _den_lcm, rf_from_poly
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
 from .jet import EvolutionEq, HyperbolicEq, nf_jet, partial, swap_xy  # noqa: F401
@@ -74,12 +73,9 @@ def _flow_nf(ctx: Context, G: EvolutionEq) -> N.NF:
 def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     """Normal form of the compatibility residual for u_t = u_5 + G.
 
-    G must be given in the x-direction; for a y-direction claim, swap the
-    hyperbolic side first (see verify_pair).
+    G is a flow along x; for a y-direction claim, pass the x <-> y mirror
+    of F (see verify_pair).
     """
-    if G.direction != "x":
-        raise ValueError("determining_residual expects an x-direction G; "
-                         "swap the hyperbolic side for y-direction claims")
     ctx = _shared_ctx(F, G)
     nfj = nf_jet(F)
     H = _flow_nf(ctx, G)
@@ -124,14 +120,7 @@ def _clear_denominators(ctx: Context, R: N.NF
     a RatFunc with numerator 1).  The cleared form vanishes iff R does,
     since denominators are nonzero by construction.
     """
-    scalar = 1
-    fmax: Dict[int, Tuple[object, int]] = {}
-    for rf in R.values():
-        scalar = scalar * rf.den_scalar // math.gcd(scalar, rf.den_scalar)
-        for fac, e in rf.den_factors:
-            have = fmax.get(fac.fid)
-            if have is None or have[1] < e:
-                fmax[fac.fid] = (fac, e)
+    scalar, fmax = _den_lcm(R.values())
     factors = sorted(fmax.items())
 
     def cleared():
@@ -354,8 +343,6 @@ def extract_g(G: EvolutionEq) -> Expr:
     Raises LemmaPremiseError when dG/du_4 is not linear in u_2 or depends on
     jet variables other than u_1."""
     ctx = G.ctx
-    if G.direction != "x":
-        raise ValueError("extract_g expects an x-direction equation")
     Gu4 = N.nf_partial(ctx, N.normalize(ctx, G.G), "u4")
     five_u2 = N.nf_scale(ctx, N.nf_base(ctx, "u2"), 5)
     g = N.nf_mul(ctx, Gu4, N.nf_inverse(ctx, five_u2))
@@ -518,21 +505,15 @@ def _worker_run(args) -> VerificationReport:
 
 
 def verify_all(catalog: Catalog, samples: int = 0, seed: int = 0,
-               tol: float = DEFAULT_TOL, jobs: int = 0,
-               extra_paths: Sequence[str] = ()) -> List[VerificationReport]:
+               tol: float = DEFAULT_TOL,
+               jobs: int = 0) -> List[VerificationReport]:
     """Verify every pairing claim of catalog, deterministically ordered by
     pairing id.  With jobs <= 1 the catalog itself is verified in this
     process; jobs > 1 fans the independent checks out over processes, each
     of which rebuilds the catalog from its recorded sources (catalog.paths)
     on a standard context with the limits of catalog.ctx (max_x_jet,
     max_y_jet, max_terms).  The output order does not depend on
-    completion order.  extra_paths may only repeat paths the catalog has
-    loaded; a path it has not loaded raises ValueError, since it would not
-    be verified."""
-    missing = [p for p in extra_paths if p not in catalog.paths]
-    if missing:
-        raise ValueError(f"catalog paths {missing} were not loaded into the "
-                         "catalog; load them with Catalog.load_path first")
+    completion order."""
     claims = sorted(catalog.pairings(), key=lambda c: c.key)
     if jobs <= 0:
         import os

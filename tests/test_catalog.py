@@ -11,6 +11,7 @@ from hypersym.errors import (AdmissibilityError, CatalogError,
                              UnknownEntryError)
 from hypersym.expr import normal as N
 from hypersym.expr.parser import parse, print_expr
+from hypersym.expr.tree import substitute
 from hypersym.jet import EvolutionEq, HyperbolicEq
 
 EXPECTED_IDS = (
@@ -72,7 +73,13 @@ def test_get_returns_equation_objects(catalog):
     F = catalog.get("hyp4")
     G = catalog.get("ev12")
     assert isinstance(F, HyperbolicEq) and F.id == "hyp4"
-    assert isinstance(G, EvolutionEq) and G.direction == "x"
+    assert isinstance(G, EvolutionEq) and G.id == "ev12"
+
+
+def test_unbound_get_folds_each_entry_once(catalog):
+    G = catalog.get("ev21")
+    assert G.G is catalog.get("ev21").G
+    assert G.G == substitute(catalog.entry("ev21").expression, {})
 
 
 def test_get_with_bindings_substitutes_exactly(catalog):

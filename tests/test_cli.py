@@ -133,6 +133,16 @@ def test_verify_admissibility_violation_is_data_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, message", [
+    (["--tol", "0"], "error: tolerance must be positive"),
+    (["--samples", "-1"], "error: samples must be nonnegative"),
+])
+def test_verify_rejects_bad_numeric_options(capsys, flag, message):
+    code, out, err = run(capsys, "verify", "hyp4", "ev12", *flag)
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
 def test_verify_refuses_a_binding_that_splits_a_relation(capsys):
     """a = 0 turns the fa-cubic into (s + t)^2 (2s - t): S6 and S3 use it
     and get an error, not a verdict.  c = 4 splits sqrt(c), which S6 does
