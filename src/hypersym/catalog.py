@@ -166,11 +166,12 @@ def _check_entry_vars(entry: CatalogEntry, ctx: Context) -> None:
     if extra:
         raise CatalogError(
             f"{entry.path}: undeclared parameters {sorted(extra)} in expr")
-    # role-specific variable constraints (raises ValueError on violation)
-    if entry.role == "hyperbolic":
-        HyperbolicEq(entry.id, entry.expression, ctx=ctx)
-    else:
-        EvolutionEq(entry.id, entry.expression, ctx=ctx)
+    # role-specific variable constraints; the constructors raise ValueError
+    eq = HyperbolicEq if entry.role == "hyperbolic" else EvolutionEq
+    try:
+        eq(entry.id, entry.expression, ctx=ctx)
+    except ValueError as exc:
+        raise CatalogError(f"{entry.path}: {exc}") from exc
 
 
 def _order_key(entry: CatalogEntry) -> Tuple[int, int, str]:

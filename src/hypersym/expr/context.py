@@ -1,9 +1,11 @@
 """Variable and symbol registry: the one description of the symbol tower.
 
-A Context owns the ordered list of base variables (jet variables,
-transcendental symbols, auxiliary names, parameters), the algebraic symbols
-with their minimal polynomials, and the packing layouts used by the
-polynomial layer.  Each definition in default_context carries everything
+A Context keeps every registered name as one SymbolDef record in one table:
+the base variables (jet variables, transcendental symbols, auxiliary names,
+parameters) and the algebraic symbols with their minimal polynomials.  The
+two kinds keep their own ordered lists, base_vars and alg_syms, because the
+polynomial layer packs each into its own layout.  Each definition in
+default_context carries everything
 the other layers know about its symbol: the relation (minimal polynomial),
 the derivative rule with respect to its argument, the call form used by the
 parser and printer, the mirror under x <-> y, and, for a base variable, the
@@ -36,6 +38,7 @@ YJET = "yjet"
 PARAM = "param"
 AUX = "aux"
 TSYM = "tsym"  # transcendental symbol: lives in coefficients, has a chain rule
+ALG = "alg"  # algebraic symbol: a root of its minimal polynomial
 
 # sampling band of a free base variable; numeval draws each one from its band
 SIGNED = "signed"  # [-2, -1/2] or [1/2, 2]
@@ -45,47 +48,34 @@ POSITIVE = "positive"  # [1/2, 2]
 POSITIVE_AWAY_FROM_ONE = "positive-away-from-one"
 
 
-class BaseVar:
-    """A base variable; mirror defaults to the variable's own name."""
+class SymbolDef:
+    """One registered name: a base variable, or an algebraic symbol (kind
+    ALG, finite degree over the base-variable field).  index is the name's
+    position in its own layout, base_vars or alg_syms.  link is the
+    (argument, derivative rule) pair Context.chain returns, made once here
+    since the jet engines ask for it on every op; None for a name without a
+    chain rule."""
 
     __slots__ = ("name", "index", "kind", "order", "arg", "derivative", "call",
-                 "mirror", "band")
+                 "mirror", "band", "minpoly_coeffs", "degree", "link")
 
-    def __init__(self, name: str, index: int, kind: str, order: int = -1,
+    def __init__(self, name: str, kind: str, order: int = -1,
                  arg: Optional[str] = None, derivative: Optional[Expr] = None,
                  call: Optional[Tuple[str, Expr]] = None,
-                 mirror: Optional[str] = None, band: str = SIGNED):
+                 mirror: Optional[str] = None, band: str = SIGNED,
+                 minpoly_coeffs: Tuple[Expr, ...] = ()):
         self.name = name
-        self.index = index
+        self.index = -1  # set by Context._add
         self.kind = kind
         self.order = order
         self.arg = arg
         self.derivative = derivative
         self.call = call
-        self.mirror = name if mirror is None else mirror
+        self.mirror = mirror
         self.band = band
-
-    def __repr__(self):
-        return f"BaseVar({self.name})"
-
-
-class SymbolDef:
-    """Algebraic symbol: finite degree over the base-variable field."""
-
-    __slots__ = ("name", "alg_index", "arg", "derivative", "minpoly_coeffs",
-                 "degree", "call", "mirror")
-
-    def __init__(self, name: str, alg_index: int, arg: Optional[str],
-                 derivative: Optional[Expr], minpoly_coeffs: Tuple[Expr, ...],
-                 call: Optional[Tuple[str, Expr]], mirror: Optional[str]):
-        self.name = name
-        self.alg_index = alg_index
-        self.arg = arg
-        self.derivative = derivative
         self.minpoly_coeffs = minpoly_coeffs
         self.degree = len(minpoly_coeffs) - 1
-        self.call = call
-        self.mirror = mirror
+        self.link = (arg, derivative) if kind in (TSYM, ALG) else None
 
     @property
     def minpoly_expr(self) -> Expr:
@@ -105,12 +95,10 @@ class Context:
         self.max_x_jet = max_x_jet
         self.max_y_jet = max_y_jet
         self.max_terms = max_terms
-        self.base_vars: List[BaseVar] = []
+        self.base_vars: List[SymbolDef] = []
         self.alg_syms: List[SymbolDef] = []
-        self._by_name: Dict[str, BaseVar] = {}
-        self._alg_by_name: Dict[str, SymbolDef] = {}
+        self._defs: Dict[str, SymbolDef] = {}  # every name, in registration order
         self._aliases: Dict[str, str] = {}
-        self._chain: Dict[str, Tuple[Optional[str], Optional[Expr]]] = {}
         self.layout: Optional[Layout] = None
         self.alg_layout: Optional[Layout] = None
         self.alg_over = 0  # Layout.over_offset of the symbol degrees
@@ -134,26 +122,28 @@ class Context:
     def add_base(self, name: str, kind: str, order: int = -1,
                  arg: Optional[str] = None, derivative: Optional[Expr] = None,
                  call: Optional[Tuple[str, Expr]] = None,
-                 mirror: Optional[str] = None, band: str = SIGNED) -> BaseVar:
-        if name in self._by_name or name in self._alg_by_name:
-            raise ValueError(f"duplicate name {name}")
-        v = BaseVar(name, len(self.base_vars), kind, order, arg, derivative,
-                    call, mirror, band)
-        self.base_vars.append(v)
-        self._by_name[name] = v
-        return v
+                 mirror: Optional[str] = None, band: str = SIGNED) -> SymbolDef:
+        """A base variable; it mirrors to itself unless mirror is given."""
+        return self._add(SymbolDef(name, kind, order, arg, derivative, call,
+                                   name if mirror is None else mirror, band))
 
     def add_alg(self, name: str, arg: Optional[str], derivative: Optional[Expr],
                 minpoly_coeffs: Tuple[Expr, ...],
                 call: Optional[Tuple[str, Expr]] = None,
                 mirror: Optional[str] = None) -> SymbolDef:
-        if name in self._by_name or name in self._alg_by_name:
-            raise ValueError(f"duplicate name {name}")
-        s = SymbolDef(name, len(self.alg_syms), arg, derivative,
-                      tuple(minpoly_coeffs), call, mirror)
-        self.alg_syms.append(s)
-        self._alg_by_name[name] = s
-        return s
+        """An algebraic symbol; mirror None means it has no mirror."""
+        return self._add(SymbolDef(name, ALG, arg=arg, derivative=derivative,
+                                   call=call, mirror=mirror,
+                                   minpoly_coeffs=tuple(minpoly_coeffs)))
+
+    def _add(self, d: SymbolDef) -> SymbolDef:
+        if d.name in self._defs:
+            raise ValueError(f"duplicate name {d.name}")
+        layout = self.alg_syms if d.kind == ALG else self.base_vars
+        d.index = len(layout)
+        layout.append(d)
+        self._defs[d.name] = d
+        return d
 
     def add_alias(self, alias: str, target: str) -> None:
         self._aliases[alias] = target
@@ -163,39 +153,38 @@ class Context:
         self.alg_layout = Layout(len(self.alg_syms))
         self.alg_over = self.alg_layout.over_offset(
             [s.degree for s in self.alg_syms])
-        self._chain = {v.name: (v.arg, v.derivative)
-                       for v in self.base_vars if v.kind == TSYM}
-        self._chain.update((s.name, (s.arg, s.derivative))
-                           for s in self.alg_syms)
 
     # -- lookup ------------------------------------------------------------
 
     def resolve(self, name: str) -> str:
         return self._aliases.get(name, name)
 
-    def base(self, name: str) -> BaseVar:
-        v = self._by_name.get(self.resolve(name))
-        if v is None:
+    def base(self, name: str) -> SymbolDef:
+        v = self._defs.get(self.resolve(name))
+        if v is None or v.kind == ALG:
             raise UnknownNameError(f"unknown base variable {name!r}")
         return v
 
     def alg(self, name: str) -> SymbolDef:
-        s = self._alg_by_name.get(name)
-        if s is None:
+        s = self._defs.get(name)
+        if s is None or s.kind != ALG:
             raise UnknownNameError(f"unknown algebraic symbol {name!r}")
         return s
 
     def is_base(self, name: str) -> bool:
-        return self.resolve(name) in self._by_name
+        v = self._defs.get(self.resolve(name))
+        return v is not None and v.kind != ALG
 
     def is_alg(self, name: str) -> bool:
-        return name in self._alg_by_name
+        s = self._defs.get(name)
+        return s is not None and s.kind == ALG
 
     def chain(self, name: str) -> Optional[Tuple[Optional[str], Optional[Expr]]]:
         """(argument, derivative rule) of a transcendental or algebraic
         symbol, so that D(name) = rule * D(argument); None for every other
         name.  An argument-free symbol (sc) gives (None, None)."""
-        return self._chain.get(name)
+        d = self._defs.get(name)
+        return d.link if d is not None else None
 
     def xjet(self, k: int) -> str:
         if k == 0:
@@ -227,39 +216,26 @@ class Context:
             return None
         return step(1) if v.order == 0 else v.order - 1
 
-    def params(self) -> List[BaseVar]:
-        return [v for v in self.base_vars if v.kind == PARAM]
-
-    def symbols_with_arg(self, var_name: str):
+    def symbols_with_arg(self, var_name: str) -> List[SymbolDef]:
         """All symbols (transcendental and algebraic) whose argument is var_name."""
-        out = []
-        for v in self.base_vars:
-            if v.kind == TSYM and v.arg == var_name:
-                out.append(v)
-        for s in self.alg_syms:
-            if s.arg == var_name:
-                out.append(s)
-        return out
+        return [d for d in self._defs.values()
+                if d.link is not None and d.arg == var_name]
 
     def mirror_of(self, name: str) -> Optional[str]:
         """swap_xy image of a name, or None when no mirror is registered in
         this context (u_k past the y-jet range mirrors to an absent v_k)."""
-        name = self.resolve(name)
-        d = self._alg_by_name.get(name) or self._by_name.get(name)
+        d = self._defs.get(self.resolve(name))
         m = d.mirror if d is not None else None
-        return m if m in self._by_name or m in self._alg_by_name else None
+        return m if m in self._defs else None
 
     # -- call forms for the parser / printer --------------------------------
 
     def call_table(self) -> Dict[Tuple[str, Expr], str]:
-        tbl: Dict[Tuple[str, Expr], str] = {}
-        for d in self.base_vars + self.alg_syms:
-            if d.call is not None:
-                tbl[d.call] = d.name
-        return tbl
+        return {d.call: d.name for d in self._defs.values()
+                if d.call is not None}
 
     def call_form(self, name: str) -> Optional[Tuple[str, Expr]]:
-        d = self._alg_by_name.get(name) or self._by_name.get(name)
+        d = self._defs.get(name)
         return d.call if d is not None else None
 
     # -- parameter binding ---------------------------------------------------
@@ -284,20 +260,17 @@ class Context:
         if cached is not None:
             return cached
         for k, _ in items:
-            v = self._by_name.get(k)
+            v = self._defs.get(k)
             if v is None or v.kind != PARAM:
                 raise UnknownNameError(f"{k!r} is not a bindable parameter")
         subs = {k: Const(v) for k, v in items}
         ctx = Context(self.max_x_jet, self.max_y_jet, self.max_terms)
-        for v in self.base_vars:
-            ctx.add_base(v.name, v.kind, v.order, v.arg,
-                         tree.substitute(v.derivative, subs) if v.derivative is not None else None,
-                         v.call, v.mirror, v.band)
-        for s in self.alg_syms:
-            ctx.add_alg(s.name, s.arg,
-                        tree.substitute(s.derivative, subs) if s.derivative is not None else None,
-                        tuple(tree.substitute(c, subs) for c in s.minpoly_coeffs),
-                        s.call, s.mirror)
+        for d in self._defs.values():
+            ctx._add(SymbolDef(
+                d.name, d.kind, d.order, d.arg,
+                tree.substitute(d.derivative, subs) if d.derivative is not None else None,
+                d.call, d.mirror, d.band,
+                tuple(tree.substitute(c, subs) for c in d.minpoly_coeffs)))
         ctx._aliases = dict(self._aliases)
         ctx.freeze()
         from . import normal as N  # normal imports this module

@@ -35,7 +35,7 @@ from ..errors import (AdmissibilityError, NotInvertibleError, SizeLimitError,
 from . import poly as P
 from . import ratfunc as R
 from . import tree
-from .context import PARAM, Context, SymbolDef
+from .context import ALG, PARAM, Context, SymbolDef
 from .ratfunc import RatFunc
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
 
@@ -62,11 +62,11 @@ def nf_base(ctx: Context, name: str) -> NF:
 
 def nf_sym(ctx: Context, name: str, power: int = 1) -> NF:
     s = ctx.alg(name)
-    _rewrite_table(ctx, s.alg_index)  # refuses a reducible relation
+    _rewrite_table(ctx, s.index)  # refuses a reducible relation
     if power == 0:
         return nf_const(ctx, 1)
     if power < s.degree:
-        return {power * ctx.alg_layout.unit(s.alg_index): R.rf_const(ctx, 1)}
+        return {power * ctx.alg_layout.unit(s.index): R.rf_const(ctx, 1)}
     return nf_pow(ctx, nf_sym(ctx, name, 1), power)
 
 
@@ -82,9 +82,9 @@ def nf_name(ctx: Context, name: str) -> NF:
 def minpoly_nf(ctx: Context, sym: SymbolDef) -> Tuple[NF, ...]:
     """Normal forms of the minimal-polynomial coefficients of sym, made
     once per context."""
-    cached = ctx._minpoly_nf.get(sym.alg_index)
+    cached = ctx._minpoly_nf.get(sym.index)
     if cached is None:
-        cached = ctx._minpoly_nf[sym.alg_index] = tuple(
+        cached = ctx._minpoly_nf[sym.index] = tuple(
             normalize(ctx, c) for c in sym.minpoly_coeffs)
     return cached
 
@@ -425,11 +425,11 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
         for t in R.rf_partial_terms(ctx, c, vi):
             _collect(ctx, groups, m, t)
         for s in chained:
-            if hasattr(s, "alg_index"):
-                e = lay.exp(m, s.alg_index)
+            if s.kind == ALG:
+                e = lay.exp(m, s.index)
                 if e == 0:
                     continue
-                mf, cf = m - lay.unit(s.alg_index), R.rf_scale(ctx, c, e)
+                mf, cf = m - lay.unit(s.index), R.rf_scale(ctx, c, e)
             else:
                 mf, cf = m, R.rf_sum(ctx, R.rf_partial_terms(ctx, c, s.index))
                 if cf.is_zero():

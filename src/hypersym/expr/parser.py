@@ -212,8 +212,6 @@ def _name_text(name: str, ctx: Context) -> Tuple[str, int]:
     call = ctx.call_form(name)
     if call is not None:
         fname, carg = call
-        if name == "E":
-            return "exp(u)", _PREC_ATOM
         return f"{fname}({_render(carg, ctx, _PREC_SUM)})", _PREC_ATOM
     return _ALIAS_OUT.get(name, name), _PREC_ATOM
 

@@ -135,13 +135,6 @@ def _clear_denominators(ctx: Context, R: N.NF
     return cleared(), RatFunc({0: 1}, scalar, tuple(fe for _, fe in factors))
 
 
-def _mono_split(layout: Layout, mono: int, mask: int) -> Tuple[int, int]:
-    """Split a packed base monomial into its factors in the variables that
-    mask selects and in the others."""
-    part = layout.restrict(mono, mask)
-    return part, mono - part
-
-
 def _mono_text(ctx: Context, mono: int, layout, names: Sequence[str]) -> str:
     parts = []
     for i in layout.mono_vars(mono):
@@ -191,9 +184,9 @@ def jet_coefficients(ctx: Context, R: N.NF
     groups: Dict[int, Dict[int, Poly]] = {}
     for alg_mono, p in cleared:
         for mono, c in p.items():
-            jet, rest = _mono_split(layout, mono, jet_mask)
+            jet = layout.restrict(mono, jet_mask)
             # (jet, rest) is new for this alg_mono: the split is injective
-            groups.setdefault(jet, {}).setdefault(alg_mono, {})[rest] = c
+            groups.setdefault(jet, {}).setdefault(alg_mono, {})[mono - jet] = c
     out: List[Tuple[str, Expr]] = []
     for jet in sorted(groups, reverse=True)[:MAX_REPORTED_COEFFS]:
         coeff_nf = {alg_mono: rf_from_poly(ctx, p)
@@ -444,15 +437,12 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
     groups: Dict[Tuple[int, int], Poly] = {}
     for alg_mono, p in cleared:
         for mono, c in p.items():
-            pm, rest = _mono_split(layout, mono, param_mask)
-            bucket = groups.setdefault((alg_mono, rest), {})
-            bucket[pm] = bucket.get(pm, 0) + c
+            pm = layout.restrict(mono, param_mask)
+            # (pm, rest) is new for this alg_mono: the split is injective
+            groups.setdefault((alg_mono, mono - pm), {})[pm] = c
     out: List[Tuple[str, Expr]] = []
     for alg_mono, rest in sorted(groups, key=lambda k: (k[1], k[0]),
                                  reverse=True):
-        poly = {m: c for m, c in groups[(alg_mono, rest)].items() if c}
-        if not poly:
-            continue
         rest_text = _mono_text(ctx, rest, layout, _base_names(ctx))
         alg_text = _mono_text(ctx, alg_mono, ctx.alg_layout, _alg_names(ctx))
         if alg_text == "1":
@@ -461,7 +451,7 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
             mono_text = alg_text
         else:
             mono_text = f"{rest_text}*{alg_text}"
-        out.append((mono_text, N._poly_to_expr(ctx, poly)))
+        out.append((mono_text, N._poly_to_expr(ctx, groups[(alg_mono, rest)])))
     return out
 
 

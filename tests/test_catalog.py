@@ -33,6 +33,8 @@ def test_role_filtering(catalog):
     assert set(hyp) == {"hyp2", "hyp3", "hyp4", "S1", "S2", "S3", "S4", "S5",
                         "S6", "final1", "final2", "final3", "final4"}
     assert ev == [f"ev{k}" for k in range(7, 22)]
+    with pytest.raises(CatalogError, match="role filter must be one of"):
+        catalog.list(role="x")
 
 
 def test_parameter_declarations(catalog):
@@ -166,22 +168,75 @@ def test_extra_catalog_path(tmp_path, catalog):
     assert isinstance(F, HyperbolicEq)
 
 
+def entry_text(id="demo", role="hyperbolic", params="",
+               expr="exp(u) + u1*v1"):
+    """An entry file with every required header."""
+    return (f"id: {id}\nrole: {role}\nparams: {params}\n"
+            f"provenance: demo\nexpr:\n{expr}\n")
+
+
 def test_duplicate_id_rejected(tmp_path):
-    dup = tmp_path / "dup.txt"
-    dup.write_text("id: hyp4\nrole: hyperbolic\nparams:\nexpr:\nexp(u)\n")
-    with pytest.raises(CatalogError):
+    (tmp_path / "dup.txt").write_text(entry_text(id="hyp4", expr="exp(u)"))
+    with pytest.raises(CatalogError, match="duplicate entry id"):
         Catalog(extra_paths=[str(tmp_path)])
 
 
 def test_malformed_entry_rejected(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("id: ooze\nrole: mystery\nexpr:\nu1\n")
-    with pytest.raises(CatalogError):
+    (tmp_path / "bad.txt").write_text(
+        entry_text(id="ooze", role="mystery", expr="u1"))
+    with pytest.raises(CatalogError, match="role must be one of"):
         Catalog(extra_paths=[str(tmp_path)])
 
 
 def test_entry_with_out_of_scope_variables_rejected(tmp_path):
-    bad = tmp_path / "bad2.txt"
-    bad.write_text("id: toodeep\nrole: hyperbolic\nparams:\nexpr:\nu3 + v1\n")
-    with pytest.raises(CatalogError):
+    (tmp_path / "bad2.txt").write_text(entry_text(id="toodeep", expr="u3 + v1"))
+    with pytest.raises(CatalogError, match="outside"):
         Catalog(extra_paths=[str(tmp_path)])
+
+
+ENTRY = entry_text()
+
+
+@pytest.mark.parametrize("files, target, message", [
+    # entry files
+    ({"e.txt": "id: a\n" + ENTRY}, None, "duplicate field 'id'"),
+    ({"e.txt": "id: demo\nstray\n"}, None, "stray line 'stray'"),
+    ({"e.txt": ENTRY.replace("params: ", "params:\na\n")}, None,
+     "params must be a single line"),
+    ({"e.txt": entry_text(params="a > 0")}, None, "bad param spec 'a > 0'"),
+    ({"e.txt": entry_text(expr="")}, None, "expr block is empty"),
+    ({"e.txt": entry_text(params="zeta")}, None,
+     "'zeta' is not a registered parameter"),
+    ({"e.txt": entry_text(expr="a*u1*v1")}, None,
+     r"undeclared parameters \['a'\]"),
+    # pairing files
+    ({"p.txt": "hyp4 ev12 x\n"}, None, "short pairing line"),
+    ({"p.txt": "hyp4 ev12 x maybe\n"}, None, "bad status 'maybe'"),
+    ({"p.txt": "hyp4 ev12 z resolved-by-tool\n"}, None,
+     "bad direction 'z'"),
+    ({"p.txt": "S3 ev17 x mu resolved-by-tool\n"}, None,
+     "bad binding 'mu'"),
+    ({"p.txt": "S3 ev17 x mu=1/0 resolved-by-tool\n"}, None,
+     "bad binding value 'mu=1/0'"),
+    ({"p.txt": "nosuch ev12 x resolved-by-tool\n"}, None,
+     "unknown id 'nosuch'"),
+    ({"p.txt": "ev12 hyp4 x resolved-by-tool\n"}, None,
+     "'ev12' is not a hyperbolic entry"),
+    ({"p.txt": "S1 ev11 x a=0 resolved-by-tool\n"}, None,
+     r"binding a=0 violates 'S1' admissibility \(a != 0\)"),
+    # a_entry.txt loads first; "a!=0" is read as "a != 0"
+    ({"a_entry.txt": entry_text(params="a!=0", expr="a*u1*v1"),
+      "b_pairs.txt": "demo ev12 x a=0 resolved-by-tool\n"}, None,
+     r"violates 'demo' admissibility \(a != 0\)"),
+    # paths and transforms
+    ({}, "nope", "does not exist"),
+    ({"e.txt": entry_text(role="mystery")}, "e.txt", "role must be one of"),
+    ({"t.txt": "id: T1\nrelations:\nu = v\n"}, None,
+     "duplicate transform id 'T1'"),
+])
+def test_catalog_input_checks(tmp_path, files, target, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = tmp_path / target if target else tmp_path
+    with pytest.raises(CatalogError, match=message):
+        Catalog(extra_paths=[str(path)])

@@ -265,6 +265,15 @@ def test_catalog_flag_equivalent_to_env(capsys, tmp_path):
     assert parse_structured(out)[0]["id"] == "flagdemo"
 
 
+def test_catalog_entry_out_of_scope_is_data_error(capsys, tmp_path):
+    (tmp_path / "extra.txt").write_text(
+        "id: baddemo\nrole: evolution\nparams:\nprovenance: demo\n"
+        "expr:\nu4*u2*fa(uy)\n")
+    code, out, err = run(capsys, "--catalog", str(tmp_path), "list")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "outside" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

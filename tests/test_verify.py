@@ -83,9 +83,9 @@ def ref_jet_coefficients(ctx, R):
     groups = {}
     for alg_mono, p in cleared:
         for mono, c in p.items():
-            jet, rest = verify._mono_split(layout, mono, jet_mask)
+            jet = layout.restrict(mono, jet_mask)
             bucket = groups.setdefault(jet, {}).setdefault(alg_mono, {})
-            bucket[rest] = bucket.get(rest, 0) + c
+            bucket[mono - jet] = bucket.get(mono - jet, 0) + c
     out = []
     for jet in sorted(groups, reverse=True):
         coeff_nf = {}
