@@ -17,7 +17,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import AdmissibilityError, CatalogError, UnknownEntryError
+from .errors import (AdmissibilityError, CatalogError, ParseError,
+                     UnknownEntryError, UnknownNameError)
 from .expr import Const, Expr, parse, substitute
 from .expr.context import PARAM, Context, std_context
 from .jet import EvolutionEq, HyperbolicEq
@@ -133,7 +134,10 @@ def parse_entry(text: str, path: str, ctx: Context) -> CatalogEntry:
     if not isinstance(expr_lines, list) or not expr_lines:
         raise CatalogError(f"{path}: expr block is empty")
     expr_text = " ".join(expr_lines)
-    expression = parse(expr_text, ctx)
+    try:
+        expression = parse(expr_text, ctx)
+    except (ParseError, UnknownNameError) as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
     params = _parse_params(fields["params"], path)
     declared = {p.name for p in params}
     for p in declared:

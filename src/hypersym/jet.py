@@ -7,7 +7,8 @@ against swap_xy(F).  Each constructor checks the free names of its tree.
 Mixed derivatives are never materialized: D_x(v_1) = F, D_x(v_j) =
 D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
 tables memoized per equation.  NFJet takes them on normal forms, for the
-exact route.  On trees, JetEngine and partial are adapters over the one
+exact residuals and the transform checks.  On trees, JetEngine and
+partial are adapters over the one
 derivative engine of the numeric oracle, numeval._Jet, which takes them
 on hash-consed ops: a tree is imported into a table of ops, derived there
 (equal subterms are differentiated once) and read back as a tree.  NFJet
@@ -81,13 +82,14 @@ def _check_vars(ctx: Context, e: Expr, allowed: set, what: str) -> None:
 
 
 class JetEngine:
-    """Total-derivative engine for one hyperbolic equation, on trees, for
-    the transform checks: each tree is imported into one table of ops, and
-    numeval._Jet derives there and reads the result back as a tree.
+    """Total-derivative engine for one hyperbolic equation, on trees: each
+    tree is imported into one table of ops, and numeval._Jet derives there
+    and reads the result back as a tree.  The S3i transform check uses it,
+    because it substitutes into the derived tree.
 
     custom_dx / custom_dy map variable names to override derivative trees;
-    they take precedence over the standard jet rules (used to adjoin
-    parametrized auxiliaries such as V in the transform checks).
+    they take precedence over the standard jet rules (S3i adjoins the
+    parametrized auxiliary V with them).
     """
 
     def __init__(self, eq: HyperbolicEq, custom_dx: Optional[Dict[str, Expr]] = None,

@@ -8,6 +8,12 @@ the new dependent variable implicitly, and reducing modulo the source
 equation — and reports which convention annihilates all of them, together
 with any constant coefficients it fitted along the way.
 
+Total derivatives are taken on normal forms by the equation's shared
+jet.nf_jet, so the D_x^k F and D_y^k F tables that the verdicts built are
+reused and each derived form is reduced once.  Only S3i derives trees
+(jet.JetEngine): it adjoins V with its own rules and substitutes into the
+derived tree, which a normal form cannot take.
+
 Also here: the cubic-curve parametrization identity, the scaling law that
 normalizes the constant of the fa-cubic to one, and the point identities
 behind S4S1, S5S3 and the reduced four-equation list, each a source
@@ -28,7 +34,7 @@ from .expr import tree
 from .expr.context import Context, std_context
 from .expr.parser import print_expr
 from .expr.tree import Const, Expr, Name
-from .jet import HyperbolicEq, JetEngine, swap_xy
+from .jet import HyperbolicEq, JetEngine, nf_jet, swap_xy
 
 # Printed values in reports are suppressed above this size; the exact term
 # count is always reported.
@@ -208,6 +214,11 @@ def _print_nf(ctx: Context, a: N.NF) -> str:
     return print_expr(N.nf_to_expr(ctx, a), ctx)
 
 
+def _quotient(ctx: Context, num: N.NF, den: N.NF) -> N.NF:
+    """num / den; den is inverted only when num is nonzero."""
+    return num and N.nf_mul(ctx, num, N.nf_inverse(ctx, den))
+
+
 def _check(ctx: Context, name: str, residual: N.NF) -> CheckResult:
     n = N.nf_size(residual)
     text = _print_nf(ctx, residual) if n <= MAX_PRINTED_TERMS else None
@@ -324,8 +335,8 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
     the formal route v_xy = D_y(u/2) = uy/2.  The two constants are fitted
     exactly, and each sign convention for c2 is then checked as an exact
     identity.  The defining relations also admit a second route
-    (v_y = D_y(B)/B, then D_x), which yields twice the formal route; both
-    cross-derivatives are recorded.
+    (v_y = D_y(B)/B, then D_x, taken on normal forms), which yields twice
+    the formal route; both cross-derivatives are recorded.
     """
     eq = catalog.get(t.source)
     ctx = eq.ctx
@@ -336,14 +347,13 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
                                       tree.pow_(a, 3)))
 
     route_u = N.normalize(ctx, tree.div(v1, 2))      # D_y(u/2)
-    eng = JetEngine(eq)
-    v_y = tree.div(eng.d_y(B), B)
-    route_exp = N.normalize(ctx, eng.d_x(v_y))       # D_x(D_y(B)/B)
+    nfj = nf_jet(eq)
+    Bn = N.normalize(ctx, B)
+    route_exp = nfj.d_x(_quotient(ctx, nfj.d_y(Bn), Bn))   # D_x(D_y(B)/B)
     ratio_two = N.nf_equal(ctx, route_exp, N.nf_scale(ctx, route_u, 2))
 
     # exact fit: uy/2 = x*B + y*(uy - 2 fa), with c2 = y * a^3
-    sol = _linear_fit(ctx, route_u,
-                      [N.normalize(ctx, B), N.normalize(ctx, lin)])
+    sol = _linear_fit(ctx, route_u, [Bn, N.normalize(ctx, lin)])
     fitted: Tuple[Tuple[str, str], ...] = ()
     if sol is not None:
         c1, y = sol
@@ -447,6 +457,8 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
     fnew(w_y): the target form is exact for both signs, while the
     membership of psi in the rescaled cubic at argument sign*fb and the
     inverse relation uy = 2 psi + w_y - b hold only on the plus branch.
+    w_y, w_xy and the other order of the mixed derivative are taken on
+    the normal form of w.
     """
     eq = catalog.get(t.source)
     ctx = eq.ctx
@@ -455,18 +467,18 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
     psi = tree.div(tree.sub(tree.add(v1, b), fb), 2)
     fitted = (("kappa", print_expr(kappa, ctx)),)
 
+    nfj = nf_jet(eq)
     results = []
     for conv in t.conventions:
         sign = _sign(t, conv, "root-plus", "root-minus")
         w = tree.mul(Const(sign), r)
-        eng = JetEngine(eq)
-        w_y = eng.d_y(w)
-        wy_claim = N.nf_sub(ctx, N.normalize(ctx, w_y),
+        wn = N.normalize(ctx, w)
+        w_y = nfj.d_y(wn)
+        wy_claim = N.nf_sub(ctx, w_y,
                             N.normalize(ctx, tree.mul(Const(sign), fb)))
-        wxy = eng.d_x(eng.d_y(w))
-        commut = N.nf_sub(ctx, N.normalize(ctx, wxy),
-                          N.normalize(ctx, eng.d_y(eng.d_x(w))))
-        target_form = N.nf_sub(ctx, N.normalize(ctx, wxy),
+        wxy = nfj.d_x(w_y)
+        commut = N.nf_sub(ctx, wxy, nfj.d_y(nfj.d_x(wn)))
+        target_form = N.nf_sub(ctx, wxy,
                                N.normalize(ctx, tree.mul(2, psi, w)))
         membership = N.normalize(ctx, curve_relation(
             psi, tree.mul(Const(sign), fb), kappa))
@@ -535,7 +547,9 @@ def _check_s6t(t: TransformDef, catalog: Catalog) -> TransformReport:
     Ev = 4 c (f + u1)(fa + uy) W / (sc P - c), so
     v_xy = (D_y D_x(Ev) Ev - D_x(Ev) D_y(Ev)) / Ev^2 and the target
     residual v_xy - Ev + 4 c a^3 / Ev^2 is reduced exactly; each sign of
-    sc is tried and the residual's exact term count recorded.
+    sc is tried and the residual's exact term count recorded.  The
+    derivatives are taken on the normal form of Ev, and the residual's
+    numerator over Ev^2 is one sum of products, reduced once.
     """
     eq = catalog.get(t.source)
     ctx = eq.ctx
@@ -544,28 +558,30 @@ def _check_s6t(t: TransformDef, catalog: Catalog) -> TransformReport:
     W, P, sc = Name("W"), Name("P"), Name("sc")
     a, c = Name("a"), Name("c")
 
+    nfj = nf_jet(eq)
+    four_ca3 = N.normalize(ctx, tree.mul(4, c, tree.pow_(a, 3)))
     results = []
     for conv in t.conventions:
         sign = _sign(t, conv, "sc-plus", "sc-minus")
         den = tree.sub(tree.mul(Const(sign), sc, P), c)
-        Ev = tree.div(
-            tree.mul(4, c, tree.add(f_, u1), tree.add(fa, v1), W), den)
-        eng = JetEngine(eq)
-        dx = eng.d_x(Ev)
-        dy = eng.d_y(Ev)
-        dxy = eng.d_y(dx)
-        commut = N.nf_sub(ctx, N.normalize(ctx, dxy),
-                          N.normalize(ctx, eng.d_x(dy)))
-        vxy = tree.div(tree.sub(tree.mul(dxy, Ev), tree.mul(dx, dy)),
-                       tree.pow_(Ev, 2))
-        target = tree.sub(Ev, tree.div(tree.mul(4, c, tree.pow_(a, 3)),
-                                       tree.pow_(Ev, 2)))
-        residual = N.normalize(ctx, tree.sub(vxy, target))
+        ev = N.normalize(ctx, tree.div(
+            tree.mul(4, c, tree.add(f_, u1), tree.add(fa, v1), W), den))
+        dx = nfj.d_x(ev)
+        dy = nfj.d_y(ev)
+        dxy = nfj.d_y(dx)
+        commut = N.nf_sub(ctx, dxy, nfj.d_x(dy))
+        ev2 = N.nf_mul(ctx, ev, ev)
+        num = N.nf_sum_products(ctx, [
+            (dxy, ev),
+            (N.nf_neg(ctx, dx), dy),
+            (N.nf_neg(ctx, ev), ev2),
+            (four_ca3, N.nf_const(ctx, 1))])
+        residual = _quotient(ctx, num, ev2)
         checks = (
             _check(ctx, "cross_commutation", commut),
             _check(ctx, "target_residual", residual),
         )
-        notes = (("exp_v_terms", str(N.nf_size(N.normalize(ctx, Ev)))),)
+        notes = (("exp_v_terms", str(N.nf_size(ev))),)
         results.append(ConventionResult(conv, checks, (), notes))
     return TransformReport(t.id, t.source, t.target_text, t.investigative,
                            tuple(results))

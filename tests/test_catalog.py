@@ -233,6 +233,11 @@ ENTRY = entry_text()
     ({"e.txt": entry_text(role="mystery")}, "e.txt", "role must be one of"),
     ({"t.txt": "id: T1\nrelations:\nu = v\n"}, None,
      "duplicate transform id 'T1'"),
+    # an expression that does not parse names its file
+    ({"e.txt": entry_text(expr="u4*u2 + zeta")}, None,
+     r"e\.txt: unknown name 'zeta'"),
+    ({"e.txt": entry_text(expr="u4*u2 +")}, None,
+     r"e\.txt: unexpected token 'end of input'"),
 ])
 def test_catalog_input_checks(tmp_path, files, target, message):
     for name, text in files.items():

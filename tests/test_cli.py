@@ -274,6 +274,15 @@ def test_catalog_entry_out_of_scope_is_data_error(capsys, tmp_path):
     assert err.startswith("error: ") and "outside" in err
 
 
+def test_catalog_entry_that_does_not_parse_names_its_file(capsys, tmp_path):
+    (tmp_path / "unparsed.txt").write_text(
+        "id: baddemo\nrole: evolution\nparams:\nprovenance: demo\n"
+        "expr:\nu4*u2 +\n")
+    code, out, err = run(capsys, "--catalog", str(tmp_path), "list")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unparsed.txt" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -118,6 +118,31 @@ def test_tree_and_nf_engines_agree(tz):
         assert N.nf_equal(ctx, nf(ctx, te.d_y(e)), ne.d_y(nf(ctx, e)))
 
 
+def test_tree_and_nf_engines_agree_on_transform_inputs(catalog):
+    """The transform checks derive on normal forms; on the expressions they
+    derive (S6's Ev for both signs of sc, S1's B and D_y(B)/B, S3's +-r),
+    the tree engine reduces to the same total derivatives."""
+    def agree(eq, e, axes):
+        ctx, te, ne = eq.ctx, JetEngine(eq), NFJet(eq)
+        t, a = e, nf(ctx, e)
+        for axis in axes:  # applied left to right: "xy" is D_y(D_x(e))
+            t = te.d_x(t) if axis == "x" else te.d_y(t)
+            a = ne.d_x(a) if axis == "x" else ne.d_y(a)
+        assert N.nf_equal(ctx, nf(ctx, t), a), (eq.id, e, axes)
+
+    S6, S1, S3 = (catalog.get(h) for h in ("S6", "S1", "S3"))
+    for sc in ("sc", "-sc"):
+        ev = parse(f"4*c*(f + u1)*(fa + v1)*W/({sc}*P - c)", S6.ctx)
+        for axes in ("x", "y", "xy"):
+            agree(S6, ev, axes)
+    B = parse("fa + v1", S1.ctx)
+    agree(S1, B, "y")
+    agree(S1, tree.div(JetEngine(S1).d_y(B), B), "x")
+    for w in ("r", "-r"):
+        for axes in ("y", "yx", "xy"):
+            agree(S3, parse(w, S3.ctx), axes)
+
+
 def test_memo_transparency(tz):
     ctx = tz.ctx
     e = parse("u2^2*v1 + f(u1)*u3", ctx)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hypersym import verify
+from hypersym import transforms, verify
 from hypersym.catalog import Catalog
 from hypersym.errors import LemmaPremiseError, SizeLimitError
 from hypersym.expr import normal as N
@@ -17,7 +17,6 @@ from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
 from hypersym.jet import EvolutionEq, HyperbolicEq, NFJet, nf_jet, swap_xy
-from hypersym.transforms import check_transform
 
 # pairings whose residual must be exactly zero, with their bindings
 ZERO_PAIRS = [
@@ -431,7 +430,7 @@ def test_warm_memos_do_not_change_a_report():
 
 
 def test_a_verdict_leaves_no_reference_cycles():
-    """Everything a verdict and a transform check build is freed by
+    """Everything a verdict and the transform checks build is freed by
     reference counting: the recursive walkers hold no cycles."""
     cat = Catalog()
     enabled = gc.isenabled()
@@ -439,7 +438,7 @@ def test_a_verdict_leaves_no_reference_cycles():
     try:
         gc.collect()
         verify.verify_pair(cat.get("S3"), cat.get("ev21"))
-        check_transform("S6T", cat)
+        transforms.check_all(cat)
         assert gc.collect() == 0
     finally:
         if enabled:
