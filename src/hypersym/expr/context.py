@@ -108,7 +108,7 @@ class Context:
         self._reduction: Dict[Tuple[int, int], object] = {}
         self._minpoly_nf: Dict[int, tuple] = {}
         # an equation's exact normal forms, keyed on its tree (trees compare
-        # structurally), filled by jet.nf_jet and verify's flow memo
+        # structurally), filled by jet.nf_jet and jet.nf_flow
         self._nf_jets: Dict[Expr, object] = {}
         self._flow_nf: Dict[Expr, object] = {}
         self._factor_intern: Dict[tuple, object] = {}

@@ -113,7 +113,7 @@ class _Parser:
                 e = e * self.unary()
             elif t.kind == "op" and t.text == "/":
                 self.take()
-                e = e / self.unary()
+                e = _at(t, tree.div, e, self.unary())
             else:
                 return e
 
@@ -129,7 +129,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "^":
             self.take()
-            return tree.pow_(base, self.exponent())
+            return _at(t, tree.pow_, base, self.exponent())
         return base
 
     def exponent(self) -> int:
@@ -182,6 +182,14 @@ class _Parser:
             if cf == fname and carg == arg:
                 return Name(sym)
         raise ParseError(f"no symbol registered for call {fname}({print_expr(arg, ctx)})", pos)
+
+
+def _at(op: _Token, build, a, b) -> Expr:
+    """build(a, b), with a constant zero denominator a ParseError at op."""
+    try:
+        return build(a, b)
+    except ZeroDivisionError as exc:
+        raise ParseError(str(exc), op.pos) from None
 
 
 def _exp_multiple(arg: Expr) -> Optional[int]:

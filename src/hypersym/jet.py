@@ -16,15 +16,18 @@ and _Jet read the same rules (every symbol's chain rule from
 Context.chain, every jet variable's from Context.jet_rule) and never go
 through each other's terms, so the oracle stays independent of the
 normal-form route it checks.  nf_jet keeps one NFJet per context and F,
-so the exact tables of an equation are built once however many flows it
-is paired with.
+and nf_flow one NFFlow (the half of the residual that does not read F)
+per context and G, so the tables of an equation and the derivatives of
+a flow are built once however many partners they are paired with.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .errors import UnknownNameError
+from .expr import normal as N
 from .expr.context import AUX, PARAM, XJET, YJET, Context, std_context
 from .expr.tree import Expr, free_names, map_names
 
@@ -124,10 +127,8 @@ class NFJet:
     """
 
     def __init__(self, eq: HyperbolicEq):
-        from .expr import normal as _n
-        self._n = _n
         self.ctx = eq.ctx
-        self.F = _n.normalize(eq.ctx, eq.F)
+        self.F = N.normalize(eq.ctx, eq.F)
         self._dxk: List = [self.F]
         self._dyk: List = [self.F]
         self._partials: Dict[str, object] = {}
@@ -146,47 +147,49 @@ class NFJet:
         """dF/d(var), with the chain rules of the symbols of var."""
         p = self._partials.get(var)
         if p is None:
-            p = self._partials[var] = self._n.nf_partial(self.ctx, self.F, var)
+            p = self._partials[var] = N.nf_partial(self.ctx, self.F, var)
         return p
 
-    def _vars_to_derive(self, a) -> List[str]:
-        ctx = self.ctx
-        out = set()
-        for nm in self._n.nf_free_vars(ctx, a):
-            link = ctx.chain(nm)
-            if link is not None:
-                if link[0] is not None:
-                    out.add(link[0])
-            elif ctx.base(nm).kind in (XJET, YJET, AUX):
-                out.add(nm)
-        return sorted(out)
-
     def _rule(self, axis: str, nm: str):
-        n, r = self._n, self.ctx.jet_rule(axis, nm)
+        r = self.ctx.jet_rule(axis, nm)
         if r is None:
-            return n.nf_zero(self.ctx)
+            return N.nf_zero(self.ctx)
         if isinstance(r, str):
-            return n.nf_base(self.ctx, r)
+            return N.nf_base(self.ctx, r)
         return self.dyk_F(r) if axis == "x" else self.dxk_F(r)
 
     def d_x(self, a):
-        return self._n.nf_sum_products(self.ctx, self.total_terms(a, "x"))
+        ctx = self.ctx
+        return N.nf_sum_products(ctx, self.pair_rules(nf_partials(ctx, a), "x"))
 
     def d_y(self, a):
-        return self._n.nf_sum_products(self.ctx, self.total_terms(a, "y"))
+        ctx = self.ctx
+        return N.nf_sum_products(ctx, self.pair_rules(nf_partials(ctx, a), "y"))
 
-    def total_terms(self, a, axis: str) -> List[tuple]:
-        """The pairs (da/dv, D_axis v) whose products sum to D_axis a, for
-        a caller that adds more products before the one reduction."""
-        n = self._n
+    def pair_rules(self, partials: Dict[str, object], axis: str) -> List[tuple]:
+        """The pairs (da/dv, D_axis v), over the partials {v: da/dv} of a
+        that nf_partials gives, whose products sum to D_axis a."""
         pairs = []
-        for nm in self._vars_to_derive(a):
-            p = n.nf_partial(self.ctx, a, nm)
-            if p:
-                r = self._rule(axis, nm)
-                if r:
-                    pairs.append((p, r))
+        for nm, p in partials.items():
+            r = self._rule(axis, nm)
+            if r:
+                pairs.append((p, r))
         return pairs
+
+
+def nf_partials(ctx: Context, a) -> Dict[str, object]:
+    """The nonzero partials {v: da/dv} of a normal form, in sorted order of
+    the jet and auxiliary variables of a and the arguments of its symbols."""
+    names = set()
+    for nm in N.nf_free_vars(ctx, a):
+        link = ctx.chain(nm)
+        if link is not None:
+            if link[0] is not None:
+                names.add(link[0])
+        elif ctx.base(nm).kind in (XJET, YJET, AUX):
+            names.add(nm)
+    partials = {nm: N.nf_partial(ctx, a, nm) for nm in sorted(names)}
+    return {nm: p for nm, p in partials.items() if p}
 
 
 def nf_jet(eq: HyperbolicEq) -> NFJet:
@@ -199,6 +202,37 @@ def nf_jet(eq: HyperbolicEq) -> NFJet:
     if nfj is None:
         nfj = memo[eq.F] = NFJet(eq)
     return nfj
+
+
+class NFFlow:
+    """The half of the determining residual that does not read F:
+    H = u_5 + G, its nonzero partials, and (made when first read) D_xH
+    and its partials.  H lives on x-jets, so D_xH takes the names
+    D_x(u_k) = u_{k+1} of Context.jet_rule alone."""
+
+    def __init__(self, G: EvolutionEq):
+        self.ctx = ctx = G.ctx
+        self.H = N.nf_add(ctx, N.nf_base(ctx, "u5"), N.normalize(ctx, G.G))
+        self.partials = nf_partials(ctx, self.H)
+
+    @cached_property
+    def dxH(self):
+        return N.nf_sum_products(self.ctx, [
+            (p, N.nf_base(self.ctx, self.ctx.jet_rule("x", nm)))
+            for nm, p in self.partials.items()])
+
+    @cached_property
+    def dx_partials(self) -> Dict[str, object]:
+        return nf_partials(self.ctx, self.dxH)
+
+
+def nf_flow(G: EvolutionEq) -> NFFlow:
+    """The NFFlow of G, made once per context and G tree (see nf_jet)."""
+    memo = G.ctx._flow_nf
+    flow = memo.get(G.G)
+    if flow is None:
+        flow = memo[G.G] = NFFlow(G)
+    return flow
 
 
 def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:

@@ -14,7 +14,9 @@ parameter conditions carried by a nonzero residual.
 Every exact verdict here comes from the normal-form route, which takes the
 mixed derivative D_xD_yH in whichever order its size estimate says is
 cheaper; on the square-free factor base both orders give the same normal
-form.  The numeric cross-check in verify_pair rebuilds the residual as a
+form.  H, D_xH and their partials do not read F: they come from the flow's
+record (jet.nf_flow), and only their pairing with F's rules is made per
+pair.  The numeric cross-check in verify_pair rebuilds the residual as a
 float program (numeval.residual_program), differentiated on its own ops
 from the trees of F and G, so its independence rests on sharing no code
 and no normal form with the exact route, not on the derivative order.  The
@@ -44,7 +46,8 @@ from .expr.poly import (
 from .expr.ratfunc import RatFunc, _den_lcm, rf_from_poly
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
-from .jet import EvolutionEq, HyperbolicEq, nf_jet, partial, swap_xy  # noqa: F401
+from .jet import (EvolutionEq, HyperbolicEq, nf_flow, nf_jet,  # noqa: F401
+                  nf_partials, partial, swap_xy)
 
 DEFAULT_TOL = 1e-9
 
@@ -61,15 +64,6 @@ def _shared_ctx(F: HyperbolicEq, G: EvolutionEq) -> Context:
     return F.ctx
 
 
-def _flow_nf(ctx: Context, G: EvolutionEq) -> N.NF:
-    """H = u_5 + G as a normal form, made once per context and G tree."""
-    H = ctx._flow_nf.get(G.G)
-    if H is None:
-        H = ctx._flow_nf[G.G] = N.nf_add(ctx, N.nf_base(ctx, "u5"),
-                                         N.normalize(ctx, G.G))
-    return H
-
-
 def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     """Normal form of the compatibility residual for u_t = u_5 + G.
 
@@ -78,26 +72,27 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     """
     ctx = _shared_ctx(F, G)
     nfj = nf_jet(F)
-    H = _flow_nf(ctx, G)
-    dxH = nfj.d_x(H)
-    dyH = nfj.d_y(H)
+    flow = nf_flow(G)
+    H, dxH = flow.H, flow.dxH
+    dyH = N.nf_sum_products(ctx, nfj.pair_rules(flow.partials, "y"))
     # The mixed derivative in the cheaper order; on a square-free factor
     # base both orders give the same normal form.  D_x's rules are mostly
     # the monomials u_{k+1}, so D_x(D_yH) is costed as 50 * size(D_yH).
     # D_y's rules are the tables D_x^{k-1}F, so D_y(D_xH) is costed as
     # size(D_xH) * sum of size(D_x^kF) over k <= 4.  Those tables already
     # exist (D_y(u5) = D_x^4F); D_x^5F is left out, since the D_x order
-    # never needs it.  The factor 50 is fitted: over the 195 hyperbolic x
-    # evolution pairs (one process, 2-core x86-64 VM, Python 3.11), every
-    # pair where D_x(D_yH) was faster by more than 3 ms has a cost ratio
-    # of at least 110 (final2 ev21), and every pair where D_y(D_xH) was,
-    # at most 22 (S3 ev21).  Any factor from 25 to 100 reached the
-    # best-of-both total, 2.27 s against 3.01 s for D_y(D_xH) alone.
+    # never needs it.  The factor 50 is fitted over the 195 hyperbolic x
+    # evolution pairs (one process, 2-core x86-64 VM, Python 3.11), memos
+    # warm: every pair where D_x(D_yH) was faster by more than 3 ms has a
+    # cost ratio of at least 125, and every pair where D_y(D_xH) was, at
+    # most 110 (final2 ev21, in one of two runs).  Any factor from 25 to
+    # 150 came within 1 % of the best-of-both total, 1.70-1.83 s against
+    # 1.79-1.93 s for D_y(D_xH) alone.
     tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
     if 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables:
-        mixed = nfj.total_terms(dyH, "x")
+        mixed = nfj.pair_rules(nf_partials(ctx, dyH), "x")
     else:
-        mixed = nfj.total_terms(dxH, "y")
+        mixed = nfj.pair_rules(flow.dx_partials, "y")
     # R is reduced once: the mixed derivative's products and the three
     # lower-order ones are summed unreduced, and each coefficient is
     # reduced at the end (the reduced form is unique, see normal).
@@ -322,7 +317,7 @@ def u5_constraint(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     condition produced at the top jet order."""
     ctx = _shared_ctx(F, G)
     nfj = nf_jet(F)
-    Gu4 = N.nf_partial(ctx, _flow_nf(ctx, G), "u4")  # d(u_5)/du_4 = 0
+    Gu4 = nf_flow(G).partials.get("u4", N.nf_zero(ctx))  # d(u_5)/du_4 = 0
     return N.nf_add(ctx, nfj.d_y(Gu4),
                     N.nf_scale(ctx, nfj.d_x(nfj.partial_F("u1")), 5))
 
@@ -336,7 +331,7 @@ def extract_g(G: EvolutionEq) -> Expr:
     Raises LemmaPremiseError when dG/du_4 is not linear in u_2 or depends on
     jet variables other than u_1."""
     ctx = G.ctx
-    Gu4 = N.nf_partial(ctx, N.normalize(ctx, G.G), "u4")
+    Gu4 = nf_flow(G).partials.get("u4", N.nf_zero(ctx))  # d(u_5)/du_4 = 0
     five_u2 = N.nf_scale(ctx, N.nf_base(ctx, "u2"), 5)
     g = N.nf_mul(ctx, Gu4, N.nf_inverse(ctx, five_u2))
     for nm in sorted(N.nf_free_vars(ctx, g)):

@@ -238,6 +238,8 @@ ENTRY = entry_text()
      r"e\.txt: unknown name 'zeta'"),
     ({"e.txt": entry_text(expr="u4*u2 +")}, None,
      r"e\.txt: unexpected token 'end of input'"),
+    ({"e.txt": entry_text(expr="u4*u2/0")}, None,
+     r"e\.txt: constant zero denominator \(at position 5\)"),
 ])
 def test_catalog_input_checks(tmp_path, files, target, message):
     for name, text in files.items():

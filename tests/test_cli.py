@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, structured output
 round-trips, environment catalog paths, and determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -283,6 +284,16 @@ def test_catalog_entry_that_does_not_parse_names_its_file(capsys, tmp_path):
     assert err.startswith("error: ") and "unparsed.txt" in err
 
 
+def test_catalog_entry_that_divides_by_zero_names_its_file(capsys, tmp_path):
+    (tmp_path / "zero.txt").write_text(
+        "id: zerodemo\nrole: evolution\nparams:\nprovenance: demo\n"
+        "expr:\nu4*u2/0\n")
+    code, out, err = run(capsys, "--catalog", str(tmp_path), "list")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero.txt" in err
+    assert "constant zero denominator" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -319,6 +330,25 @@ def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
     assert proc.returncode == code, proc.stderr
     expected = (DATA / f"{captured}.structured").read_text()
     assert proc.stdout.splitlines() == expected.splitlines()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(["verify-all", "--jobs", "1", "--samples", "0"],
+                 "a1c99bd21ae0c19b", id="verify-all-samples0"),
+    pytest.param(["verify-all", "--jobs", "1", "--samples", "10"],
+                 "ade4213251a119a8", id="verify-all-samples10"),
+    pytest.param(["verify-all", "--jobs", "1", "--samples", "25", "--seed", "7"],
+                 "b5f5b0b9a97bd4b3", id="verify-all-samples25-seed7"),
+    pytest.param(["transform"], "08e1fe2c9ff8daa4", id="transform"),
+])
+def test_structured_output_digests_are_pinned(argv, digest):
+    """The structured output of the shipped claims and transforms, run cold
+    in its own process, has its pinned digest: the first 16 hex digits of
+    the sha256 of stdout, as `hypersym --format structured ... | sha256sum`
+    prints them."""
+    proc = run_cold("--format", "structured", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == digest
 
 
 def test_report_does_not_depend_on_process_history(catalog):

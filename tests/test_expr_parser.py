@@ -73,6 +73,20 @@ def test_parse_errors(ctx):
         parse("u1 ^ v1", ctx)  # exponents must be integer literals
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("u4*u2/0", "constant zero denominator", 5),
+    ("u1 + 1/(2 - 2)", "constant zero denominator", 6),
+    ("0^-1", "0 raised to a negative power", 1),
+    ("u1*(3 - 3)^(-2)", "0 raised to a negative power", 10),
+])
+def test_constant_zero_denominator_is_a_parse_error(ctx, text, message,
+                                                    position):
+    """The position is that of the operator that divides by zero."""
+    with pytest.raises(ParseError, match=message) as exc:
+        parse(text, ctx)
+    assert exc.value.position == position
+
+
 def test_print_parse_round_trip_catalog(catalog, ctx):
     for entry in catalog.list():
         printed = print_expr(entry.expression, ctx)

@@ -16,7 +16,8 @@ from hypersym.expr import normal as N
 from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
-from hypersym.jet import EvolutionEq, HyperbolicEq, NFJet, nf_jet, swap_xy
+from hypersym.jet import (EvolutionEq, HyperbolicEq, NFJet, nf_flow, nf_jet,
+                          swap_xy)
 
 # pairings whose residual must be exactly zero, with their bindings
 ZERO_PAIRS = [
@@ -408,20 +409,27 @@ def test_nonzero_report_does_not_depend_on_worker_count(tmp_path):
 
 
 def test_warm_memos_do_not_change_a_report():
-    """The normal forms of F and of u5 + G are memoized per context and
-    tree; a report made with the memos warm from other flows and other
-    equations equals the report made in a fresh context."""
+    """The normal forms of F and the flow record of u5 + G are memoized per
+    context and tree; a report made with the memos warm from other flows
+    and other equations equals the report made in a fresh context.  S6 ev21
+    takes the order D_x(D_yH), so S3 ev21 makes the partials of D_xH on a
+    record that another equation made; hyp4 ev12 y follows hyp4 ev12 x."""
     warm = Catalog(ctx=default_context())
-    order = [("hyp3", "ev12"), ("hyp3", "ev21"), ("S6", "ev21"),
-             ("S6", "ev12")]
-    for h, e in order:
+    order = [("S6", "ev21", "x"), ("S3", "ev21", "x"), ("hyp3", "ev12", "x"),
+             ("hyp3", "ev21", "x"), ("S6", "ev12", "x"), ("hyp4", "ev12", "x"),
+             ("hyp4", "ev12", "y")]
+    for h, e, d in order:
         cold = Catalog(ctx=default_context())
-        assert (verify.verify_pair(warm.get(h), warm.get(e)).structured_lines()
-                == verify.verify_pair(cold.get(h),
-                                      cold.get(e)).structured_lines()), (h, e)
+        assert (verify.verify_pair(warm.get(h), warm.get(e),
+                                   direction=d).structured_lines()
+                == verify.verify_pair(cold.get(h), cold.get(e),
+                                      direction=d).structured_lines()), (h, e, d)
+        if (h, e) == ("S6", "ev21"):
+            assert "dx_partials" not in nf_flow(warm.get(e)).__dict__
     # an unbound Catalog.get returns one tree per entry, and an equal new
-    # tree (as swap_xy builds) finds the same memo entry
-    assert len(warm.ctx._nf_jets) == 2 and len(warm.ctx._flow_nf) == 2
+    # tree (as swap_xy builds from hyp4's F, its own mirror) finds the same
+    # memo entry
+    assert len(warm.ctx._nf_jets) == 4 and len(warm.ctx._flow_nf) == 2
     assert nf_jet(warm.get("S6")) is nf_jet(warm.get("S6"))
     # a bound context keeps its own tables, even for an F free of mu
     F, Fb = warm.get("hyp3"), warm.get("hyp3", {"mu": 0})
@@ -429,14 +437,27 @@ def test_warm_memos_do_not_change_a_report():
     assert nf_jet(Fb) is not nf_jet(F) and nf_jet(Fb).ctx is Fb.ctx
 
 
+@pytest.mark.parametrize("hid", ["hyp3", "S3", "S6"])
+def test_flow_record_does_not_read_F(hid):
+    """The flow record's D_xH, made from the jet rules' names alone, equals
+    D_xH taken with F's rules, on a context where nothing else ran."""
+    cat = Catalog(ctx=default_context())
+    flow = nf_flow(cat.get("ev21"))
+    want = NFJet(cat.get(hid)).d_x(flow.H)
+    assert want and _nf_shape(flow.dxH) == _nf_shape(want)
+
+
 def test_a_verdict_leaves_no_reference_cycles():
     """Everything a verdict and the transform checks build is freed by
-    reference counting: the recursive walkers hold no cycles."""
+    reference counting, also on a warm flow record: the recursive walkers
+    hold no cycles."""
     cat = Catalog()
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
+        # the second verdict takes D_y(D_xH) on the flow the first made
+        verify.verify_pair(cat.get("S6"), cat.get("ev21"))
         verify.verify_pair(cat.get("S3"), cat.get("ev21"))
         transforms.check_all(cat)
         assert gc.collect() == 0
