@@ -460,7 +460,7 @@ def _poly_to_expr(ctx: Context, p: P.Poly) -> Expr:
     for m, c in P.psorted(p):
         parts: List[Expr] = []
         if c != 1 or m == 0:
-            parts.append(Const(Fraction(c)))
+            parts.append(Const(c))
         for i in lay.mono_vars(m):
             e = lay.exp(m, i)
             nm = Name(ctx.base_vars[i].name)

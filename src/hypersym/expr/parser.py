@@ -227,16 +227,17 @@ def _name_text(name: str, ctx: Context) -> Tuple[str, int]:
 def _const_text(q: Fraction) -> Tuple[str, int]:
     if q.denominator == 1:
         s = str(q.numerator)
-        return s, (_PREC_ATOM if q >= 0 else _PREC_SUM)
+        return s, (_PREC_ATOM if q.numerator >= 0 else _PREC_SUM)
     s = f"{q.numerator}/{q.denominator}"
-    return s, (_PREC_MUL if q >= 0 else _PREC_SUM)
+    return s, (_PREC_MUL if q.numerator >= 0 else _PREC_SUM)
 
 
 def _split_neg(e: Expr) -> Tuple[bool, Expr]:
     """Present e as (negated?, positive part) for sum printing."""
-    if isinstance(e, Const) and e.value < 0:
+    t = type(e)
+    if t is Const and e.value.numerator < 0:
         return True, Const(-e.value)
-    if isinstance(e, Mul) and isinstance(e.args[0], Const) and e.args[0].value < 0:
+    if t is Mul and type(e.args[0]) is Const and e.args[0].value.numerator < 0:
         c = e.args[0].value
         rest = e.args[1:]
         if c == -1:
@@ -244,7 +245,7 @@ def _split_neg(e: Expr) -> Tuple[bool, Expr]:
                 return True, rest[0]
             return True, Mul(rest)
         return True, Mul((Const(-c),) + rest)
-    if isinstance(e, Div):
+    if t is Div:
         negated, num = _split_neg(e.num)
         if negated:
             return True, Div(num, e.den)
@@ -259,15 +260,16 @@ def _render(e: Expr, ctx: Context, parent_prec: int) -> str:
 
 
 def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return _const_text(e.value)
-    if isinstance(e, Name):
+    if t is Name:
         return _name_text(e.name, ctx)
-    if isinstance(e, Add):
+    if t is Add:
         first = True
         parts: List[str] = []
-        for t in e.args:
-            negated, body = _split_neg(t)
+        for a in e.args:
+            negated, body = _split_neg(a)
             rendered = _render(body, ctx, _PREC_MUL)
             if first:
                 parts.append(f"-{rendered}" if negated else rendered)
@@ -275,7 +277,7 @@ def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
             else:
                 parts.append(f" - {rendered}" if negated else f" + {rendered}")
         return "".join(parts), _PREC_SUM
-    if isinstance(e, Mul):
+    if t is Mul:
         negated, body = _split_neg(e)
         if negated:
             inner, bprec = _render_prec(body, ctx)
@@ -285,12 +287,12 @@ def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
         parts = [_render(f, ctx, _PREC_MUL + (1 if i > 0 else 0))
                  for i, f in enumerate(e.args)]
         return "*".join(parts), _PREC_MUL
-    if isinstance(e, Div):
+    if t is Div:
         num = _render(e.num, ctx, _PREC_MUL)
         den = _render(e.den, ctx, _PREC_POW)
         return f"{num}/{den}", _PREC_MUL
-    if isinstance(e, Pow):
-        if e.base == Name("E"):
+    if t is Pow:
+        if type(e.base) is Name and e.base.name == "E":
             k = e.exp
             if k == 1:
                 return "exp(u)", _PREC_ATOM

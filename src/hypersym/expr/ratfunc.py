@@ -327,6 +327,21 @@ def _den_lcm(items: Iterable[RatFunc]
     return s, fmax
 
 
+def _cofactor(ctx: Context, fmax: Dict[int, Tuple[Factor, int]],
+              den_factors: FactorVec) -> Optional[P.Poly]:
+    """The product of the factor powers of fmax (as _den_lcm returns it)
+    that den_factors lacks; None when it lacks none."""
+    lay = ctx.layout
+    cof: Optional[P.Poly] = None
+    have = {f.fid: e for f, e in den_factors}
+    for fid, (f, e) in fmax.items():
+        need = e - have.get(fid, 0)
+        if need > 0:
+            piece = P.ppow(f.poly, need, lay, ctx.max_terms)
+            cof = piece if cof is None else P.pmul(cof, piece, lay, ctx.max_terms)
+    return cof
+
+
 def rf_sum(ctx: Context, items: Iterable[RatFunc]) -> RatFunc:
     """The sum of items, which need not be reduced, over their least common
     denominator, reduced once."""
@@ -340,18 +355,9 @@ def rf_sum(ctx: Context, items: Iterable[RatFunc]) -> RatFunc:
     s, fmax = _den_lcm(items)
     total: P.Poly = {}
     for a in items:
-        scale = s // a.den_scalar
-        cof: Optional[P.Poly] = None
-        have = {f.fid: e for f, e in a.den_factors}
-        for fid, (f, e) in fmax.items():
-            need = e - have.get(fid, 0)
-            if need > 0:
-                piece = P.ppow(f.poly, need, lay, ctx.max_terms)
-                cof = piece if cof is None else P.pmul(cof, piece, lay, ctx.max_terms)
-        term = a.num
-        if cof is not None:
-            term = P.pmul(term, cof, lay, ctx.max_terms)
-        P.padd_inplace(total, term, scale)
+        cof = _cofactor(ctx, fmax, a.den_factors)
+        term = a.num if cof is None else P.pmul(a.num, cof, lay, ctx.max_terms)
+        P.padd_inplace(total, term, s // a.den_scalar)
     return rf_make(ctx, total, s, tuple(fe for _, fe in sorted(fmax.items())))
 
 

@@ -43,7 +43,7 @@ from .expr.poly import (
     pmul,
     pscale,
 )
-from .expr.ratfunc import RatFunc, _den_lcm, rf_from_poly
+from .expr.ratfunc import RatFunc, _cofactor, _den_lcm, rf_from_poly
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
 from .jet import (EvolutionEq, HyperbolicEq, nf_flow, nf_jet,  # noqa: F401
@@ -111,21 +111,24 @@ def _clear_denominators(ctx: Context, R: N.NF
     """Multiply R by the least common denominator of its values.
 
     Returns (the pairs (alg-monomial, integer polynomial), each made as it
-    is read, so that only one is held at a time; the common denominator as
-    a RatFunc with numerator 1).  The cleared form vanishes iff R does,
+    is read; the common denominator as a RatFunc with numerator 1).  Each
+    value's numerator is multiplied by one cofactor, the product of the
+    factor powers its denominator lacks; the cofactor is made once per
+    distinct denominator vector.  The cleared form vanishes iff R does,
     since denominators are nonzero by construction.
     """
     scalar, fmax = _den_lcm(R.values())
     factors = sorted(fmax.items())
+    layout, max_terms = ctx.layout, ctx.max_terms
 
     def cleared():
+        cofactors: Dict[tuple, Optional[Poly]] = {}
         for mono, rf in R.items():
             p = pscale(rf.num, scalar // rf.den_scalar)
-            have = {fac.fid: e for fac, e in rf.den_factors}
-            for fid, (fac, emax) in factors:
-                for _ in range(emax - have.get(fid, 0)):
-                    p = pmul(p, fac.poly, ctx.layout, ctx.max_terms)
-            yield mono, p
+            if rf.den_factors not in cofactors:
+                cofactors[rf.den_factors] = _cofactor(ctx, fmax, rf.den_factors)
+            cof = cofactors[rf.den_factors]
+            yield mono, (p if cof is None else pmul(p, cof, layout, max_terms))
 
     return cleared(), RatFunc({0: 1}, scalar, tuple(fe for _, fe in factors))
 
@@ -164,26 +167,35 @@ def jet_coefficients(ctx: Context, R: N.NF
     Returns ([(jet monomial text, coefficient expression)], common denominator
     expression or None, number of nonzero coefficients).  The coefficient of
     each jet monomial collects the algebraic-symbol and parameter content;
-    all coefficients vanish iff the residual is zero.  Only the first
-    MAX_REPORTED_COEFFS groups are turned into expressions.  The count is
-    the number of groups: for a fixed algebraic monomial the cleared
-    polynomial has distinct monomials, and splitting a monomial into (jet
-    part, rest) is injective, so no group can cancel.
+    all coefficients vanish iff the residual is zero.  The count is the
+    number of distinct jet monomials in the cleared polynomials: for a fixed
+    algebraic monomial the cleared polynomial has distinct monomials, and
+    splitting a monomial into (jet part, rest) is injective, so no
+    coefficient can cancel.  Terms are collected, and turned into
+    expressions, only for the first MAX_REPORTED_COEFFS jet monomials.
     """
     if not R:
         return [], None, 0
     cleared, den = _clear_denominators(ctx, R)
+    cleared = list(cleared)
     layout = ctx.layout
     jet_mask = layout.field_mask(
         v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
-    groups: Dict[int, Dict[int, Poly]] = {}
+    # restrict adds only the total degree of the masked fields, so distinct
+    # masked monomials give distinct jets
+    masked = {mono & jet_mask for _, p in cleared for mono in p}
+    jets = sorted((layout.restrict(m, jet_mask) for m in masked),
+                  reverse=True)[:MAX_REPORTED_COEFFS]
+    printed = {jet & jet_mask: jet for jet in jets}
+    groups: Dict[int, Dict[int, Poly]] = {jet: {} for jet in jets}
     for alg_mono, p in cleared:
         for mono, c in p.items():
-            jet = layout.restrict(mono, jet_mask)
-            # (jet, rest) is new for this alg_mono: the split is injective
-            groups.setdefault(jet, {}).setdefault(alg_mono, {})[mono - jet] = c
+            jet = printed.get(mono & jet_mask)
+            if jet is not None:
+                # (jet, rest) is new for this alg_mono: the split is injective
+                groups[jet].setdefault(alg_mono, {})[mono - jet] = c
     out: List[Tuple[str, Expr]] = []
-    for jet in sorted(groups, reverse=True)[:MAX_REPORTED_COEFFS]:
+    for jet in jets:
         coeff_nf = {alg_mono: rf_from_poly(ctx, p)
                     for alg_mono, p in groups[jet].items()}
         out.append((_mono_text(ctx, jet, layout, _base_names(ctx)),
@@ -196,7 +208,7 @@ def jet_coefficients(ctx: Context, R: N.NF
                              key=lambda fe: _factor_order(layout, fe[0])):
             den_expr = tree.mul(den_expr, tree.pow_(
                 N._poly_to_expr(ctx, fac.poly), e))
-    return out, den_expr, len(groups)
+    return out, den_expr, len(masked)
 
 
 # ---------------------------------------------------------------------------

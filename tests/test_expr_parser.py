@@ -9,6 +9,7 @@ from hypersym.errors import ParseError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.parser import parse, print_expr
+from hypersym.expr.tree import Add, Const, Div, Mul, Name, Pow
 
 
 def nf(ctx, text_or_expr):
@@ -108,6 +109,47 @@ def test_print_parse_round_trip_tower_forms(ctx):
         e = parse(text, ctx)
         assert N.nf_equal(ctx, N.normalize(ctx, e),
                           N.normalize(ctx, parse(print_expr(e, ctx), ctx)))
+
+
+U1, U2, U3, E = Name("u1"), Name("u2"), Name("u3"), Name("E")
+
+
+@pytest.mark.parametrize("e, text", [
+    (Const(-3), "-3"),
+    (Add((Const(-3), U1)), "-3 + u1"),
+    (Add((U1, Const(-3))), "u1 - 3"),
+    (Const(Fraction(-1, 2)), "-1/2"),
+    (Add((Const(Fraction(-1, 2)), U1)), "-1/2 + u1"),
+    (Add((U1, Const(Fraction(-1, 2)))), "u1 - 1/2"),
+    (Mul((Const(-1), U1)), "-u1"),
+    (Mul((Const(-1), U1, U2)), "-u1*u2"),
+    (Mul((Const(-1), Add((U1, U2)))), "-(u1 + u2)"),
+    (Add((Mul((Const(-1), U1)), U3)), "-u1 + u3"),
+    (Add((U3, Mul((Const(-1), U1, U2)))), "u3 - u1*u2"),
+    (Mul((Const(Fraction(-3, 2)), U1)), "-3/2*u1"),
+    (Add((U3, Mul((Const(Fraction(-3, 2)), U1, U2)))), "u3 - 3/2*u1*u2"),
+    (Div(Mul((Const(-1), U2)), U3), "(-u2)/u3"),
+    (Div(Const(-2), Add((U1, U2))), "(-2)/(u1 + u2)"),
+    (Add((U1, Div(Mul((Const(-1), U2)), U3))), "u1 - u2/u3"),
+    (Add((U1, Div(Const(Fraction(-5, 3)), U3))), "u1 - 5/3/u3"),
+    (Pow(E, 1), "exp(u)"),
+    (Pow(E, -1), "exp(-u)"),
+    (Pow(E, 3), "exp(3*u)"),
+    (Add((U1, Mul((Const(-1), Pow(E, 3))))), "u1 - exp(3*u)"),
+    (Pow(U1, -2), "u1^(-2)"),
+    (Mul((U2, Pow(U1, -2))), "u2*u1^(-2)"),
+    (Name("v1"), "uy"),
+    (Name("v2"), "uyy"),
+    (Mul((Name("v1"), Pow(Name("v2"), 2))), "uy*uyy^2"),
+    (Name("f"), "f(u1)"),
+    (Div(Add((Name("f"), Mul((Const(-1), U1)))),
+         Mul((Const(2), Pow(Name("f"), 2)))), "(f(u1) - u1)/(2*f(u1)^2)"),
+])
+def test_printed_text_is_pinned(ctx, e, text):
+    """The printer's exact text for each of its branches: signs of leading
+    and later constants and products, negated numerators, exp powers,
+    negative exponents, jet aliases and call forms."""
+    assert print_expr(e, ctx) == text
 
 
 def test_print_is_deterministic(ctx):

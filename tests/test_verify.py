@@ -3,6 +3,7 @@ order-reduction conditions, ODE checks, and parameter forcing."""
 
 import gc
 import hashlib
+import math
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypersym import transforms, verify
 from hypersym.catalog import Catalog
 from hypersym.errors import LemmaPremiseError, SizeLimitError
 from hypersym.expr import normal as N
+from hypersym.expr import poly as P
 from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
@@ -73,15 +75,34 @@ def test_near_miss_localizes_failing_coefficients(catalog):
     assert r.cleared_denominator == "exp(u)"
 
 
+def ref_cleared(ctx, R):
+    """R times the lcm of its denominators, made one factor power at a time:
+    each numerator is scaled to the common integer denominator and then
+    multiplied by every factor power its own denominator lacks."""
+    scalar = math.lcm(*(rf.den_scalar for rf in R.values()))
+    emax = {}
+    for rf in R.values():
+        for fac, e in rf.den_factors:
+            emax[fac] = max(emax.get(fac, 0), e)
+    out = {}
+    for alg_mono, rf in R.items():
+        p = P.pscale(rf.num, scalar // rf.den_scalar)
+        have = {fac: e for fac, e in rf.den_factors}
+        for fac, e in emax.items():
+            for _ in range(e - have.get(fac, 0)):
+                p = P.pmul(p, fac.poly, ctx.layout)
+        out[alg_mono] = p
+    return out
+
+
 def ref_jet_coefficients(ctx, R):
     """The full conversion jet_coefficients made before it stopped at the
     printed groups: every group, in descending jet order."""
-    cleared, _den = verify._clear_denominators(ctx, R)
     layout = ctx.layout
     jet_mask = layout.field_mask(
         v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
     groups = {}
-    for alg_mono, p in cleared:
+    for alg_mono, p in ref_cleared(ctx, R).items():
         for mono, c in p.items():
             jet = layout.restrict(mono, jet_mask)
             bucket = groups.setdefault(jet, {}).setdefault(alg_mono, {})
@@ -101,12 +122,17 @@ def ref_jet_coefficients(ctx, R):
 
 
 @pytest.mark.parametrize("hid, eid, groups", [
-    ("hyp4", "ev10", 13), ("S1", "ev12", 116), ("S4", "ev17", 541)])
+    ("hyp4", "ev10", 13), ("S1", "ev12", 116), ("S4", "ev17", 541),
+    ("S3", "ev21", 1449)])
 def test_jet_coefficients_convert_only_printed_groups(catalog, hid, eid,
                                                        groups):
+    """S3 ev21's residual has 33 algebraic monomials over 23 distinct
+    denominators, so its cleared form shares cofactors."""
     F, G = get_pair(catalog, hid, eid, {})
     ctx = F.ctx
     R = verify.determining_residual(F, G)
+    cleared, _den = verify._clear_denominators(ctx, R)
+    assert dict(cleared) == ref_cleared(ctx, R)
     ref = ref_jet_coefficients(ctx, R)
     got, _den, total = verify.jet_coefficients(ctx, R)
     assert total == len(ref) == groups
@@ -247,6 +273,24 @@ def test_param_conditions_empty_for_exact_pairs(catalog):
     # S2 vs ev12 is exact for ALL a, b: no conditions on the parameters
     assert verify.param_conditions(catalog.get("S2"),
                                    catalog.get("ev12")) == []
+
+
+@pytest.mark.parametrize("hid, eid, count, first, digest", [
+    ("S3", "ev17", 79, "u1^3*u2*v1^4 = -60*mu",
+     "32fcdd7221e5365a4ff6b144d663e7147cb0e4beb7f988c661887af9a741d110"),
+    ("S2", "ev13", 32, "u1^2*v1*E^14 = 80*lam1^4",
+     "5c1cd3b3e06110b7457bc6d94626f8e7c0254456f285e2e236e5f41ca538808b"),
+])
+def test_param_conditions_text_is_pinned(catalog, ctx, hid, eid, count,
+                                         first, digest):
+    """The conditions print as captured: their number, the first line and
+    the sha256 of all lines 'monomial = condition', each ending in a
+    newline."""
+    conds = verify.param_conditions(catalog.get(hid), catalog.get(eid))
+    lines = [f"{m} = {print_expr(c, ctx)}\n" for m, c in conds]
+    assert len(lines) == count
+    assert lines[0] == first + "\n"
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
 def test_swap_symmetric_entries(catalog, ctx):
