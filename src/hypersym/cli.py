@@ -14,6 +14,7 @@ variable (a path list).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -327,7 +328,11 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line; returns the exit status."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
+    tol = getattr(args, "tol", 1.0)
+    if not math.isfinite(tol):  # x > nan is always False: no disagreement
+        print("error: tolerance must be finite", file=sys.stderr)
+        return 2
+    if tol <= 0:
         print("error: tolerance must be positive", file=sys.stderr)
         return 2
     if getattr(args, "samples", 0) < 0:

@@ -113,8 +113,10 @@ class Context:
         self._flow_nf: Dict[Expr, object] = {}
         self._factor_intern: Dict[tuple, object] = {}
         self.den_atoms: List[object] = []
-        # symbol -> compiled minimal-polynomial coefficients, filled by numeval
+        # symbol -> compiled minimal-polynomial coefficients, and the sample
+        # points of the last master seed (seed, points), filled by numeval
         self._minpoly_progs: Dict[object, object] = {}
+        self._sample_points: Tuple[Optional[int], List[object]] = (None, [])
         self._bind_cache: Dict[tuple, "Context"] = {}
 
     # -- construction ------------------------------------------------------

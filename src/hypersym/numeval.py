@@ -17,9 +17,13 @@ and the oracle shares no code and no normal form with it; it evaluates
 trees and programs, never a normal form, all through _run.  Terms live in a
 table of hash-consed ops (equal subterms share one op), emitted once per
 zero test into a straight-line program over float slots that runs at every
-sample.  _compile imports trees as they are; residual_program builds the
-determining residual from the trees of F and G by forward differentiation
-on the ops (Baur & Strassen 1983; Griewank & Walther 2008), with the
+sample.  The sample points depend on the context and the master seed alone,
+not on the program (a random-point identity test, Schwartz 1980), so each
+is drawn once per context and master seed and reused by every later zero
+test; a context keeps the points of its last seed only.  _compile imports
+trees as they are; residual_program builds the determining residual from
+the trees of F and G by forward differentiation on the ops (Baur &
+Strassen 1983; Griewank & Walther 2008), with the
 folding of expr.tree's helpers.  That differentiation, _Jet, is the one
 derivative engine on terms: jet.JetEngine and jet.partial import their
 trees into a table, derive with _Jet and read the result back as a tree
@@ -508,7 +512,7 @@ def _run(prog: List[tuple], slots: Sequence[int],
         raise EvalError("denominator vanished at the sample point") from None
     except KeyError as ex:  # only a name lookup raises it
         raise EvalError(f"no value assigned for {ex.args[0]!r}") from None
-    return [vals[s] for s in slots]
+    return list(map(vals.__getitem__, slots))
 
 
 def eval(e: Expr, p: Union[SamplePoint, Mapping[str, float]]) -> float:
@@ -636,7 +640,9 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
     """Probabilistic zero test: relative residual at `samples` points,
     |value| / (1 + largest top-level term contribution).  e is a tree or a
     Program (its first root the value, the others the terms).  A bound ctx
-    pins its parameters at every sample."""
+    pins its parameters at every sample.  The points of the last seed are
+    kept on ctx, so every zero test of a context and seed runs at the same
+    points, each drawn once."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if isinstance(e, Expr):
@@ -645,13 +651,22 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
     elif not isinstance(e, Program):
         raise EvalError(f"cannot evaluate a {type(e).__name__}: "
                         "expected a tree or a Program")
+    ctx = ctx or std_context()
+    kept_seed, points = ctx._sample_points
+    if kept_seed != seed:
+        points = []
+        ctx._sample_points = (seed, points)
     rng = random.Random(seed)
     residuals: List[float] = []
-    for _ in range(samples):
+    for k in range(samples):
         child = rng.getrandbits(48)
-        p = sample_point(ctx, None, child)
-        value, *contribs = _run(e.ops, e.roots, p.assignment)
-        scale = max((abs(c) for c in contribs), default=0.0)
+        if k == len(points):
+            # drawn only now, so a bad point raises where it would unkept;
+            # a draw that raises keeps nothing, and the children come from
+            # a fresh rng, so the kept points stay a fresh context's
+            points.append(sample_point(ctx, None, child).assignment)
+        value, *contribs = _run(e.ops, e.roots, points[k])
+        scale = max(map(abs, contribs), default=0.0)
         residuals.append(abs(value) / (1.0 + scale))
     mx = max(residuals)
     return NumericVerdict(zero_like=(mx < tol), max_residual=mx,

@@ -137,6 +137,8 @@ def test_verify_admissibility_violation_is_data_error(capsys):
 @pytest.mark.parametrize("flag, message", [
     (["--tol", "0"], "error: tolerance must be positive"),
     (["--samples", "-1"], "error: samples must be nonnegative"),
+    (["--tol", "nan", "--samples", "3"], "error: tolerance must be finite"),
+    (["--tol", "inf"], "error: tolerance must be finite"),
 ])
 def test_verify_rejects_bad_numeric_options(capsys, flag, message):
     code, out, err = run(capsys, "verify", "hyp4", "ev12", *flag)
@@ -337,6 +339,8 @@ def test_verify_nonzero_structured_output_is_pinned(argv, code, captured):
                  "a1c99bd21ae0c19b", id="verify-all-samples0"),
     pytest.param(["verify-all", "--jobs", "1", "--samples", "10"],
                  "ade4213251a119a8", id="verify-all-samples10"),
+    pytest.param(["verify-all", "--jobs", "2", "--samples", "10"],
+                 "ade4213251a119a8", id="verify-all-jobs2-samples10"),
     pytest.param(["verify-all", "--jobs", "1", "--samples", "25", "--seed", "7"],
                  "b5f5b0b9a97bd4b3", id="verify-all-samples25-seed7"),
 ])
@@ -344,7 +348,8 @@ def test_structured_output_digests_are_pinned(argv, digest):
     """The structured output of the shipped claims, run cold in its own
     process, has its pinned digest: the first 16 hex digits of the sha256
     of stdout, as `hypersym --format structured ... | sha256sum` prints
-    them.  The transforms' output is compared byte for byte with
+    them.  Two workers print what one does, as each draws its own sample
+    points.  The transforms' output is compared byte for byte with
     tests/data/transform_all.structured, whose digest is 08e1fe2c9ff8daa4."""
     proc = run_cold("--format", "structured", *argv)
     assert proc.returncode == 0, proc.stderr

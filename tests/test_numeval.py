@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hypersym import numeval, verify
+from hypersym.catalog import Catalog
 from hypersym.errors import EvalError, JetOrderError, SampleError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
@@ -477,3 +478,65 @@ def test_numeric_zero_takes_a_program(ctx):
     by_tree = numeval.numeric_zero(e, 4, seed=2, ctx=ctx)
     by_prog = numeval.numeric_zero(prog, 4, seed=2, ctx=ctx)
     assert by_prog.residuals == by_tree.residuals
+
+
+def memo_residuals(ctx, samples, seed):
+    e = parse("f(u1)*u2 - exp(u) + 3/(u1 + 1)", ctx)
+    return bits(numeval.numeric_zero(e, samples, seed=seed, ctx=ctx).residuals)
+
+
+def count_sample_points(monkeypatch, fail_at=None):
+    """Wrap numeval.sample_point: the list of its calls, and the call
+    number fail_at raises SampleError instead of drawing."""
+    calls, real = [], numeval.sample_point
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise SampleError("injected")
+        return real(*args)
+    monkeypatch.setattr(numeval, "sample_point", counted)
+    return calls
+
+
+def test_numeric_zero_draws_each_point_once_per_seed(monkeypatch):
+    """The kept points give the residuals of a fresh context bit for bit:
+    after a call with another seed on the same context, and as the first n
+    of a longer call with the same seed, whether the longer call comes
+    before or after.  Only the last seed's points are kept, each drawn
+    once."""
+    fresh = memo_residuals(default_context(), 6, 4)
+    calls = count_sample_points(monkeypatch)
+    ctx = default_context()
+    memo_residuals(ctx, 6, 9)
+    assert memo_residuals(ctx, 6, 4) == fresh
+    assert memo_residuals(ctx, 3, 4) == fresh[:3]
+    assert len(calls) == 12
+    assert ctx._sample_points[0] == 4 and len(ctx._sample_points[1]) == 6
+    ctx = default_context()
+    assert memo_residuals(ctx, 3, 4) == fresh[:3]
+    assert memo_residuals(ctx, 6, 4) == fresh
+    assert len(calls) == 18
+
+
+def test_numeric_zero_after_a_draw_that_raises(monkeypatch):
+    """A draw that raises keeps no point, so the next call on the context
+    gives the residuals of a fresh one."""
+    fresh = memo_residuals(default_context(), 5, 2)
+    ctx = default_context()
+    count_sample_points(monkeypatch, fail_at=3)
+    with pytest.raises(SampleError, match="injected"):
+        memo_residuals(ctx, 5, 2)
+    assert memo_residuals(ctx, 5, 2) == fresh
+
+
+def test_oracle_pass_draws_each_point_once(monkeypatch):
+    """The work counter behind the oracle's speed: the 12 shipped claims
+    use two contexts (the standard one and mu = 0), so 25 samples each
+    draw 50 points, not 12 * 25 = 300."""
+    cat = Catalog(ctx=default_context())
+    calls = count_sample_points(monkeypatch)
+    reports = verify.verify_all(cat, samples=25, seed=1, jobs=1)
+    assert len(reports) == 12
+    assert all(len(r.numeric_residuals) == 25 for r in reports)
+    assert len(calls) == 50
