@@ -65,28 +65,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("show", help="show one entry or transform")
     p.add_argument("id")
 
-    def add_verify_opts(p, with_dir: bool) -> None:
-        p.add_argument("--param", action="append", default=[],
-                       type=_parse_param, metavar="NAME=VALUE",
-                       help="bind a parameter to an exact rational")
+    def add_verify_opts(p) -> None:
         p.add_argument("--samples", type=int, default=0,
                        help="numeric cross-check sample count (0: exact only)")
         p.add_argument("--tol", type=float, default=verify.DEFAULT_TOL,
                        help="relative tolerance of the numeric verdict")
         p.add_argument("--seed", type=int, default=0,
                        help="seed of the numeric sampler (default 0)")
-        if with_dir:
-            p.add_argument("--dir", choices=("x", "y"), default="x",
-                           dest="direction",
-                           help="direction of the claimed symmetry")
 
     p = sub.add_parser("verify", help="verify one hyperbolic/evolution pair")
     p.add_argument("hyp")
     p.add_argument("ev")
-    add_verify_opts(p, with_dir=True)
+    p.add_argument("--param", action="append", default=[],
+                   type=_parse_param, metavar="NAME=VALUE",
+                   help="bind a parameter to an exact rational")
+    add_verify_opts(p)
+    p.add_argument("--dir", choices=("x", "y"), default="x",
+                   dest="direction", help="direction of the claimed symmetry")
 
     p = sub.add_parser("verify-all", help="verify every shipped pairing")
-    add_verify_opts(p, with_dir=False)
+    add_verify_opts(p)
     p.add_argument("--jobs", type=int, default=0,
                    help="parallel worker count (0: auto)")
 
@@ -337,6 +335,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if getattr(args, "samples", 0) < 0:
         print("error: samples must be nonnegative", file=sys.stderr)
+        return 2
+    if getattr(args, "jobs", 0) < 0:
+        print("error: jobs must be nonnegative", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args, Catalog(_catalog_paths(args)))

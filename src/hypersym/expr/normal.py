@@ -8,12 +8,15 @@ by ratfunc.rf_make, so equality of normal forms is plain structural
 equality and the zero test is exact.
 
 Coefficients are reduced once per result, not once per term product:
-nf_sum_products forms the term products unreduced, rewrites symbol powers
-over their degree on them, groups them by monomial and reduces each group
-with one rf_sum.  A result may be a whole sum of products, such as the
-determining residual (the mixed derivative's chain-rule products and the
-three lower-order products of verify.determining_residual), which is then
-reduced once, not once per operation.  That gives the form that reducing
+nf_sum_products adds each term product, unreduced, into the numerator sum
+of its algebraic monomial and its denominator, rewriting symbol powers over
+their degree first.  Each monomial's sums are then brought over their lcm
+with one cofactor product per distinct denominator and reduced with one
+rf_make (ratfunc.rf_sum_by_den).  A result may be a whole sum of products,
+such as the determining residual (the mixed derivative's chain-rule
+products and the three lower-order products of
+verify.determining_residual), which is then reduced once, not once per
+operation.  That gives the form that reducing
 every step gives, because on the square-free, pairwise coprime factor base
 a reduced rational function is unique (see ratfunc).
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import (AdmissibilityError, NotInvertibleError, SizeLimitError,
                       UnknownNameError)
@@ -40,7 +43,7 @@ from .ratfunc import RatFunc
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
 
 NF = Dict[int, RatFunc]
-Groups = Dict[int, List[RatFunc]]  # unreduced terms of each monomial
+Sums = Dict[int, Dict[R.Den, P.Poly]]  # numerator sum per monomial and denominator
 
 
 # -- constructors ----------------------------------------------------------
@@ -148,35 +151,40 @@ def _rewrite_table(ctx: Context, i: int) -> Tuple[RatFunc, ...]:
     return table
 
 
-def _collect(ctx: Context, groups: Groups, mono: int, rf: RatFunc) -> None:
-    """Add the unreduced rf * (alg monomial) to the group of its monomial,
-    rewriting any out-of-range symbol powers first."""
-    lay = ctx.alg_layout
-    offset, borrow = ctx.alg_over, lay.borrow_mask
-    stack = [(mono, rf)]
-    while stack:
-        m, c = stack.pop()
-        over = (m + offset) & borrow
-        if not over:
-            groups.setdefault(m, []).append(c)
-            continue
-        # the lowest borrow bit is the first symbol over its degree
-        over = ((over & -over).bit_length() - 1) // P.FIELD_BITS
-        unit = lay.unit(over)
-        rest = m - ctx.alg_syms[over].degree * unit
-        table = _rewrite_table(ctx, over)
-        for k, t in enumerate(table):
-            if t.is_zero():
-                continue
-            stack.append((rest + k * unit, R.rf_mul_raw(ctx, c, t)))
+def _collect(ctx: Context, sums: Sums, mono: int, a: RatFunc,
+             b: Optional[RatFunc] = None) -> None:
+    """Add the unreduced a * b (or a) times the alg monomial mono into the
+    numerator sum of its monomial and denominator.  A symbol power over its
+    degree is rewritten first: the product is formed once and multiplied by
+    each table term straight into the target sums, the last term first."""
+    over = (mono + ctx.alg_over) & ctx.alg_layout.borrow_mask
+    den = (a.den_scalar, a.den_factors) if b is None else R.den_mul(a, b)
+    if not over:
+        acc = sums.setdefault(mono, {}).setdefault(den, {})
+        if b is None:
+            P.padd_inplace(acc, a.num)
+        else:
+            P.pmul_into(acc, a.num, b.num, ctx.layout, ctx.max_terms)
+        return
+    if b is not None:
+        a = RatFunc(P.pmul(a.num, b.num, ctx.layout, ctx.max_terms), *den)
+    # the lowest borrow bit is the first symbol over its degree
+    over = ((over & -over).bit_length() - 1) // P.FIELD_BITS
+    unit = ctx.alg_layout.unit(over)
+    rest = mono - ctx.alg_syms[over].degree * unit
+    table = _rewrite_table(ctx, over)
+    for k in range(len(table) - 1, -1, -1):
+        if not table[k].is_zero():
+            _collect(ctx, sums, rest + k * unit, a, table[k])
 
 
-def _reduce_groups(ctx: Context, groups: Groups) -> NF:
-    """Each group's sum reduced once, at its monomial; a group is dropped as
+def _reduce_groups(ctx: Context, sums: Sums) -> NF:
+    """Each monomial's sums reduced once, at its monomial, with one
+    cofactor product per distinct denominator; a monomial is dropped as
     soon as it is reduced."""
     out: NF = {}
-    for m in list(groups):
-        tot = R.rf_sum(ctx, groups.pop(m))
+    for m in list(sums):
+        tot = R.rf_sum_by_den(ctx, sums.pop(m))
         if not tot.is_zero():
             out[m] = tot
     if nf_size(out) > ctx.max_terms:
@@ -227,12 +235,12 @@ def nf_sum_products(ctx: Context, pairs) -> NF:
     """The sum of a * b over the pairs (a, b).  Every term product is formed
     unreduced and collected by algebraic monomial, and each coefficient of
     the result is reduced once."""
-    groups: Groups = {}
+    sums: Sums = {}
     for a, b in pairs:
         for ma, ca in a.items():
             for mb, cb in b.items():
-                _collect(ctx, groups, ma + mb, R.rf_mul_raw(ctx, ca, cb))
-    return _reduce_groups(ctx, groups)
+                _collect(ctx, sums, ma + mb, ca, cb)
+    return _reduce_groups(ctx, sums)
 
 
 def nf_mul(ctx: Context, a: NF, b: NF) -> NF:
@@ -420,10 +428,10 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
     vi = v.index
     lay = ctx.alg_layout
     chained = ctx.symbols_with_arg(var_name)
-    groups: Groups = {}
+    sums: Sums = {}
     for m, c in a.items():
         for t in R.rf_partial_terms(ctx, c, vi):
-            _collect(ctx, groups, m, t)
+            _collect(ctx, sums, m, t)
         for s in chained:
             if s.kind == ALG:
                 e = lay.exp(m, s.index)
@@ -435,8 +443,8 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
                 if cf.is_zero():
                     continue
             for mb, cb in deriv_nf(ctx, s.name).items():
-                _collect(ctx, groups, mf + mb, R.rf_mul_raw(ctx, cf, cb))
-    return _reduce_groups(ctx, groups)
+                _collect(ctx, sums, mf + mb, cf, cb)
+    return _reduce_groups(ctx, sums)
 
 
 def nf_free_vars(ctx: Context, a: NF) -> set:

@@ -170,17 +170,21 @@ def pmul_mono(a: Poly, mono: int, coeff: int, layout: Layout) -> Poly:
     return out
 
 
-def pmul(a: Poly, b: Poly, layout: Layout, max_terms: int = 0) -> Poly:
-    if not a or not b:
-        return {}
+def pmul_into(out: Poly, a: Poly, b: Poly, layout: Layout, max_terms: int = 0,
+              scale: int = 1) -> None:
+    """out += scale * a * b, in place.
+
+    A monomial field is at most the total degree, so a product term
+    overflows a field only if its total degree overflows, and the term of
+    largest total degree is max(a) * max(b); one check of that sum covers
+    every term.  max_terms bounds out as it grows."""
+    if not a or not b or not scale:
+        return
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        (mono, coeff), = b.items()
-        return pmul_mono(a, mono, coeff, layout)
-    out: Poly = {}
     get = out.get
     for mb, cb in b.items():
+        cb *= scale
         for ma, ca in a.items():
             m = ma + mb
             v = get(m, 0) + ca * cb
@@ -191,11 +195,20 @@ def pmul(a: Poly, b: Poly, layout: Layout, max_terms: int = 0) -> Poly:
         if max_terms and len(out) > max_terms:
             raise SizeLimitError(
                 f"polynomial exceeded {max_terms} terms during multiplication")
-    if out:
-        borrow = layout.borrow_mask
-        for m in out:
-            if m & borrow:
-                raise SizeLimitError("monomial exponent overflow")
+    if (max(a) + max(b)) & layout.borrow_mask:
+        raise SizeLimitError("monomial exponent overflow")
+
+
+def pmul(a: Poly, b: Poly, layout: Layout, max_terms: int = 0) -> Poly:
+    if not a or not b:
+        return {}
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (mono, coeff), = b.items()
+        return pmul_mono(a, mono, coeff, layout)
+    out: Poly = {}
+    pmul_into(out, a, b, layout, max_terms)
     return out
 
 

@@ -10,9 +10,14 @@ only ever have to recognize those same factors.
 
 rf_make reduces by trial division: it divides the numerator by each
 denominator factor for as long as the division is exact.  It runs once per
-result, not after every step: rf_mul_raw and rf_partial_terms build
-unreduced values, and rf_sum reduces a sum of them with one rf_make.  That
-gives the same form as reducing every step, because the reduced form is
+result, not after every step.  Unreduced terms (rf_partial_terms, the term
+products of normal) are summed by denominator: the numerators over one
+denominator are added first, then rf_sum_by_den brings each distinct
+denominator's sum over the lcm with one cofactor product (over_lcm) and
+reduces the total with one rf_make.  Multiplication distributes over
+addition, so that total is the one that bringing each term over the lcm on
+its own gives.  Reducing once gives the same form as reducing every step,
+because the reduced form is
 unique when the factors are square-free and pairwise coprime.  If
 N1/D1 = N2/D2 are both reduced and a factor f occurs e1 > e2 times in D1
 and D2, then f**e1 divides N2*D1 = N1*D2; f is square-free and coprime to
@@ -51,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import DivisionByZeroError
 from . import poly as P
@@ -313,52 +318,84 @@ def rf_scale(ctx: Context, a: RatFunc, q) -> RatFunc:
     return RatFunc(num, den_scalar // g, a.den_factors)
 
 
-def _den_lcm(items: Iterable[RatFunc]
-             ) -> Tuple[int, Dict[int, Tuple[Factor, int]]]:
-    """The denominators' lcm: (scalar, {fid: (factor, largest exponent)})."""
+Den = Tuple[int, FactorVec]  # (den_scalar, den_factors) of an unreduced term
+
+
+def den_mul(a: RatFunc, b: RatFunc) -> Den:
+    """The denominator of a * b: scalars multiplied, factor exponents
+    merged."""
+    fa, fb = a.den_factors, b.den_factors
+    if fa and fb:
+        merged: Dict[int, Tuple[Factor, int]] = {f.fid: (f, e) for f, e in fa}
+        for f, e in fb:
+            cur = merged.get(f.fid)
+            merged[f.fid] = (f, e + (cur[1] if cur else 0))
+        fa = tuple(fe for _, fe in sorted(merged.items()))
+    return a.den_scalar * b.den_scalar, fa or fb
+
+
+def over_lcm(ctx: Context, dens: Iterable[Den]
+             ) -> Tuple[int, FactorVec, Callable[[P.Poly, P.Poly, Den], None]]:
+    """The least common multiple of the denominators dens, as (scalar,
+    factors), and add(out, num, den), which adds num/den brought over it
+    into out: out += num * cofactor * (scalar // den scalar), where the
+    cofactor, the product of the factor powers den lacks, is made once per
+    distinct factor vector."""
     s = 1
     fmax: Dict[int, Tuple[Factor, int]] = {}
-    for a in items:
-        s = s * a.den_scalar // gcd(s, a.den_scalar)
-        for f, e in a.den_factors:
+    for ds, fs in dens:
+        s = s * ds // gcd(s, ds)
+        for f, e in fs:
             cur = fmax.get(f.fid)
             if cur is None or e > cur[1]:
                 fmax[f.fid] = (f, e)
-    return s, fmax
+    lay, max_terms = ctx.layout, ctx.max_terms
+    cofactors: Dict[FactorVec, P.Poly] = {}  # {} when den lacks no factor
+
+    def add(out: P.Poly, num: P.Poly, den: Den) -> None:
+        cof = cofactors.get(den[1])
+        if cof is None:
+            have = {f.fid: e for f, e in den[1]}
+            for fid, (f, e) in fmax.items():
+                need = e - have.get(fid, 0)
+                if need > 0:
+                    piece = P.ppow(f.poly, need, lay, max_terms)
+                    cof = piece if cof is None else P.pmul(cof, piece, lay,
+                                                           max_terms)
+            cofactors[den[1]] = cof = cof or {}
+        if cof:
+            P.pmul_into(out, num, cof, lay, max_terms, s // den[0])
+        else:
+            P.padd_inplace(out, num, s // den[0])
+
+    return s, tuple(fe for _, fe in sorted(fmax.items())), add
 
 
-def _cofactor(ctx: Context, fmax: Dict[int, Tuple[Factor, int]],
-              den_factors: FactorVec) -> Optional[P.Poly]:
-    """The product of the factor powers of fmax (as _den_lcm returns it)
-    that den_factors lacks; None when it lacks none."""
-    lay = ctx.layout
-    cof: Optional[P.Poly] = None
-    have = {f.fid: e for f, e in den_factors}
-    for fid, (f, e) in fmax.items():
-        need = e - have.get(fid, 0)
-        if need > 0:
-            piece = P.ppow(f.poly, need, lay, ctx.max_terms)
-            cof = piece if cof is None else P.pmul(cof, piece, lay, ctx.max_terms)
-    return cof
+def rf_sum_by_den(ctx: Context, sums: Dict[Den, P.Poly]) -> RatFunc:
+    """The sum of num/den over the items of sums, over the lcm of every den
+    (also those whose num cancelled to {}), reduced once.  Multiplication
+    distributes over addition, so rf_make gets the numerator it would get
+    from bringing each summand over the lcm on its own."""
+    if len(sums) == 1:
+        (den, num), = sums.items()
+        return rf_make(ctx, num, *den)
+    s, fs, add = over_lcm(ctx, sums)
+    total: P.Poly = {}
+    for den, num in sums.items():
+        add(total, num, den)
+    return rf_make(ctx, total, s, fs)
 
 
 def rf_sum(ctx: Context, items: Iterable[RatFunc]) -> RatFunc:
     """The sum of items, which need not be reduced, over their least common
-    denominator, reduced once."""
-    items = [a for a in items if not a.is_zero()]
-    if not items:
-        return rf_zero(ctx)
-    if len(items) == 1:
-        a = items[0]
-        return rf_make(ctx, a.num, a.den_scalar, a.den_factors)
-    lay = ctx.layout
-    s, fmax = _den_lcm(items)
-    total: P.Poly = {}
+    denominator, reduced once; the numerators of equal denominators are
+    added first."""
+    sums: Dict[Den, P.Poly] = {}
     for a in items:
-        cof = _cofactor(ctx, fmax, a.den_factors)
-        term = a.num if cof is None else P.pmul(a.num, cof, lay, ctx.max_terms)
-        P.padd_inplace(total, term, s // a.den_scalar)
-    return rf_make(ctx, total, s, tuple(fe for _, fe in sorted(fmax.items())))
+        if a.num:
+            P.padd_inplace(sums.setdefault((a.den_scalar, a.den_factors), {}),
+                           a.num)
+    return rf_sum_by_den(ctx, sums) if sums else rf_zero(ctx)
 
 
 def rf_add(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
@@ -369,25 +406,11 @@ def rf_sub(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
     return rf_sum(ctx, (a, rf_neg(ctx, b)))
 
 
-def rf_mul_raw(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
-    """a * b unreduced: numerators and scalars multiplied, factor exponents
-    merged, no trial division.  rf_make or rf_sum reduces the result."""
+def rf_mul(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
     if a.is_zero() or b.is_zero():
         return rf_zero(ctx)
-    num = P.pmul(a.num, b.num, ctx.layout, ctx.max_terms)
-    fa, fb = a.den_factors, b.den_factors
-    if fa and fb:
-        merged: Dict[int, Tuple[Factor, int]] = {f.fid: (f, e) for f, e in fa}
-        for f, e in fb:
-            cur = merged.get(f.fid)
-            merged[f.fid] = (f, e + (cur[1] if cur else 0))
-        fa = tuple(fe for _, fe in sorted(merged.items()))
-    return RatFunc(num, a.den_scalar * b.den_scalar, fa or fb)
-
-
-def rf_mul(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
-    p = rf_mul_raw(ctx, a, b)
-    return rf_make(ctx, p.num, p.den_scalar, p.den_factors)
+    return rf_make(ctx, P.pmul(a.num, b.num, ctx.layout, ctx.max_terms),
+                   *den_mul(a, b))
 
 
 def rf_inverse(ctx: Context, a: RatFunc) -> RatFunc:

@@ -37,13 +37,9 @@ from .expr import normal as N
 from .expr import tree
 from .expr.context import PARAM, XJET, YJET, Context, default_context, std_context
 from .expr.parser import print_expr
-from .expr.poly import (
-    Layout,
-    Poly,
-    pmul,
-    pscale,
-)
-from .expr.ratfunc import RatFunc, _cofactor, _den_lcm, rf_from_poly
+# pmul: unused, kept as the alias perfbench/selftest.py checks is traced
+from .expr.poly import Layout, Poly, pmul  # noqa: F401
+from .expr.ratfunc import RatFunc, over_lcm, rf_from_poly
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
 from .jet import (EvolutionEq, HyperbolicEq, nf_flow, nf_jet,  # noqa: F401
@@ -112,25 +108,22 @@ def _clear_denominators(ctx: Context, R: N.NF
 
     Returns (the pairs (alg-monomial, integer polynomial), each made as it
     is read; the common denominator as a RatFunc with numerator 1).  Each
-    value's numerator is multiplied by one cofactor, the product of the
-    factor powers its denominator lacks; the cofactor is made once per
-    distinct denominator vector.  The cleared form vanishes iff R does,
-    since denominators are nonzero by construction.
+    value's numerator is brought over the lcm by the summation of ratfunc:
+    one product with the cofactor, the product of the factor powers its
+    denominator lacks, scaled to the common integer denominator; the
+    cofactor is made once per distinct factor vector.  The cleared form
+    vanishes iff R does, since denominators are nonzero by construction.
     """
-    scalar, fmax = _den_lcm(R.values())
-    factors = sorted(fmax.items())
-    layout, max_terms = ctx.layout, ctx.max_terms
+    scalar, factors, add = over_lcm(
+        ctx, ((rf.den_scalar, rf.den_factors) for rf in R.values()))
 
     def cleared():
-        cofactors: Dict[tuple, Optional[Poly]] = {}
         for mono, rf in R.items():
-            p = pscale(rf.num, scalar // rf.den_scalar)
-            if rf.den_factors not in cofactors:
-                cofactors[rf.den_factors] = _cofactor(ctx, fmax, rf.den_factors)
-            cof = cofactors[rf.den_factors]
-            yield mono, (p if cof is None else pmul(p, cof, layout, max_terms))
+            p: Poly = {}
+            add(p, rf.num, (rf.den_scalar, rf.den_factors))
+            yield mono, p
 
-    return cleared(), RatFunc({0: 1}, scalar, tuple(fe for _, fe in factors))
+    return cleared(), RatFunc({0: 1}, scalar, factors)
 
 
 def _mono_text(ctx: Context, mono: int, layout, names: Sequence[str]) -> str:

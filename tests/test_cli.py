@@ -146,6 +146,24 @@ def test_verify_rejects_bad_numeric_options(capsys, flag, message):
     assert err.strip() == message
 
 
+def test_verify_all_rejects_negative_jobs(capsys):
+    code, out, err = run(capsys, "verify-all", "--jobs", "-1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: jobs must be nonnegative"
+
+
+def test_verify_all_has_no_param_option(capsys):
+    # verify-all checks the shipped claims at their own bindings; a --param
+    # it ignored would report the unbound verdicts as if bound
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--format", "structured", "verify-all", "--jobs", "1",
+                  "--param", "mu=1", "--param", "c=5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --param" in captured.err
+
+
 def test_verify_refuses_a_binding_that_splits_a_relation(capsys):
     """a = 0 turns the fa-cubic into (s + t)^2 (2s - t): S6 and S3 use it
     and get an error, not a verdict.  c = 4 splits sqrt(c), which S6 does

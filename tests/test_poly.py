@@ -115,6 +115,51 @@ def test_mul_matches_reference_and_ring_laws():
         assert lhs == rhs
 
 
+def test_mul_into_matches_mul_then_add():
+    """out += scale * a * b in place, against a fresh product added in."""
+    rng = random.Random(31)
+    for _ in range(60):
+        a = rand_poly(rng, rng.randint(0, 6))
+        b = rand_poly(rng, rng.randint(0, 4))
+        scale = rng.choice((1, -1, 3, -7, 0))
+        out = rand_poly(rng, 5)
+        want = dict(out)
+        P.padd_inplace(want, P.pmul(a, b, LAYOUT), scale)
+        P.pmul_into(out, a, b, LAYOUT, scale=scale)
+        assert out == want
+        # a product that cancels the accumulated one leaves {}
+        out = P.pscale(P.pmul(a, b, LAYOUT), -scale)
+        P.pmul_into(out, a, b, LAYOUT, 0, scale)
+        assert out == {}
+
+
+def test_mul_into_keeps_the_size_and_exponent_limits():
+    rng = random.Random(32)
+    a = rand_poly(rng, 30, maxexp=9)
+    b = rand_poly(rng, 30, maxexp=9)
+    n = len(P.pmul(a, b, LAYOUT))
+    with pytest.raises(SizeLimitError):
+        P.pmul(a, b, LAYOUT, n - 1)
+    with pytest.raises(SizeLimitError):
+        P.pmul_into({}, a, b, LAYOUT, n - 1)
+    # the bound holds on the accumulated polynomial, not on one product
+    out = P.pmul(a, b, LAYOUT)
+    P.pmul_into(out, a, {LAYOUT.var_mono(3, 30): 1}, LAYOUT, len(out) + len(a))
+    with pytest.raises(SizeLimitError):
+        P.pmul_into(out, b, {LAYOUT.var_mono(3, 50): 1}, LAYOUT, len(out))
+    # only the product of the two largest monomials overflows
+    big = {LAYOUT.var_mono(0, 20000): 1, LAYOUT.var_mono(1): 2}
+    wide = {LAYOUT.var_mono(2, 20000): 1, 0: -1}
+    for out in ({}, {LAYOUT.var_mono(3): 5}):
+        with pytest.raises(SizeLimitError, match="overflow"):
+            P.pmul_into(out, big, wide, LAYOUT)
+        with pytest.raises(SizeLimitError, match="overflow"):
+            P.pmul_into(out, wide, big, LAYOUT, scale=-2)
+    with pytest.raises(SizeLimitError, match="overflow"):
+        P.pmul(big, wide, LAYOUT)
+    assert P.pmul(big, {LAYOUT.var_mono(2, 12767): 1, 0: -1}, LAYOUT)
+
+
 def test_pow_matches_repeated_mul():
     rng = random.Random(4)
     for _ in range(10):

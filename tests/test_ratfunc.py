@@ -1,6 +1,7 @@
 """Rational functions with interned denominator factors: canonical form,
 field laws, and exact cancellation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from conftest import canonical_invariants
 
 from hypersym import verify
 from hypersym.catalog import Catalog
-from hypersym.errors import DivisionByZeroError
+from hypersym.errors import DivisionByZeroError, SizeLimitError
 from hypersym.expr import normal as N
 from hypersym.expr import poly as P
 from hypersym.expr import ratfunc as R
@@ -133,6 +134,73 @@ def test_sum_and_scale(ctx):
     assert R.rf_equal(ctx, R.rf_scale(ctx, a, Fraction(-3, 2)),
                       R.rf_mul(ctx, R.rf_const(ctx, Fraction(-3, 2)), a))
     assert R.rf_add(ctx, a, R.rf_neg(ctx, a)).is_zero()
+
+
+def ref_rf_sum(ctx, items):
+    """rf_sum before summands were collected by denominator: each summand
+    multiplied by its own cofactor over the lcm, then added into the total."""
+    items = [a for a in items if not a.is_zero()]
+    if not items:
+        return R.rf_zero(ctx)
+    if len(items) == 1:
+        a = items[0]
+        return R.rf_make(ctx, a.num, a.den_scalar, a.den_factors)
+    lay = ctx.layout
+    s, fmax = 1, {}
+    for a in items:
+        s = math.lcm(s, a.den_scalar)
+        for f, e in a.den_factors:
+            if e > fmax.get(f.fid, (f, 0))[1]:
+                fmax[f.fid] = (f, e)
+    total = {}
+    for a in items:
+        have = {f.fid: e for f, e in a.den_factors}
+        term = a.num
+        for fid, (f, e) in fmax.items():
+            if e > have.get(fid, 0):
+                term = P.pmul(term, P.ppow(f.poly, e - have.get(fid, 0), lay), lay)
+        P.padd_inplace(total, term, s // a.den_scalar)
+    return R.rf_make(ctx, total, s, tuple(fe for _, fe in sorted(fmax.items())))
+
+
+def rf_fields(a):
+    return sorted(a.num.items()), a.den_scalar, a.den_factors
+
+
+def test_sum_by_denominator_matches_per_summand_sum(ctx):
+    rng = random.Random(41)
+    for _ in range(40):
+        items = [rand_rf(ctx, rng) for _ in range(rng.randint(1, 7))]
+        # unreduced products over shared denominators, as normal forms sum them
+        items += [R.RatFunc(P.pmul(a.num, b.num, ctx.layout), *R.den_mul(a, b))
+                  for a, b in zip(items, items[1:])]
+        rng.shuffle(items)
+        assert rf_fields(R.rf_sum(ctx, items)) == rf_fields(ref_rf_sum(ctx, items))
+    # two summands over one denominator cancel exactly; the third keeps the
+    # lcm larger than its own denominator
+    a = R.rf_mul(ctx, rf_of(ctx, "u1 + 2"),
+                 R.rf_inverse(ctx, rf_of(ctx, "2*u2*(u1 + u2)")))
+    b = R.rf_mul(ctx, rf_of(ctx, "v1"), R.rf_inverse(ctx, rf_of(ctx, "3*u1^2")))
+    for items in ([a, R.rf_neg(ctx, a), b], [b, a, R.rf_neg(ctx, a)],
+                  [a, R.rf_neg(ctx, a)]):
+        got = R.rf_sum(ctx, items)
+        assert rf_fields(got) == rf_fields(ref_rf_sum(ctx, items))
+    assert rf_fields(R.rf_sum(ctx, [a, R.rf_neg(ctx, a), b])) == rf_fields(b)
+
+
+def test_sum_keeps_the_exponent_limit():
+    # u1^16000 brought over the denominator u1^20000 + 1 overflows the
+    # packed exponent of u1
+    ctx = default_context()
+    lay = ctx.layout
+    u1 = ctx.base("u1").index
+    _, f = R.intern_factor(ctx, {lay.var_mono(u1, 20000): 1, 0: 1})
+    items = [R.RatFunc({0: 1}, 1, ((f, 1),)),
+             R.RatFunc({lay.var_mono(u1, 16000): 1}, 1, ())]
+    with pytest.raises(SizeLimitError, match="overflow"):
+        R.rf_sum(ctx, items)
+    with pytest.raises(SizeLimitError, match="overflow"):
+        ref_rf_sum(ctx, items)
 
 
 def ref_rf_scale(ctx, a, q):

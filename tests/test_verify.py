@@ -4,6 +4,7 @@ order-reduction conditions, ODE checks, and parameter forcing."""
 import gc
 import hashlib
 import math
+import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -508,3 +509,52 @@ def test_a_verdict_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def count_poly_work(monkeypatch):
+    """Wrap poly.pmul, poly.pmul_into and poly.pdiv_exact wherever a
+    hypersym module binds them: term products len(a) * len(b) of the
+    outermost multiplication (pmul runs on pmul_into), and division calls."""
+    work = {"products": 0, "pdiv_exact": 0}
+    depth = [0]
+
+    def multiply(real, first):
+        def counted(*args, **kwargs):
+            a, b = args[first:first + 2]
+            if not depth[0]:
+                work["products"] += len(a) * len(b)
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    def divide(*args):
+        work["pdiv_exact"] += 1
+        return real_pdiv(*args)
+
+    real_pdiv = P.pdiv_exact
+    wrapped = {id(P.pmul): multiply(P.pmul, 0),
+               id(P.pmul_into): multiply(P.pmul_into, 1),
+               id(P.pdiv_exact): divide}
+    for name, mod in list(sys.modules.items()):
+        if name == "hypersym" or name.startswith("hypersym."):
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in wrapped:
+                    monkeypatch.setattr(mod, attr, wrapped[id(obj)])
+    return work
+
+
+def test_audit_pass_term_products(monkeypatch):
+    """The work counter behind the exact route's speed: the 12 claims
+    exact, then the 6 transforms.  Each coefficient is summed by
+    denominator, with one cofactor product per distinct denominator, not
+    one per summand: 157,455 term products before, 131,737 now.  The trial
+    divisions are those of the same numerators, so their count stays."""
+    cat = Catalog(ctx=default_context())
+    work = count_poly_work(monkeypatch)
+    reports = verify.verify_all(cat, samples=0, jobs=1)
+    assert all(r.residual_is_zero for r in reports)
+    assert all(r.ok for r in transforms.check_all(cat))
+    assert work == {"products": 131737, "pdiv_exact": 5481}
