@@ -10,15 +10,16 @@ equality and the zero test is exact.
 Coefficients are reduced once per result, not once per term product:
 nf_sum_products adds each term product, unreduced, into the numerator sum
 of its algebraic monomial and its denominator, rewriting symbol powers over
-their degree first.  Each monomial's sums are then brought over their lcm
-with one cofactor product per distinct denominator and reduced with one
-rf_make (ratfunc.rf_sum_by_den).  A result may be a whole sum of products,
-such as the determining residual (the mixed derivative's chain-rule
-products and the three lower-order products of
-verify.determining_residual), which is then reduced once, not once per
-operation.  That gives the form that reducing
-every step gives, because on the square-free, pairwise coprime factor base
-a reduced rational function is unique (see ratfunc).
+their degree first.  Partials (a, v, r) go in the same way: the unreduced
+quotient-rule and chain-rule terms of da/dv, each times every term of r, so
+a total derivative sum_v (da/dv) D(v) (jet.NFJet) is reduced once, not once
+per partial and again per product.  Each monomial's sums are then brought
+over their lcm with one cofactor product per distinct denominator and
+reduced with one rf_make (ratfunc.rf_sum_by_den).  A result may be a whole
+sum, such as the determining residual of verify.determining_residual, which
+is then reduced once.  That gives the form that reducing every step gives,
+because on the square-free, pairwise coprime factor base a reduced rational
+function is unique (see ratfunc).
 
 Inverses are computed by the extended Euclidean algorithm in K[s]/(m(s)),
 where s is the highest registered symbol occurring in the operand and K is
@@ -231,15 +232,18 @@ def nf_scale(ctx: Context, a: NF, q) -> NF:
     return {m: R.rf_scale(ctx, c, q) for m, c in a.items()}
 
 
-def nf_sum_products(ctx: Context, pairs) -> NF:
-    """The sum of a * b over the pairs (a, b).  Every term product is formed
-    unreduced and collected by algebraic monomial, and each coefficient of
-    the result is reduced once."""
+def nf_sum_products(ctx: Context, pairs, partials=()) -> NF:
+    """The sum of a * b over the pairs (a, b), plus (da/dv) * r over the
+    partials (a, v, r).  Every term product and every quotient-rule and
+    chain-rule term is formed unreduced and collected by algebraic
+    monomial, and each coefficient of the result is reduced once."""
     sums: Sums = {}
     for a, b in pairs:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 _collect(ctx, sums, ma + mb, ca, cb)
+    for a, var_name, rule in partials:
+        _collect_partial(ctx, sums, a, var_name, rule)
     return _reduce_groups(ctx, sums)
 
 
@@ -417,9 +421,12 @@ def deriv_nf(ctx: Context, name: str) -> NF:
     return nf
 
 
-def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
-    """Partial derivative w.r.t. a base variable, with chain rules through
-    every registered symbol whose argument is that variable."""
+def _collect_partial(ctx: Context, sums: Sums, a: NF, var_name: str,
+                     rule: Optional[NF] = None) -> None:
+    """Add the unreduced terms of (da/dvar) * rule (rule None: 1) into the
+    sums: the quotient-rule terms of each coefficient, and its chain-rule
+    terms through every registered symbol whose argument is var, each
+    formed once and then multiplied by every term of rule."""
     var_name = ctx.resolve(var_name)
     v = ctx.base(var_name)
     if v.kind == PARAM:
@@ -428,22 +435,30 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
     vi = v.index
     lay = ctx.alg_layout
     chained = ctx.symbols_with_arg(var_name)
-    sums: Sums = {}
+    rule_terms = ((0, None),) if rule is None else rule.items()
     for m, c in a.items():
-        for t in R.rf_partial_terms(ctx, c, vi):
-            _collect(ctx, sums, m, t)
+        terms = [(m, t) for t in R.rf_partial_terms(ctx, c, vi)]
         for s in chained:
-            if s.kind == ALG:
-                e = lay.exp(m, s.index)
-                if e == 0:
-                    continue
-                mf, cf = m - lay.unit(s.index), R.rf_scale(ctx, c, e)
+            if s.kind != ALG:  # a transcendental symbol is a base variable
+                outer = [(m, t) for t in R.rf_partial_terms(ctx, c, s.index)]
             else:
-                mf, cf = m, R.rf_sum(ctx, R.rf_partial_terms(ctx, c, s.index))
-                if cf.is_zero():
-                    continue
-            for mb, cb in deriv_nf(ctx, s.name).items():
-                _collect(ctx, sums, mf + mb, cf, cb)
+                e = lay.exp(m, s.index)
+                outer = [(m - lay.unit(s.index), R.rf_scale(ctx, c, e))] if e else []
+            for mf, cf in outer:
+                for mb, cb in deriv_nf(ctx, s.name).items():
+                    terms.append((mf + mb, RatFunc(
+                        P.pmul(cf.num, cb.num, ctx.layout, ctx.max_terms),
+                        *R.den_mul(cf, cb))))
+        for mt, t in terms:
+            for mr, cr in rule_terms:
+                _collect(ctx, sums, mt + mr, t, cr)
+
+
+def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
+    """Partial derivative w.r.t. a base variable, with chain rules through
+    every registered symbol whose argument is that variable."""
+    sums: Sums = {}
+    _collect_partial(ctx, sums, a, var_name)
     return _reduce_groups(ctx, sums)
 
 

@@ -7,17 +7,17 @@ against swap_xy(F).  Each constructor checks the free names of its tree.
 Mixed derivatives are never materialized: D_x(v_1) = F, D_x(v_j) =
 D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
 tables memoized per equation.  NFJet takes them on normal forms, for the
-exact residuals and the transform checks.  On trees, JetEngine and
-partial are adapters over the one
-derivative engine of the numeric oracle, numeval._Jet, which takes them
-on hash-consed ops: a tree is imported into a table of ops, derived there
-(equal subterms are differentiated once) and read back as a tree.  NFJet
-and _Jet read the same rules (every symbol's chain rule from
-Context.chain, every jet variable's from Context.jet_rule) and never go
-through each other's terms, so the oracle stays independent of the
-normal-form route it checks.  nf_jet keeps one NFJet per context and F,
-and nf_flow one NFFlow (the half of the residual that does not read F)
-per context and G, so the tables of an equation and the derivatives of
+exact residuals and the transform checks, and reduces each D_axis(a) =
+sum_v (da/dv) D_axis(v) once, as one sum.  On trees, JetEngine and partial
+are adapters over the one derivative engine of the numeric oracle,
+numeval._Jet, which takes them on hash-consed ops: a tree is imported into
+a table of ops, derived there (equal subterms are differentiated once) and
+read back as a tree.  NFJet and _Jet read the same rules (every symbol's
+chain rule from Context.chain, every jet variable's from Context.jet_rule)
+and never go through each other's terms, so the oracle stays independent
+of the normal-form route it checks.  nf_jet keeps one NFJet per context
+and F, and nf_flow one NFFlow (the half of the residual that does not read
+F) per context and G, so the tables of an equation and the derivatives of
 a flow are built once however many partners they are paired with.
 """
 
@@ -122,8 +122,10 @@ class NFJet:
 
     Same reduction rules as JetEngine, but every rule and result is a normal
     form, so large residuals are expanded incrementally instead of as one
-    giant tree.  The tables D_x^k F and D_y^k F and the partials of F are
-    memoized; nf_jet shares one NFJet per F and context across verdicts.
+    giant tree.  d_x and d_y reduce each derivative once, from the unreduced
+    terms of every partial times its rule (partial_rules).  The tables
+    D_x^k F and D_y^k F and the partials of F are memoized; nf_jet shares
+    one NFJet per F and context across verdicts.
     """
 
     def __init__(self, eq: HyperbolicEq):
@@ -159,12 +161,17 @@ class NFJet:
         return self.dyk_F(r) if axis == "x" else self.dxk_F(r)
 
     def d_x(self, a):
-        ctx = self.ctx
-        return N.nf_sum_products(ctx, self.pair_rules(nf_partials(ctx, a), "x"))
+        return N.nf_sum_products(self.ctx, (), self.partial_rules(a, "x"))
 
     def d_y(self, a):
-        ctx = self.ctx
-        return N.nf_sum_products(ctx, self.pair_rules(nf_partials(ctx, a), "y"))
+        return N.nf_sum_products(self.ctx, (), self.partial_rules(a, "y"))
+
+    def partial_rules(self, a, axis: str) -> List[tuple]:
+        """The triples (a, v, D_axis v), over the variables v of a, whose
+        terms (da/dv) * D_axis v sum to D_axis a; nf_sum_products collects
+        them unreduced, so D_axis a is reduced once."""
+        rules = [(nm, self._rule(axis, nm)) for nm in partial_vars(self.ctx, a)]
+        return [(a, nm, r) for nm, r in rules if r]
 
     def pair_rules(self, partials: Dict[str, object], axis: str) -> List[tuple]:
         """The pairs (da/dv, D_axis v), over the partials {v: da/dv} of a
@@ -177,9 +184,9 @@ class NFJet:
         return pairs
 
 
-def nf_partials(ctx: Context, a) -> Dict[str, object]:
-    """The nonzero partials {v: da/dv} of a normal form, in sorted order of
-    the jet and auxiliary variables of a and the arguments of its symbols."""
+def partial_vars(ctx: Context, a) -> List[str]:
+    """The variables a normal form may depend on, sorted: its jet and
+    auxiliary variables and the arguments of its symbols."""
     names = set()
     for nm in N.nf_free_vars(ctx, a):
         link = ctx.chain(nm)
@@ -188,7 +195,12 @@ def nf_partials(ctx: Context, a) -> Dict[str, object]:
                 names.add(link[0])
         elif ctx.base(nm).kind in (XJET, YJET, AUX):
             names.add(nm)
-    partials = {nm: N.nf_partial(ctx, a, nm) for nm in sorted(names)}
+    return sorted(names)
+
+
+def nf_partials(ctx: Context, a) -> Dict[str, object]:
+    """The nonzero partials {v: da/dv} of a normal form, over partial_vars."""
+    partials = {nm: N.nf_partial(ctx, a, nm) for nm in partial_vars(ctx, a)}
     return {nm: p for nm, p in partials.items() if p}
 
 

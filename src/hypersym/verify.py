@@ -16,10 +16,12 @@ mixed derivative D_xD_yH in whichever order its size estimate says is
 cheaper; on the square-free factor base both orders give the same normal
 form.  H, D_xH and their partials do not read F: they come from the flow's
 record (jet.nf_flow), and only their pairing with F's rules is made per
-pair.  The numeric cross-check in verify_pair rebuilds the residual as a
-float program (numeval.residual_program), differentiated on its own ops
-from the trees of F and G, so its independence rests on sharing no code
-and no normal form with the exact route, not on the derivative order.  The
+pair.  On the D_x(D_yH) route the partials of D_yH are not made: their
+unreduced terms times their rules go into the sum that gives R.  The
+numeric cross-check in verify_pair rebuilds the residual as a float
+program (numeval.residual_program), differentiated on its own ops from the
+trees of F and G, so its independence rests on sharing no code and no
+normal form with the exact route, not on the derivative order.  The
 program always takes D_x(D_yH), as the tree route it replaced did, so the
 sampled values do not move.
 """
@@ -43,7 +45,7 @@ from .expr.ratfunc import RatFunc, over_lcm, rf_from_poly
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
 from .jet import (EvolutionEq, HyperbolicEq, nf_flow, nf_jet,  # noqa: F401
-                  nf_partials, partial, swap_xy)
+                  partial, swap_xy)
 
 DEFAULT_TOL = 1e-9
 
@@ -86,16 +88,16 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     # 1.79-1.93 s for D_y(D_xH) alone.
     tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
     if 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables:
-        mixed = nfj.pair_rules(nf_partials(ctx, dyH), "x")
+        mixed, dx_of_dyH = [], nfj.partial_rules(dyH, "x")
     else:
-        mixed = nfj.pair_rules(flow.dx_partials, "y")
-    # R is reduced once: the mixed derivative's products and the three
-    # lower-order ones are summed unreduced, and each coefficient is
+        mixed, dx_of_dyH = nfj.pair_rules(flow.dx_partials, "y"), []
+    # R is reduced once: the mixed derivative's terms and the three
+    # lower-order products are summed unreduced, and each coefficient is
     # reduced at the end (the reduced form is unique, see normal).
     return N.nf_sum_products(ctx, mixed + [
         (N.nf_neg(ctx, nfj.partial_F("u1")), dxH),
         (N.nf_neg(ctx, nfj.partial_F("v1")), dyH),
-        (N.nf_neg(ctx, nfj.partial_F("u")), H)])
+        (N.nf_neg(ctx, nfj.partial_F("u")), H)], dx_of_dyH)
 
 
 # ---------------------------------------------------------------------------

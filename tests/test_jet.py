@@ -10,7 +10,8 @@ from hypersym.errors import HypersymError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.parser import parse
-from hypersym.jet import EvolutionEq, HyperbolicEq, JetEngine, NFJet, swap_xy
+from hypersym.jet import (EvolutionEq, HyperbolicEq, JetEngine, NFJet,
+                          nf_jet, nf_partials, swap_xy)
 
 
 def nf(ctx, e):
@@ -168,6 +169,32 @@ def test_fresh_engine_first_derivatives(tz):
                       nf(ctx, "u2"))
     assert N.nf_equal(ctx, nf(ctx, JetEngine(tz).d_y(parse("u1", ctx))),
                       nf(ctx, tz.F))
+
+
+def nf_factors(a):
+    """A normal form with each denominator as its factor ids and powers, so
+    that equal forms compare equal factor for factor."""
+    return {m: (c.num, c.den_scalar, [(f.fid, e) for f, e in c.den_factors])
+            for m, c in a.items()}
+
+
+def two_step_total(nfj, a, axis):
+    """D_axis a in two reductions: each partial of a reduced on its own,
+    then the products with the rules reduced again."""
+    ctx = nfj.ctx
+    return N.nf_sum_products(ctx, nfj.pair_rules(nf_partials(ctx, a), axis))
+
+
+@pytest.mark.parametrize("hid", ["hyp3", "S3", "S6", "final4"])
+def test_fused_tables_match_the_two_step_route(catalog, hid):
+    # NFJet.d_x/d_y reduce D_axis a once, from the unreduced terms of every
+    # partial times its rule; the tables D_x^kF (k <= 4) and D_y^kF
+    # (k <= 2) must equal the route that reduces every partial first
+    nfj = nf_jet(catalog.get(hid))
+    for axis, table, top in (("x", nfj.dxk_F, 4), ("y", nfj.dyk_F, 2)):
+        for k in range(1, top + 1):
+            want = two_step_total(nfj, table(k - 1), axis)
+            assert nf_factors(table(k)) == nf_factors(want), (axis, k)
 
 
 def test_swap_xy_basics(ctx):

@@ -202,6 +202,30 @@ def test_partial_product_rule(ctx):
             assert N.nf_equal(ctx, lhs, rhs)
 
 
+def test_partial_times_a_rule_is_reduced_once(ctx):
+    # the quotient-rule and chain-rule terms of da/dv, collected unreduced
+    # times every term of a rule, give the product of the reduced partial
+    # and the rule, factor for factor
+    rng = random.Random(25)
+    for _ in range(25):
+        a = nf(ctx, random_expr(rng, TOWER_NAMES, 3))
+        rule = nf(ctx, random_expr(rng, TOWER_NAMES, 2))
+        for var in ("u1", "v1", "u"):
+            got = N.nf_sum_products(ctx, (), [(a, var, rule)])
+            want = N.nf_mul(ctx, N.nf_partial(ctx, a, var), rule)
+            assert nf_struct_equal(got, want)
+
+
+def test_partial_wrt_a_parameter_raises(ctx):
+    # the relation of fa reads the parameter a, so no partial w.r.t. a is
+    # defined, alone or times a rule, even of a form that does not read a
+    for a in (nf(ctx, "a*u1 + fa"), {}):
+        with pytest.raises(ValueError, match="parameter 'a'"):
+            N.nf_partial(ctx, a, "a")
+        with pytest.raises(ValueError, match="parameter 'a'"):
+            N.nf_sum_products(ctx, (), [(a, "a", nf(ctx, "u2"))])
+
+
 def test_inverse_in_the_tower(ctx):
     one = N.nf_const(ctx, 1)
     for text in ("f(u1) + u1", "sqrt(u1) + 1", "2*f(u1)", "fa(uy + b)",

@@ -20,7 +20,7 @@ from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
 from hypersym.jet import (EvolutionEq, HyperbolicEq, NFJet, nf_flow, nf_jet,
-                          swap_xy)
+                          nf_partials, swap_xy)
 
 # pairings whose residual must be exactly zero, with their bindings
 ZERO_PAIRS = [
@@ -417,6 +417,42 @@ def test_mixed_derivative_does_not_depend_on_order(catalog, hid, eid,
     assert _nf_shape(yx) == _nf_shape(xy)
 
 
+def two_step_residual(F, G):
+    """determining_residual with every partial of D_yH reduced on its own
+    before its product with the rule, as it was composed before the
+    partials were fused with their rules.  Returns (whether the mixed
+    derivative took D_x(D_yH), R)."""
+    ctx = F.ctx
+    nfj, flow = nf_jet(F), nf_flow(G)
+    H, dxH = flow.H, flow.dxH
+    dyH = N.nf_sum_products(ctx, nfj.pair_rules(flow.partials, "y"))
+    tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
+    x_first = 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables
+    if x_first:
+        mixed = nfj.pair_rules(nf_partials(ctx, dyH), "x")
+    else:
+        mixed = nfj.pair_rules(flow.dx_partials, "y")
+    return x_first, N.nf_sum_products(ctx, mixed + [
+        (N.nf_neg(ctx, nfj.partial_F("u1")), dxH),
+        (N.nf_neg(ctx, nfj.partial_F("v1")), dyH),
+        (N.nf_neg(ctx, nfj.partial_F("u")), H)])
+
+
+@pytest.mark.parametrize("hid,eid,x_first", [
+    ("S3", "ev21", False),
+    ("final4", "ev21", True),
+    ("S4", "ev18", True),
+])
+def test_residual_matches_the_two_step_route(catalog, hid, eid, x_first):
+    """On the D_x(D_yH) route the terms of D_x(D_yH) go unreduced into the
+    sum that gives R; R must equal the two-step composition factor for
+    factor, on that route and on D_y(D_xH)."""
+    F, G = get_pair(catalog, hid, eid, {})
+    took_x_first, want = two_step_residual(F, G)
+    assert took_x_first == x_first
+    assert _nf_shape(verify.determining_residual(F, G)) == _nf_shape(want)
+
+
 PAIRS_195 = Path(__file__).parent / "data" / "verify_pairs_195.sha256"
 
 
@@ -550,11 +586,15 @@ def test_audit_pass_term_products(monkeypatch):
     """The work counter behind the exact route's speed: the 12 claims
     exact, then the 6 transforms.  Each coefficient is summed by
     denominator, with one cofactor product per distinct denominator, not
-    one per summand: 157,455 term products before, 131,737 now.  The trial
-    divisions are those of the same numerators, so their count stays."""
+    one per summand (157,455 term products before, 131,737 after).  Each
+    total derivative is then reduced once, not once per partial and again
+    after the products with the rules: trial divisions fell from 5,481 to
+    2,651, and term products rose to 138,583, because the unreduced
+    quotient-rule and chain-rule terms, larger than the reduced partial,
+    are what is multiplied by the rules."""
     cat = Catalog(ctx=default_context())
     work = count_poly_work(monkeypatch)
     reports = verify.verify_all(cat, samples=0, jobs=1)
     assert all(r.residual_is_zero for r in reports)
     assert all(r.ok for r in transforms.check_all(cat))
-    assert work == {"products": 131737, "pdiv_exact": 5481}
+    assert work == {"products": 138583, "pdiv_exact": 2651}
