@@ -234,7 +234,6 @@ class Catalog:
     def __init__(self, extra_paths: Sequence[str] = (),
                  ctx: Optional[Context] = None):
         self.ctx = ctx or std_context()
-        self.paths: List[str] = []  # every load_path argument, in order
         self.entries: Dict[str, CatalogEntry] = {}
         self.transform_texts: Dict[str, Dict[str, object]] = {}
         self._pairings: List[PairingClaim] = []
@@ -257,7 +256,6 @@ class Catalog:
 
     def load_path(self, path: str) -> None:
         """Load one extra catalog file or every *.txt file in a directory."""
-        self.paths.append(path)
         if os.path.isdir(path):
             for name in sorted(os.listdir(path)):
                 if name.endswith(".txt"):

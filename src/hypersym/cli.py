@@ -300,9 +300,7 @@ def _cmd_transform(args: argparse.Namespace, catalog: Catalog) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, catalog: Catalog) -> int:
-    p = numeval.sample_point(ctx=catalog.ctx,
-                             constraints=dict(args.param) or None,
-                             seed=args.seed)
+    p = numeval.sample_point(catalog.ctx.bind(dict(args.param)), args.seed)
     lines = [f"seed = {p.seed}"]
     for name in sorted(p.assignment):
         lines.append(f"{name} = {p.assignment[name]!r}")

@@ -26,9 +26,9 @@ relation becomes reducible is refused when a normal form first uses it
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..errors import JetOrderError, UnknownNameError
+from ..errors import AdmissibilityError, JetOrderError, UnknownNameError
 from . import tree
 from .poly import Layout
 from .tree import Const, Expr, Name
@@ -242,7 +242,18 @@ class Context:
 
     # -- parameter binding ---------------------------------------------------
 
-    def bind(self, bindings: Dict[str, Fraction]) -> "Context":
+    def param_values(self, bindings: Mapping[str, object]) -> Dict[str, Fraction]:
+        """The bindings as exact rationals; a name that is not a parameter
+        raises UnknownNameError."""
+        out: Dict[str, Fraction] = {}
+        for k, v in bindings.items():
+            d = self._defs.get(k)
+            if d is None or d.kind != PARAM:
+                raise UnknownNameError(f"{k!r} is not a bindable parameter")
+            out[k] = Fraction(v)
+        return out
+
+    def bind(self, bindings: Mapping[str, object]) -> "Context":
         """A derived context with parameters fixed to exact rationals.
 
         Symbol derivative rules and minimal polynomials have the binding
@@ -253,18 +264,22 @@ class Context:
         fa -> fy and fax -> f; at b = 0, fb -> fa and rb -> ry.  A relation
         the binding makes reducible (sc at a rational square c, the fa
         cubics at a = 0) is refused by the first normal form that uses its
-        symbol, with AdmissibilityError.
+        symbol, with AdmissibilityError.  A parameter bound already keeps
+        its value: binding it again to that value changes nothing, and to
+        another raises AdmissibilityError.
         """
-        items = tuple(sorted((k, Fraction(v)) for k, v in bindings.items()))
+        values = self.param_values(bindings)
+        for k, v in values.items():
+            if self.bound.get(k, v) != v:
+                raise AdmissibilityError(
+                    f"{k} is bound to {self.bound[k]}, not {v}")
+        items = tuple(sorted((k, v) for k, v in values.items()
+                             if k not in self.bound))
         if not items:
             return self
         cached = self._bind_cache.get(items)
         if cached is not None:
             return cached
-        for k, _ in items:
-            v = self._defs.get(k)
-            if v is None or v.kind != PARAM:
-                raise UnknownNameError(f"{k!r} is not a bindable parameter")
         subs = {k: Const(v) for k, v in items}
         ctx = Context(self.max_x_jet, self.max_y_jet, self.max_terms)
         for d in self._defs.values():

@@ -598,23 +598,11 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
     return SamplePoint(assignment=a, seed=seed, relation_residuals=relations)
 
 
-def sample_point(ctx: Optional[Context] = None,
-                 constraints: Optional[Mapping[str, object]] = None,
-                 seed: int = 0) -> SamplePoint:
-    """Draw a consistent assignment for every variable and symbol.
-
-    constraints pins parameter values (Fractions, ints, or floats).  A bound
-    context contributes its own bindings; conflicting pins are an error.
-    """
+def sample_point(ctx: Optional[Context] = None, seed: int = 0) -> SamplePoint:
+    """Draw a consistent assignment for every variable and symbol.  The
+    parameters bound on ctx (Context.bind) are pinned to their values."""
     ctx = ctx or std_context()
-    pinned: Dict[str, float] = {}
-    bound = getattr(ctx, "bound", None) or {}
-    for src in (bound, constraints or {}):
-        for k, v in src.items():
-            fv = float(Fraction(v)) if not isinstance(v, float) else v
-            if k in pinned and pinned[k] != fv:
-                raise SampleError(f"conflicting pinned values for {k}")
-            pinned[k] = fv
+    pinned = {k: float(v) for k, v in ctx.bound.items()}
     rng = random.Random(seed)
     last: Optional[SampleError] = None
     for _ in range(MAX_ATTEMPTS):
@@ -664,7 +652,7 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
             # drawn only now, so a bad point raises where it would unkept;
             # a draw that raises keeps nothing, and the children come from
             # a fresh rng, so the kept points stay a fresh context's
-            points.append(sample_point(ctx, None, child).assignment)
+            points.append(sample_point(ctx, child).assignment)
         value, *contribs = _run(e.ops, e.roots, points[k])
         scale = max(map(abs, contribs), default=0.0)
         residuals.append(abs(value) / (1.0 + scale))
@@ -697,7 +685,7 @@ def fd_checks(ctx: Optional[Context] = None,
     """
     ctx = ctx or std_context()
     if p is None:
-        p = sample_point(ctx, None, 0)
+        p = sample_point(ctx, 0)
     h = FD_STEP
     out: List[FDCheck] = []
     for v, fn in _closed_forms(ctx):

@@ -58,7 +58,6 @@ class TransformDef:
     unknowns: Tuple[str, ...]
     investigative: bool
     provenance: str
-    path: str
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -110,7 +109,6 @@ def load_transforms(catalog: Catalog) -> Dict[str, TransformDef]:
             unknowns=unknowns,
             investigative="investigative" in flags.split(),
             provenance=str(fields.get("provenance", "")),
-            path=str(fields.get("path", "")),
         )
         _validate_relations(t, catalog.ctx)
         out[t.id] = t

@@ -37,7 +37,7 @@ from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
 from .expr import normal as N
 from .expr import tree
-from .expr.context import PARAM, XJET, YJET, Context, default_context, std_context
+from .expr.context import PARAM, XJET, YJET, Context, std_context
 from .expr.parser import print_expr
 # pmul: unused, kept as the alias perfbench/selftest.py checks is traced
 from .expr.poly import Layout, Poly, pmul  # noqa: F401
@@ -460,9 +460,10 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
 def conditions_hold(conditions: Sequence[Tuple[str, Expr]],
                     bindings: Dict[str, object],
                     ctx: Optional[Context] = None) -> bool:
-    """Substitute a candidate parameter binding into every condition."""
+    """Substitute a candidate parameter binding into every condition; a
+    name that is not a parameter raises UnknownNameError."""
     ctx = ctx or std_context()
-    subs = {k: tree.Const(Fraction(v)) for k, v in bindings.items()}
+    subs = {k: tree.Const(v) for k, v in ctx.param_values(bindings).items()}
     for _mono, cond in conditions:
         val = N.normalize(ctx, tree.substitute(cond, subs))
         if not N.nf_is_zero(val):
@@ -486,9 +487,9 @@ def verify_claim(catalog: Catalog, claim: PairingClaim, samples: int = 0,
 _WORKER_CATALOG: Optional[Catalog] = None
 
 
-def _worker_init(paths: Tuple[str, ...], limits: Tuple[int, int, int]) -> None:
+def _worker_init(catalog: Catalog) -> None:
     global _WORKER_CATALOG
-    _WORKER_CATALOG = Catalog(paths, ctx=default_context(*limits))
+    _WORKER_CATALOG = catalog
 
 
 def _worker_run(args) -> VerificationReport:
@@ -500,12 +501,11 @@ def verify_all(catalog: Catalog, samples: int = 0, seed: int = 0,
                tol: float = DEFAULT_TOL,
                jobs: int = 0) -> List[VerificationReport]:
     """Verify every pairing claim of catalog, deterministically ordered by
-    pairing id.  With jobs <= 1 the catalog itself is verified in this
-    process; jobs > 1 fans the independent checks out over processes, each
-    of which rebuilds the catalog from its recorded sources (catalog.paths)
-    on a standard context with the limits of catalog.ctx (max_x_jet,
-    max_y_jet, max_terms).  The output order does not depend on
-    completion order."""
+    pairing id.  With jobs <= 1 the catalog is verified in this process;
+    jobs > 1 fans the independent checks out over processes, each of which
+    verifies a copy of the catalog (inherited under fork, pickled once per
+    worker otherwise), so nothing is loaded again.  The output order does
+    not depend on completion order."""
     claims = sorted(catalog.pairings(), key=lambda c: c.key)
     if jobs <= 0:
         import os
@@ -513,9 +513,6 @@ def verify_all(catalog: Catalog, samples: int = 0, seed: int = 0,
     if jobs <= 1 or len(claims) <= 1:
         return [verify_claim(catalog, c, samples, seed, tol) for c in claims]
     import multiprocessing as mp
-    ctx = catalog.ctx
-    with mp.Pool(processes=min(jobs, len(claims)),
-                 initializer=_worker_init,
-                 initargs=(tuple(catalog.paths),
-                           (ctx.max_x_jet, ctx.max_y_jet, ctx.max_terms))) as pool:
+    with mp.Pool(processes=min(jobs, len(claims)), initializer=_worker_init,
+                 initargs=(catalog,)) as pool:
         return pool.map(_worker_run, [(c, samples, seed, tol) for c in claims])

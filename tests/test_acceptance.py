@@ -138,7 +138,7 @@ def test_criterion_08_derivative_rule_oracle(ctx):
     relative 1e-6 at 20 seeded points each."""
     for name in ("f", "fa", "P"):
         for seed in range(FD_POINTS):
-            p = numeval.sample_point(ctx, None, seed=1000 + seed)
+            p = numeval.sample_point(ctx, seed=1000 + seed)
             row = next(c for c in numeval.fd_checks(ctx, p)
                        if c.name == name)
             assert row.rel_error < FD_REL_TOL, (name, seed, row.rel_error)

@@ -217,6 +217,16 @@ def test_sample_deterministic(capsys):
     assert float(block["max_relation_residual"]) < 1e-12
 
 
+@pytest.mark.parametrize("param", ["zzz=1", "u1=2", "fa=1"])
+def test_sample_pins_only_parameters(capsys, param):
+    # --param binds the context, as verify's does: a name that is not a
+    # parameter is an error, not a point drawn with nothing pinned
+    code, out, err = run(capsys, "sample", "--param", param)
+    name = param.partition("=")[0]
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {name!r} is not a bindable parameter"
+
+
 def test_verify_all_round_trips_field_for_field(capsys, catalog):
     code, out, _ = run(capsys, "--format", "structured",
                        "verify-all", "--samples", "3", "--seed", "4",

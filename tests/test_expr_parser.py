@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersym.errors import ParseError
+from hypersym.errors import CyclicBindingError, ParseError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.parser import parse, print_expr
@@ -155,3 +155,13 @@ def test_printed_text_is_pinned(ctx, e, text):
 def test_print_is_deterministic(ctx):
     e = parse("5*mu*(u1 + f(u1))^2*u3 + u2^4/f(u1)^6", ctx)
     assert print_expr(e, ctx) == print_expr(e, ctx)
+
+
+def test_substitute_rejects_cycles_but_not_shifts():
+    """Bindings that mention each other would give a result that depends on
+    the order of a one-pass substitution; a binding that mentions its own
+    name is a shift and substitutes once."""
+    u, u1, u2, b = Name("u"), Name("u1"), Name("u2"), Name("b")
+    with pytest.raises(CyclicBindingError, match="substitution cycle"):
+        tree.substitute(u1 + u2, {"u1": u2, "u2": u1})
+    assert tree.substitute(u * u1, {"u": u - b}) == (u - b) * u1

@@ -10,7 +10,8 @@ import pytest
 
 from hypersym import numeval, verify
 from hypersym.catalog import Catalog
-from hypersym.errors import EvalError, JetOrderError, SampleError
+from hypersym.errors import (AdmissibilityError, EvalError, JetOrderError,
+                             SampleError)
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.context import default_context
@@ -23,7 +24,7 @@ BASE_BAND = (0.5, 2.0)
 
 def test_sample_relations_hold(ctx):
     for seed in (0, 1, 7, 42):
-        p = numeval.sample_point(ctx, None, seed)
+        p = numeval.sample_point(ctx, seed)
         assert p.seed == seed
         worst = max(p.relation_residuals.values(), default=0.0)
         assert worst < 1e-12
@@ -34,7 +35,7 @@ def test_sample_bands_and_signs(ctx):
     jets = ([f"u{k}" for k in range(1, 11)] + ["u"]
             + [f"v{k}" for k in range(1, 7)])
     for seed in range(5):
-        p = numeval.sample_point(ctx, None, seed)
+        p = numeval.sample_point(ctx, seed)
         for name in jets:
             v = abs(p[name])
             assert BASE_BAND[0] <= v <= BASE_BAND[1], (name, p[name])
@@ -45,16 +46,16 @@ def test_sample_bands_and_signs(ctx):
 
 
 def test_sample_reproducible_bit_identical(ctx):
-    a = numeval.sample_point(ctx, None, 5)
-    b = numeval.sample_point(ctx, None, 5)
+    a = numeval.sample_point(ctx, 5)
+    b = numeval.sample_point(ctx, 5)
     assert a.assignment == b.assignment
     assert a.relation_residuals == b.relation_residuals
-    c = numeval.sample_point(ctx, None, 6)
+    c = numeval.sample_point(ctx, 6)
     assert c.assignment != a.assignment
 
 
 def test_sample_respects_pinned_parameters(ctx):
-    p = numeval.sample_point(ctx, {"mu": 0, "a": 2}, 1)
+    p = numeval.sample_point(ctx.bind({"mu": 0, "a": 2}), 1)
     assert p["mu"] == 0.0
     assert p["a"] == 2.0
     # fa's cubic now carries a^3 = 8 exactly
@@ -63,9 +64,17 @@ def test_sample_respects_pinned_parameters(ctx):
 
 
 def test_sample_conflicting_pins_rejected(catalog):
+    """A bound parameter keeps its value: fa's relation says a^3 = 1, so no
+    context may put a = 2 beside it.  The same value binds again."""
     bound = catalog.get("S3", {"a": 1, "b": 0})
-    with pytest.raises(SampleError):
-        numeval.sample_point(bound.ctx, {"a": 2}, 0)
+    with pytest.raises(AdmissibilityError, match="a is bound to 1, not 2"):
+        bound.ctx.bind({"a": 2})
+    assert bound.ctx.bind({"a": 1}) is bound.ctx
+    assert bound.ctx.bind({"a": 1, "mu": 0}) is bound.ctx.bind({"mu": 0})
+    p = numeval.sample_point(bound.ctx, 0)
+    assert p["a"] == 1.0
+    fa, v1 = p["fa"], p["v1"]
+    assert abs((fa + v1) ** 2 * (2 * fa - v1) + 1) < 1e-10
 
 
 def test_cubic_root_sets(ctx):
@@ -81,7 +90,7 @@ def test_cubic_root_sets(ctx):
 
 
 def test_eval_exactness_and_errors(ctx):
-    p = numeval.sample_point(ctx, None, 0)
+    p = numeval.sample_point(ctx, 0)
     e = parse("u1^2 - u1*u1", ctx)
     assert numeval.eval(e, p) == 0.0
     rel = parse("(f(u1) + u1)^2*(2*f(u1) - u1) + 1", ctx)
@@ -94,7 +103,7 @@ def test_eval_exactness_and_errors(ctx):
 
 def test_eval_and_numeric_zero_reject_normal_forms(ctx):
     # the oracle evaluates trees and programs only
-    p = numeval.sample_point(ctx, None, 4)
+    p = numeval.sample_point(ctx, 4)
     nf = N.normalize(ctx, parse("f(u1)^2*u2 - 3/(u1 + 1)", ctx))
     with pytest.raises(EvalError):
         numeval.eval(nf, p)
@@ -131,7 +140,7 @@ def test_exact_numeric_agreement_on_residuals(catalog, ctx):
 
 def test_fd_checks_all_rules(ctx):
     for seed in (0, 3, 11):
-        p = numeval.sample_point(ctx, None, seed)
+        p = numeval.sample_point(ctx, seed)
         rows = numeval.fd_checks(ctx, p)
         names = {c.name for c in rows}
         assert {"f", "fa", "fax", "fy", "r", "ry", "fb", "rb", "P", "E",
@@ -143,7 +152,7 @@ def test_fd_checks_all_rules(ctx):
 def test_fd_checks_chain_through_weierstrass(ctx):
     # P's relation reads W, not u: shifting u moves W by P*h along its own
     # rule, so re-solving P checks dP/du = 6W^2 directly
-    p = numeval.sample_point(ctx, None, 8)
+    p = numeval.sample_point(ctx, 8)
     row = next(c for c in numeval.fd_checks(ctx, p) if c.name == "P")
     assert row.wrt == "u"
     assert row.rel_error < 1e-6
@@ -155,14 +164,14 @@ def test_sc_is_sampled_as_sqrt_c(ctx):
     # sc is solved from its relation like every other symbol, and the
     # solve gives the correctly rounded square root
     for seed in range(200):
-        p = numeval.sample_point(ctx, None, seed)
+        p = numeval.sample_point(ctx, seed)
         assert p["sc"] == math.sqrt(p["c"]), seed
-    p = numeval.sample_point(ctx, {"c": 3}, 0)
+    p = numeval.sample_point(ctx.bind({"c": 3}), 0)
     assert p["c"] == 3.0 and p["sc"] == math.sqrt(3.0)
 
 
 def test_eval_maps_overflow_to_eval_error(ctx):
-    p = numeval.sample_point(ctx, None, 0)
+    p = numeval.sample_point(ctx, 0)
     cases = [
         parse("(u1*10)^400*u1", ctx),                      # float **
         Add((Const(Fraction(10 ** 400)), Name("u1"))),     # float(Fraction)
@@ -293,7 +302,7 @@ def shared_tree(rng, names, depth, pool):
 def test_compiled_eval_matches_walker_bit_for_bit(ctx):
     rng = random.Random(2024)
     names = ["u1", "u2", "v1", "f", "r", "E", "W", "P", "a", "b"]
-    points = [numeval.sample_point(ctx, None, s).assignment for s in range(4)]
+    points = [numeval.sample_point(ctx, s).assignment for s in range(4)]
     seen = {"Add": 0, "other": 0, "value": 0, "error": 0}
     for _ in range(150):
         e = shared_tree(rng, names, 5, [])
@@ -321,7 +330,7 @@ def test_numeric_zero_matches_walker_residuals(ctx):
         want = []
         for _ in range(3):
             child = draw.getrandbits(48)
-            a = numeval.sample_point(ctx, None, child).assignment
+            a = numeval.sample_point(ctx, child).assignment
             terms = e.args if isinstance(e, Add) else (e,)
             memo = {}
             parts = [outcome(lambda: ref_eval(t, a, memo)) for t in terms]
@@ -341,7 +350,7 @@ def test_numeric_zero_matches_walker_residuals(ctx):
 
 
 def test_compiled_errors_match_walker(ctx):
-    a = numeval.sample_point(ctx, None, 1).assignment
+    a = numeval.sample_point(ctx, 1).assignment
     zero = Add((Name("u1"), Mul((Const(-1), Name("u1")))))
     missing = Name("nowhere")
     cases = [
@@ -370,7 +379,7 @@ def test_compiled_program_shares_equal_subtrees(ctx):
     prog2, slots2 = numeval._compile([t, copy_tree(t)])
     assert slots2[0] == slots2[1]
     assert len(prog2) == len(numeval._compile([t])[0])
-    a = numeval.sample_point(ctx, None, 2).assignment
+    a = numeval.sample_point(ctx, 2).assignment
     assert numeval.eval(e, a) == ref_eval(e, a, {})
 
 
@@ -425,7 +434,7 @@ def test_residual_program_is_the_compiled_tree(catalog):
         assert len(got.roots) == len(want.roots), key
         assert got == want, key
         for seed in range(5):
-            a = numeval.sample_point(F.ctx, None, seed).assignment
+            a = numeval.sample_point(F.ctx, seed).assignment
             assert bits(numeval._run(*got, a)) == bits(numeval._run(*want, a)), key
     assert len(keys) == 12
 
@@ -435,7 +444,7 @@ def test_residual_program_keeps_the_tree_route_errors(ctx):
     # a denominator that vanishes at the point: u = v1
     F = HyperbolicEq("t", parse("u1/(u - v1)", ctx), ctx=ctx)
     G = EvolutionEq("g", parse("u1*u3", ctx), ctx=ctx)
-    a = numeval.sample_point(ctx, None, 0).assignment
+    a = numeval.sample_point(ctx, 0).assignment
     a["u"] = a["v1"]
     want = outcome(lambda: numeval._run(*tree_residual_program(F, G), a))
     assert want == (EvalError, "denominator vanished at the sample point")
@@ -540,3 +549,30 @@ def test_oracle_pass_draws_each_point_once(monkeypatch):
     assert len(reports) == 12
     assert all(len(r.numeric_residuals) == 25 for r in reports)
     assert len(calls) == 50
+
+
+FOLD_OPERANDS = [Const(0), Const(1), Const(-1), Const(Fraction(-3, 4)),
+                 Const(2), Name("u1")]
+
+
+def _folded(build):
+    """The tree build returns, or the ZeroDivisionError it raises."""
+    try:
+        return build()
+    except ZeroDivisionError as exc:
+        return (ZeroDivisionError, str(exc))
+
+
+def test_ops_fold_constants_as_the_tree_helpers():
+    """The op table's div and pow_ fold constants rule for rule as
+    tree.div and tree.pow_ do, raising the same errors: a denominator of 0
+    or 1, a zero numerator, a constant base, a power of 0 or 1, and 0 to a
+    negative power.  The op is read back as a tree to compare."""
+    t = numeval._Ops()
+    for a in FOLD_OPERANDS:
+        for b in FOLD_OPERANDS:
+            assert _folded(lambda: t.tree(t.div(t.imp(a), t.imp(b)))) == \
+                _folded(lambda: tree.div(a, b)), ("div", a, b)
+        for k in (-2, -1, 0, 1, 2, 3):
+            assert _folded(lambda: t.tree(t.pow_(t.imp(a), k))) == \
+                _folded(lambda: tree.pow_(a, k)), ("pow_", a, k)

@@ -4,6 +4,10 @@ order-reduction conditions, ODE checks, and parameter forcing."""
 import gc
 import hashlib
 import math
+import os
+import pickle
+import signal
+import subprocess
 import sys
 import textwrap
 from fractions import Fraction
@@ -13,7 +17,8 @@ import pytest
 
 from hypersym import transforms, verify
 from hypersym.catalog import Catalog
-from hypersym.errors import LemmaPremiseError, SizeLimitError
+from hypersym.errors import (LemmaPremiseError, SizeLimitError,
+                             UnknownNameError)
 from hypersym.expr import normal as N
 from hypersym.expr import poly as P
 from hypersym.expr.context import XJET, YJET, default_context, std_context
@@ -266,6 +271,11 @@ def test_param_conditions_force_mu_zero(catalog, ctx):
     assert conds
     assert verify.conditions_hold(conds, {"mu": 0}, ctx)
     assert not verify.conditions_hold(conds, {"mu": 1}, ctx)
+    # a name that is not a parameter is an error, not a failed condition
+    for name in ("m", "zzz", "u1"):
+        with pytest.raises(UnknownNameError,
+                           match=f"'{name}' is not a bindable parameter"):
+            verify.conditions_hold(conds, {name: 0}, ctx)
 
 
 def test_param_conditions_empty_for_exact_pairs(catalog):
@@ -353,9 +363,32 @@ def test_verify_all_verifies_the_catalog_it_is_given(catalog):
         r.structured_lines() for r in verify.verify_all(catalog, jobs=1)]
 
 
-def test_verify_all_workers_load_the_catalog_paths(tmp_path):
-    extra = tmp_path / "extra.txt"
-    extra.write_text(textwrap.dedent("""\
+SRC = Path(verify.__file__).resolve().parent.parent
+
+# Run in a child process, so that a pool that never returns fails the test.
+_WORKERS_SCRIPT = """
+import shutil, sys
+from hypersym import verify
+from hypersym.catalog import Catalog
+cat = Catalog()
+cat.load_path(sys.argv[1])
+shutil.rmtree(sys.argv[1])
+two = verify.verify_all(cat, jobs=2)
+one = verify.verify_all(cat, jobs=1)
+assert [r.structured_lines() for r in two] == [
+    r.structured_lines() for r in one]
+assert len(two) == 13 and all(r.residual_is_zero for r in two)
+assert "hyp4copy ev12 x" in [r.key for r in two]
+"""
+
+
+def test_verify_all_workers_verify_the_callers_catalog(tmp_path):
+    """The workers verify the catalog they are handed, not one loaded again
+    from its files: an extra directory deleted after loading gives the
+    reports of one worker from two."""
+    extra = tmp_path / "extra"
+    extra.mkdir()
+    (extra / "hyp4copy.txt").write_text(textwrap.dedent("""\
         id: hyp4copy
         role: hyperbolic
         params:
@@ -363,15 +396,32 @@ def test_verify_all_workers_load_the_catalog_paths(tmp_path):
         expr:
         exp(u) + exp(-2*u)
         """))
-    (tmp_path / "pairs.txt").write_text(
-        "hyp4copy ev12 x asserted-by-paper\n")
-    cat = Catalog()
-    cat.load_path(str(tmp_path))
-    for jobs in (1, 2):
-        reports = verify.verify_all(cat, jobs=jobs)
-        assert len(reports) == 13
-        assert all(r.residual_is_zero for r in reports)
-        assert "hyp4copy ev12 x" in [r.key for r in reports]
+    (extra / "pairs.txt").write_text("hyp4copy ev12 x asserted-by-paper\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WORKERS_SCRIPT, str(extra)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        _out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the pool's workers too
+        proc.communicate()
+        pytest.fail("verify_all(jobs=2) did not return within 60 s")
+    assert proc.returncode == 0, err
+    assert not extra.exists()
+
+
+def test_a_pickled_catalog_verifies_as_the_original():
+    """Under spawn or forkserver each worker gets the catalog pickled; a
+    copy made after the sampled claims filled its context's caches gives
+    the original's reports."""
+    cat = Catalog(ctx=default_context())
+    before = [r.structured_lines()
+              for r in verify.verify_all(cat, samples=5, seed=3, jobs=1)]
+    copy = pickle.loads(pickle.dumps(cat))
+    assert copy.ctx is not cat.ctx and copy.ctx._sample_points[0] == 3
+    assert [r.structured_lines() for r in verify.verify_all(
+        copy, samples=5, seed=3, jobs=1)] == before
 
 
 def test_verify_all_workers_keep_the_context_limits():
