@@ -19,8 +19,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, CatalogError, ParseError,
                      UnknownEntryError, UnknownNameError)
-from .expr import Const, Expr, parse, substitute
 from .expr.context import PARAM, Context, std_context
+from .expr.parser import parse
+from .expr.tree import Const, Expr, free_names, substitute
 from .jet import EvolutionEq, HyperbolicEq
 
 VALID_ROLES = ("evolution", "hyperbolic")
@@ -122,8 +123,9 @@ def _parse_params(text: object, path: str) -> Tuple[ParamSpec, ...]:
     return tuple(out)
 
 
-def parse_entry(text: str, path: str, ctx: Context) -> CatalogEntry:
-    fields = parse_blocks(text, path)
+def parse_entry(fields: Mapping[str, object], path: str,
+                ctx: Context) -> CatalogEntry:
+    """The entry whose file parse_blocks split into fields."""
     for required in ("id", "role", "params", "provenance", "expr"):
         if required not in fields:
             raise CatalogError(f"{path}: missing field {required!r}")
@@ -158,8 +160,6 @@ def parse_entry(text: str, path: str, ctx: Context) -> CatalogEntry:
 
 
 def _check_entry_vars(entry: CatalogEntry, ctx: Context) -> None:
-    from .expr import free_names
-
     declared = set(entry.param_names())
     used = set()
     for nm in free_names(entry.expression):
@@ -288,7 +288,7 @@ class Catalog:
                 raise CatalogError(f"{path}: duplicate transform id {tid!r}")
             self.transform_texts[tid] = fields
             return
-        entry = parse_entry(body, path, self.ctx)
+        entry = parse_entry(fields, path, self.ctx)
         if entry.id in self.entries:
             raise CatalogError(f"{path}: duplicate entry id {entry.id!r}")
         self.entries[entry.id] = entry

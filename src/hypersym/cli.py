@@ -2,13 +2,15 @@
 decomposition, transform checks, and numeric sampling.
 
 Exit status: 0 when every requested check passed, 1 when a check failed
-(a residual is nonzero where zero is claimed), 2 on usage or data errors.
-Output comes in two formats: ``text`` (human-oriented, not stable) and
-``structured`` (line-oriented ``key = value`` pairs, deterministic for a
-fixed seed, safe to pin byte-for-byte in CI).  Each subcommand reads the
-parsed arguments itself and prints to stdout; extra catalog files come
-from ``--catalog`` and then from the ``HYPERSYM_CATALOG`` environment
-variable (a path list).
+(a residual is nonzero where zero is claimed), 2 on usage or data errors,
+an unknown or empty transform id among them (main reports every
+HypersymError).  Output comes in two formats: ``text`` (human-oriented,
+not stable) and ``structured`` (line-oriented ``key = value`` pairs,
+deterministic for a fixed seed, safe to pin byte-for-byte in CI; reports
+print as blocks a blank line apart, through one writer).  Each subcommand
+reads the parsed arguments itself and prints to stdout; extra catalog
+files come from ``--catalog`` and then from the ``HYPERSYM_CATALOG``
+environment variable (a path list).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import numeval, transforms, verify
 from .catalog import Catalog
@@ -174,6 +176,11 @@ def _cmd_show(args: argparse.Namespace, catalog: Catalog) -> int:
     return 2
 
 
+def _print_records(records: Iterable[List[str]]) -> None:
+    """Structured records, one block of lines each, a blank line apart."""
+    print("\n\n".join("\n".join(lines) for lines in records))
+
+
 def _report_text(r: verify.VerificationReport) -> None:
     verdict = "zero" if r.residual_is_zero else "NONZERO"
     print(f"{r.key}: residual {verdict} "
@@ -207,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace, catalog: Catalog) -> int:
     r = verify.verify_pair(F, G, samples=args.samples, seed=args.seed,
                            tol=args.tol, direction=args.direction)
     if args.fmt == "structured":
-        print(*r.structured_lines(), sep="\n")
+        _print_records([r.structured_lines()])
     else:
         _report_text(r)
     return _verify_exit(r)
@@ -216,21 +223,14 @@ def _cmd_verify(args: argparse.Namespace, catalog: Catalog) -> int:
 def _cmd_verify_all(args: argparse.Namespace, catalog: Catalog) -> int:
     reports = verify.verify_all(catalog, samples=args.samples, seed=args.seed,
                                 tol=args.tol, jobs=args.jobs)
-    status = 0
-    first = True
-    for r in reports:
-        if args.fmt == "structured":
-            if not first:
-                print()
-            print(*r.structured_lines(), sep="\n")
-        else:
+    if args.fmt == "structured":
+        _print_records(r.structured_lines() for r in reports)
+    else:
+        for r in reports:
             _report_text(r)
-        first = False
-        status = max(status, _verify_exit(r))
-    if args.fmt == "text":
         n_pass = sum(1 for r in reports if _verify_exit(r) == 0)
         print(f"{n_pass}/{len(reports)} pairings verified")
-    return status
+    return max(map(_verify_exit, reports), default=0)
 
 
 def _cmd_lemma(args: argparse.Namespace, catalog: Catalog) -> int:
@@ -267,23 +267,14 @@ def _cmd_lemma(args: argparse.Namespace, catalog: Catalog) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace, catalog: Catalog) -> int:
-    defs = transforms.load_transforms(catalog)
-    if args.id:
-        if args.id not in defs:
-            print(f"error: unknown transform id {args.id!r}", file=sys.stderr)
-            return 2
-        todo = [args.id]
+    if args.id is None:
+        reports = transforms.check_all(catalog)
     else:
-        todo = sorted(defs)
-    status = 0
-    first = True
-    for tid in todo:
-        rep = transforms.check_transform(defs[tid], catalog)
-        if args.fmt == "structured":
-            if not first:
-                print()
-            print(*rep.structured_lines(), sep="\n")
-        else:
+        reports = [transforms.check_transform(args.id, catalog)]
+    if args.fmt == "structured":
+        _print_records(rep.structured_lines() for rep in reports)
+    else:
+        for rep in reports:
             print(f"{rep.id}: {rep.status}"
                   + (f" via {rep.verified_convention}"
                      if rep.verified_convention else ""))
@@ -293,10 +284,7 @@ def _cmd_transform(args: argparse.Namespace, catalog: Catalog) -> int:
                 print(f"  {c.name}: {mark}")
                 for k, v in c.fitted:
                     print(f"    {k} = {v}")
-        first = False
-        if not rep.ok:
-            status = 1
-    return status
+    return 0 if all(rep.ok for rep in reports) else 1
 
 
 def _cmd_sample(args: argparse.Namespace, catalog: Catalog) -> int:

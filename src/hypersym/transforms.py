@@ -8,6 +8,11 @@ the new dependent variable implicitly, and reducing modulo the source
 equation — and reports which convention annihilates all of them, together
 with any constant coefficients it fitted along the way.
 
+check_transform(tid, catalog) is the one entry point: it looks the
+definition up by id, runs its checker, which returns one ConventionResult
+per convention, and builds the TransformReport.  check_all maps it over
+the sorted ids.
+
 Total derivatives are taken on normal forms by the equation's shared
 jet.nf_jet, so the D_x^k F and D_y^k F tables that the verdicts built are
 reused and each derived form is reduced once.  Only S3i derives trees
@@ -57,14 +62,13 @@ class TransformDef:
     conventions: Tuple[str, ...]
     unknowns: Tuple[str, ...]
     investigative: bool
-    provenance: str
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _validate_relations(t: TransformDef, ctx: Context) -> None:
-    call_heads = {cf for (cf, _arg) in ctx.call_table()} | {"exp"}
+    call_heads = {cf for (cf, _arg) in ctx.call_table()}
     allowed = set(t.unknowns)
     for rel in t.relations:
         for nm in _IDENT.findall(rel):
@@ -108,7 +112,6 @@ def load_transforms(catalog: Catalog) -> Dict[str, TransformDef]:
             conventions=conventions,
             unknowns=unknowns,
             investigative="investigative" in flags.split(),
-            provenance=str(fields.get("provenance", "")),
         )
         _validate_relations(t, catalog.ctx)
         out[t.id] = t
@@ -325,7 +328,7 @@ def check_scaling_law(ctx: Optional[Context] = None) -> N.NF:
 # per-transform checkers
 # ---------------------------------------------------------------------------
 
-def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
+def _check_t1(t: TransformDef, catalog: Catalog) -> List[ConventionResult]:
     """S1 -> target v_xy = c1 exp(v) + c2 exp(-2v).
 
     With B = fa(uy) + uy playing exp(v), the tower identity
@@ -375,8 +378,7 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> TransformReport:
             ("exp_route_over_u_route", "2" if ratio_two else "differs"),
         )
         results.append(ConventionResult(conv, checks, fitted, notes))
-    return TransformReport(t.id, t.source, t.target_text, t.investigative,
-                           tuple(results))
+    return results
 
 
 def _s3i_suite(eq: HyperbolicEq, sign: int,
@@ -428,25 +430,27 @@ def _s3i_suite(eq: HyperbolicEq, sign: int,
     return checks, notes
 
 
-def _check_s3i(t: TransformDef, catalog: Catalog) -> TransformReport:
+# convention -> (bindings of the source, branch sign, shift of uy)
+_S3I_BRANCHES: Dict[str, Tuple[Dict[str, int], int, Expr]] = {
+    "root-plus": ({"b": 0}, 1, tree.ZERO),
+    "root-minus": ({"b": 0}, -1, tree.ZERO),
+    "shift-b": ({}, 1, Name("b")),
+}
+
+
+def _check_s3i(t: TransformDef, catalog: Catalog) -> List[ConventionResult]:
     results = []
     for conv in t.conventions:
-        if conv == "root-plus":
-            checks, notes = _s3i_suite(catalog.get(t.source, {"b": 0}),
-                                       1, tree.ZERO)
-        elif conv == "root-minus":
-            checks, notes = _s3i_suite(catalog.get(t.source, {"b": 0}),
-                                       -1, tree.ZERO)
-        elif conv == "shift-b":
-            checks, notes = _s3i_suite(catalog.get(t.source), 1, Name("b"))
-        else:
+        if conv not in _S3I_BRANCHES:
             raise TransformError(f"{t.id}: unknown convention {conv!r}")
+        bindings, sign, shift = _S3I_BRANCHES[conv]
+        checks, notes = _s3i_suite(catalog.get(t.source, bindings),
+                                   sign, shift)
         results.append(ConventionResult(conv, checks, (), notes))
-    return TransformReport(t.id, t.source, t.target_text, t.investigative,
-                           tuple(results))
+    return results
 
 
-def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
+def _check_s3ii(t: TransformDef, catalog: Catalog) -> List[ConventionResult]:
     """Second S3 map: w = sqrt(u_x), w_y = fa(uy + b), target
     w_xy = 2 fnew(w_y) w with the new cubic constant kappa = -a^3/4.
 
@@ -493,8 +497,7 @@ def _check_s3ii(t: TransformDef, catalog: Catalog) -> TransformReport:
         )
         notes = (("psi", print_expr(psi, ctx)),)
         results.append(ConventionResult(conv, checks, fitted, notes))
-    return TransformReport(t.id, t.source, t.target_text, t.investigative,
-                           tuple(results))
+    return results
 
 
 # equation id -> (source id, bindings, x <-> y exchanged?): the equation is
@@ -525,20 +528,18 @@ def _point_identity(catalog: Catalog,
                                  N.normalize(ctx, tgt))
 
 
-def _check_point(t: TransformDef, catalog: Catalog) -> TransformReport:
+def _check_point(t: TransformDef, catalog: Catalog) -> List[ConventionResult]:
     """The transform's source is a point image of another equation."""
     ctx, e, tgt, diff = _point_identity(catalog, t.source)
     notes = (
         ("mapped_source", print_expr(e, ctx)),
         ("target", print_expr(tgt, ctx)),
     )
-    res = ConventionResult(t.conventions[0],
-                           (_check(ctx, "difference", diff),), (), notes)
-    return TransformReport(t.id, t.source, t.target_text, t.investigative,
-                           (res,))
+    return [ConventionResult(t.conventions[0],
+                             (_check(ctx, "difference", diff),), (), notes)]
 
 
-def _check_s6t(t: TransformDef, catalog: Catalog) -> TransformReport:
+def _check_s6t(t: TransformDef, catalog: Catalog) -> List[ConventionResult]:
     """S6 -> target v_xy = exp(v) - 4 c a^3 exp(-2v), investigative.
 
     exp(v) is realized by the tower element
@@ -581,8 +582,7 @@ def _check_s6t(t: TransformDef, catalog: Catalog) -> TransformReport:
         )
         notes = (("exp_v_terms", str(N.nf_size(ev))),)
         results.append(ConventionResult(conv, checks, (), notes))
-    return TransformReport(t.id, t.source, t.target_text, t.investigative,
-                           tuple(results))
+    return results
 
 
 _CHECKERS = {
@@ -595,24 +595,24 @@ _CHECKERS = {
 }
 
 
-def check_transform(t, catalog: Catalog) -> TransformReport:
-    """Run every convention of one transform and report exactly."""
-    if isinstance(t, str):
-        defs = load_transforms(catalog)
-        if t not in defs:
-            raise TransformError(f"unknown transform id {t!r}")
-        t = defs[t]
+def check_transform(tid: str, catalog: Catalog) -> TransformReport:
+    """Run every convention of the transform with id tid and report
+    exactly."""
+    t = load_transforms(catalog).get(tid)
+    if t is None:
+        raise TransformError(f"unknown transform id {tid!r}")
     checker = _CHECKERS.get(t.id)
     if checker is None:
         raise TransformError(f"no checker registered for {t.id!r}")
-    return checker(t, catalog)
+    return TransformReport(t.id, t.source, t.target_text, t.investigative,
+                           tuple(checker(t, catalog)))
 
 
 def check_all(catalog: Catalog) -> List[TransformReport]:
     """All shipped transforms, ordered by id.  Each check is pure, so
     callers may fan the loop out; the default is sequential."""
-    defs = load_transforms(catalog)
-    return [check_transform(defs[tid], catalog) for tid in sorted(defs)]
+    return [check_transform(tid, catalog)
+            for tid in sorted(load_transforms(catalog))]
 
 
 # ---------------------------------------------------------------------------

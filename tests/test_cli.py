@@ -205,6 +205,14 @@ def test_transform_command(capsys):
     assert block["status"] == "verified"
 
 
+@pytest.mark.parametrize("tid", ["", "nosuch"])
+def test_transform_unknown_id_is_data_error(capsys, tid):
+    # an empty id names no transform: it does not mean "check all"
+    code, out, err = run(capsys, "transform", tid)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown transform id {tid!r}\n"
+
+
 def test_sample_deterministic(capsys):
     code, out1, _ = run(capsys, "--format", "structured",
                         "sample", "--seed", "3")

@@ -1,8 +1,10 @@
 """The runtime is pure standard library: every module-level import of the
-package is the standard library or hypersym itself, and is used."""
+package is the standard library or hypersym itself, and is used.  Every
+definition of the package is used as well."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hypersym
@@ -50,3 +52,50 @@ def test_module_imports_are_stdlib_or_package_and_used():
                     problems.append(f"{where}:{node.lineno} leaves "
                                     f"{bound} unused")
     assert not problems, problems
+
+
+def _definitions(module: ast.Module):
+    """Module-level functions and classes, and the methods of those classes
+    that are not dunders (Python calls those itself)."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not (sub.name.startswith("__")
+                                 and sub.name.endswith("__"))):
+                    yield sub
+
+
+def _references(node: ast.AST):
+    """Every name that node reads, writes, imports or takes as an
+    attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+            if n.asname:
+                yield n.asname
+
+
+def test_every_definition_is_referenced():
+    """A function, class or method of the package whose name occurs in
+    the package or its tests only inside its own definition is dead.  The
+    match is by name, so a method counts as used when any attribute of that
+    name is read."""
+    tests = Path(__file__).parent
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.rglob("*.py")) + sorted(
+                   tests.rglob("*.py"))}
+    seen = Counter()
+    for module in modules.values():
+        seen.update(_references(module))
+    dead = [f"{path.relative_to(SRC)}:{d.lineno} {d.name}"
+            for path, module in modules.items() if path.is_relative_to(SRC)
+            for d in _definitions(module)
+            if seen[d.name] == Counter(_references(d))[d.name]]
+    assert not dead, dead

@@ -2,6 +2,7 @@
 fitted constants, and the point identities of S4S1, S5S3 and the final
 list."""
 
+import dataclasses
 import textwrap
 
 import pytest
@@ -147,6 +148,13 @@ def test_check_transform_accepts_id(catalog):
     assert rep.id == "T1" and rep.status == "verified"
     with pytest.raises(TransformError):
         T.check_transform("nosuch", catalog)
+
+
+def test_s3i_unknown_convention_is_rejected(catalog, defs, monkeypatch):
+    bogus = dataclasses.replace(defs["S3i"], conventions=("bogus",))
+    monkeypatch.setattr(T, "load_transforms", lambda catalog: {"S3i": bogus})
+    with pytest.raises(TransformError, match="unknown convention .bogus."):
+        T.check_transform("S3i", catalog)
 
 
 def test_parametrization_and_scaling(ctx):

@@ -1,6 +1,7 @@
 """The determining identity: exact residuals, coefficient localization, the
 order-reduction conditions, ODE checks, and parameter forcing."""
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from hypersym import transforms, verify
+from hypersym import numeval, transforms, verify
 from hypersym.catalog import Catalog
 from hypersym.errors import (LemmaPremiseError, SizeLimitError,
                              UnknownNameError)
 from hypersym.expr import normal as N
 from hypersym.expr import poly as P
+from hypersym.expr import tree
 from hypersym.expr.context import XJET, YJET, default_context, std_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
@@ -506,25 +508,92 @@ def test_residual_matches_the_two_step_route(catalog, hid, eid, x_first):
 PAIRS_195 = Path(__file__).parent / "data" / "verify_pairs_195.sha256"
 
 
-def test_every_hyperbolic_evolution_pair_is_pinned():
-    """The exact report of every hyperbolic x evolution pair, made in one
-    process in catalog order, matches its pinned digest (the first 16 hex
-    digits of the sha256 of its structured lines)."""
+@pytest.fixture(scope="module")
+def pairs_195():
+    """(F, G, exact report) for every hyperbolic x evolution pair, made in
+    one process in catalog order."""
     cat = Catalog()
-    lines = []
+    out = []
     for h in cat.list("hyperbolic"):
         for e in cat.list("evolution"):
-            r = verify.verify_pair(cat.get(h.id), cat.get(e.id))
-            text = "\n".join(r.structured_lines()).encode()
-            verdict = "zero" if r.residual_is_zero else "nonzero"
-            lines.append(f"{h.id} {e.id} {verdict} "
-                         f"{hashlib.sha256(text).hexdigest()[:16]}\n")
+            F, G = cat.get(h.id), cat.get(e.id)
+            out.append((F, G, verify.verify_pair(F, G)))
+    return out
+
+
+def test_every_hyperbolic_evolution_pair_is_pinned(pairs_195):
+    """The exact report of every hyperbolic x evolution pair matches its
+    pinned digest (the first 16 hex digits of the sha256 of its structured
+    lines)."""
+    lines = []
+    for F, G, r in pairs_195:
+        text = "\n".join(r.structured_lines()).encode()
+        verdict = "zero" if r.residual_is_zero else "nonzero"
+        lines.append(f"{F.id} {G.id} {verdict} "
+                     f"{hashlib.sha256(text).hexdigest()[:16]}\n")
     assert len(lines) == 195
     assert "".join(lines).encode() == PAIRS_195.read_bytes()
     zero = [ln.split()[:2] for ln in lines if ln.split()[2] == "zero"]
     assert zero == [["hyp2", "ev12"], ["hyp4", "ev12"], ["S1", "ev11"],
                     ["S2", "ev12"], ["S6", "ev21"], ["final1", "ev12"],
                     ["final4", "ev21"]]
+
+
+def report_mismatches(F, G, r, points):
+    """The points at which the printed report r, read back as
+    d^-1 * sum of c_m * m (d the cleared denominator, c_m the coefficient
+    of the jet monomial m), differs from the oracle's residual program of
+    (F, G) by more than a relative 1e-8.  The program never sees a normal
+    form, so a wrong coefficient, denominator or printed sign shows."""
+    ctx = F.ctx
+    total = tree.add(*(tree.mul(parse(c, ctx), parse(m, ctx))
+                       for m, c in r.failing_coefficients))
+    if r.cleared_denominator is not None:
+        total = tree.div(total, parse(r.cleared_denominator, ctx))
+    prog = numeval.residual_program(F, G)
+    out = []
+    for k, p in enumerate(points):
+        want = numeval._run(prog.ops, prog.roots, p)[0]
+        got = numeval.eval(total, p)
+        if abs(got - want) > 1e-8 * max(abs(got), abs(want)):
+            out.append((k, got, want))
+    return out
+
+
+def fully_printed_nonzero(pairs):
+    return [(F, G, r) for F, G, r in pairs
+            if not r.residual_is_zero
+            and r.failing_total == len(r.failing_coefficients)]
+
+
+def oracle_points(ctx, n=5):
+    return [numeval.sample_point(ctx, seed).assignment for seed in range(n)]
+
+
+def test_nonzero_reports_say_what_the_residual_is(pairs_195):
+    """Every nonzero report that prints all its coefficients (at most
+    MAX_REPORTED_COEFFS) evaluates to the residual at 5 oracle points."""
+    checked = fully_printed_nonzero(pairs_195)
+    assert len(checked) == 56
+    points = oracle_points(checked[0][0].ctx)
+    bad = {f"{F.id} {G.id}": m for F, G, r in checked
+           if (m := report_mismatches(F, G, r, points))}
+    assert not bad
+
+
+def test_report_identity_sees_a_changed_coefficient_or_denominator(
+        pairs_195):
+    checked = fully_printed_nonzero(pairs_195)
+    points = oracle_points(checked[0][0].ctx)
+    for F, G, r in checked:
+        (mono, coeff), *rest = r.failing_coefficients
+        scaled = [(mono, f"(1 + 1/1000000)*({coeff})"), *rest]
+        den = r.cleared_denominator
+        for doctored in (
+                dataclasses.replace(r, failing_coefficients=scaled),
+                dataclasses.replace(r, cleared_denominator=(
+                    f"2*({den})" if den else "2"))):
+            assert report_mismatches(F, G, doctored, points), (F.id, G.id)
 
 
 def test_nonzero_report_does_not_depend_on_worker_count(tmp_path):
