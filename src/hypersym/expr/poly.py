@@ -299,64 +299,82 @@ def pvars(a: Poly, layout: Layout) -> set:
     return set(layout.mono_vars(acc))
 
 
-def pdiv_exact(a: Poly, b: Poly, layout: Layout) -> Optional[Poly]:
-    """Exact quotient a/b in Z[x], or None when b does not divide a there.
+def pvalue(a: Poly, x: int, layout: Layout) -> int:
+    """a(x, ..., x): the coefficients summed per total degree, then Horner's
+    rule in x over the sums."""
+    shift = layout.total_shift
+    by_deg = [0] * ((max(a, default=0) >> shift) + 1)
+    for m, c in a.items():
+        by_deg[m >> shift] += c
+    v = 0
+    for c in reversed(by_deg):
+        v = v * x + c
+    return v
+
+
+class Divisor:
+    """A nonzero divisor b with what every trial division by it reads,
+    computed once: its trailing and leading monomial and coefficient, its
+    tail below the leading term, and its values at (2, ..., 2) and
+    (3, ..., 3); var is i when b is the variable x_i, else None."""
+
+    __slots__ = ("poly", "var", "trail", "tc", "lead", "lc", "tail", "v2",
+                 "v3")
+
+    def __init__(self, b: Poly, layout: Layout):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        self.poly = b
+        self.trail, self.lead = min(b), max(b)
+        self.tc, self.lc = b[self.trail], b[self.lead]
+        self.tail = [(m - self.lead, c) for m, c in b.items() if m != self.lead]
+        self.v2, self.v3 = pvalue(b, 2, layout), pvalue(b, 3, layout)
+        self.var = (next(layout.mono_vars(self.lead)) if len(b) == 1
+                    and self.lc == 1 and layout.total(self.lead) == 1 else None)
+
+    def rejects(self, ta: int, ca: int, a2: int, a3: Optional[int],
+                borrow: int) -> bool:
+        """True when b cannot divide a, read from the trailing monomial ta
+        and coefficient ca of a and its values a2 at (2, ..., 2) and a3 at
+        (3, ..., 3), or None while a3 is not known.  Each is a necessary
+        condition for b | a in Z[x].  Graded-lex is a monomial order, so
+        tt(a) = tt(q) * tt(b): the monomial and coefficient of tt(b) divide
+        those of tt(a).  Evaluation is a ring map Z[x] -> Z, so
+        a(x..x) = q(x..x) * b(x..x): b's value divides a's, and where b's
+        value is 0, a's is 0 as well."""
+        d = ta - self.trail
+        return bool(d < 0 or d & borrow or ca % self.tc
+                    or (a2 % self.v2 if self.v2 else a2)
+                    or (a3 is not None and (a3 % self.v3 if self.v3 else a3)))
+
+
+def pdiv_exact(a: Poly, b, layout: Layout) -> Optional[Poly]:
+    """Exact quotient a/b in Z[x], or None when b does not divide a there;
+    b is a nonzero polynomial or its Divisor.
 
     The quotient is unique when it exists, so the answer does not depend on
     how it is found; its terms are returned in descending graded-lex order.
-    Most calls fail (rf_make tries every denominator factor after every
-    operation), so failure is made cheap before any elimination:
-
-    - A single-term divisor takes one pass over a: every monomial must be
-      divisible by it (no borrow in the packed difference) and every
-      coefficient by its coefficient.
-    - Trailing terms.  Graded-lex is a monomial order, so the smallest terms
-      multiply: tt(a) = tt(q) * tt(b).  Both the monomial and the
-      coefficient of tt(b) must divide those of tt(a).
-    - Evaluation at (2, ..., 2), where p(2, ..., 2) = sum of c * 2**deg(m).
-      Evaluation is a ring map Z[x] -> Z, so a = q*b gives
-      a(2..2) = q(2..2) * b(2..2): b(2..2) must divide a(2..2), and when
-      b(2..2) = 0, a(2..2) must be 0 as well.
-
-    What remains is leading-term elimination in graded-lex order.  When
-    a = q*b the running remainder is q_tail*b at every step, so each leading
-    coefficient is divisible exactly when the division succeeds at all, and
-    each quotient monomial is at least tt(a)/tt(b), which stops a failing
-    elimination early.  The remainder's monomials sit in a max-heap with
-    lazy deletion, so no step rescans the remainder (Monagan & Pearce,
+    This is leading-term elimination in graded-lex order, and nothing else:
+    the checks that reject most failing trials in O(1) are
+    Divisor.rejects, which ratfunc runs before each call on the data it
+    carries from one division of a numerator to the next.  When a = q*b the
+    running remainder is q_tail*b at every step, so each leading
+    coefficient is divisible exactly when the division succeeds at all,
+    and each quotient monomial is at least tt(a)/tt(b), which stops a
+    failing elimination early.  The remainder's monomials sit in a max-heap
+    with lazy deletion, so no step rescans the remainder (Monagan & Pearce,
     "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).
     """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    div = b if isinstance(b, Divisor) else Divisor(b, layout)
     if not a:
         return {}
     borrow = layout.borrow_mask
-    if len(b) == 1:
-        (mb, cb), = b.items()
-        quot: Poly = {}
-        for m, c in a.items():
-            d = m - mb
-            if d < 0 or d & borrow or c % cb:
-                return None
-            quot[d] = c // cb
-        return dict(sorted(quot.items(), reverse=True))
-    ta = min(a)
-    tb = min(b)
-    dmin = ta - tb
-    if dmin < 0 or dmin & borrow or a[ta] % b[tb]:
-        return None
-    shift = layout.total_shift
-    b2 = sum([c << (m >> shift) for m, c in b.items()])
-    a2 = sum([c << (m >> shift) for m, c in a.items()])
-    if a2 % b2 if b2 else a2:
-        return None
-    mb = max(b)
-    cb = b[mb]
-    tail = [(m - mb, c) for m, c in b.items() if m != mb]
+    dmin = min(a) - div.trail
+    mb, cb, tail = div.lead, div.lc, div.tail
     rem = dict(a)
     heap = [-m for m in rem]
     heapify(heap)
-    quot = {}
+    quot: Poly = {}
     while rem:
         ma = -heappop(heap)
         ca = rem.pop(ma, 0)

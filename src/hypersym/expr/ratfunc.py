@@ -28,24 +28,29 @@ reached, for example whichever order a mixed derivative was taken in.
 intern_factors builds that base as far as it can without factoring.  It
 splits off the monomial content one variable at a time, and splits a
 univariate remainder into its square-free parts by Yun's algorithm; so
-(u1^3 - 1)^3 is interned as (u1^3 - 1, 3), not as a factor of its own.  It
-does not split a square-free part further, so u1^3 - 1 stays one factor
-although u1 - 1 divides it, and it interns a multivariate remainder whole.
-Factors that share a factor are still possible, for example u1^3 - 1 next
-to u1 - 1, or two multivariate factors with a common divisor; then the
-reduced form can depend on the order of the trials and on where they run.
-No workload of the catalog interns such a pair among its univariate factors.
+(u1^3 - 1)^3 is interned as (u1^3 - 1, 3), not as a factor of its own.  A
+multivariate remainder not yet interned is first divided by every interned
+multi-term factor, as often as that goes, and what is left is interned
+whole; so once g is interned, g^2*h interns h.  It does not split a part
+further, so u1^3 - 1 stays one factor although u1 - 1 divides it, nor an
+interned factor that a new one divides.  Factors that share a factor are
+still possible, for example u1^3 - 1 next to u1 - 1; then the reduced form
+can depend on the order of the trials and on where they run.  No workload
+of the catalog interns such a pair.
 
 Interned factors are not known to be irreducible, so rf_make tries every
 factor, and most trials fail.  Only rf_scale skips them all: by Gauss's
-lemma a primitive factor that divides k*N divides N.  poly.pdiv_exact makes
-a failing trial cheap with two necessary conditions checked before any
-elimination.  Graded-lex is a monomial order, so the trailing terms of a
-product multiply, and the divisor's trailing term must divide the
-numerator's.  Evaluation at (2, ..., 2) is a ring map Z[x] -> Z, so the
-divisor's value there must divide the numerator's.  A trial that these
-checks reject is one that elimination rejects too, so the canonical form
-does not depend on them.
+lemma a primitive factor that divides k*N divides N.  A failing trial costs
+O(1).  Each Factor keeps its division data (poly.Divisor) from when it was
+interned.  rf_make computes the trailing monomial of its numerator and its
+value at (2, ..., 2) once, its value at (3, ..., 3) when a trial first
+needs it, and carries each through every division.  Divisor.rejects reads
+them: the trailing terms and the values at both points must divide.  Only
+a trial that passes them reaches the elimination of poly.pdiv_exact, and a
+variable factor x is divided out in one pass, as x^k for the largest k that
+the numerator and the exponent allow.  A trial that these checks reject is
+one that elimination rejects too, so the canonical form does not depend on
+them.
 
 Zero testing is exact regardless of whether a cancellation opportunity was
 missed: the numerator polynomial is zero iff the function is zero.
@@ -56,20 +61,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DivisionByZeroError
 from . import poly as P
 from .context import Context
 
 
-class Factor:
-    """Interned primitive polynomial, compared by identity."""
+class Factor(P.Divisor):
+    """Interned primitive polynomial, compared by identity; its division
+    data (poly.Divisor) is computed once, when it is interned."""
 
-    __slots__ = ("poly", "key", "fid")
+    __slots__ = ("key", "fid")
 
-    def __init__(self, poly: P.Poly, key: tuple, fid: int):
-        self.poly = poly
+    def __init__(self, poly: P.Poly, key: tuple, fid: int, layout: P.Layout):
+        super().__init__(poly, layout)
         self.key = key
         self.fid = fid
 
@@ -102,7 +108,7 @@ def intern_factor(ctx: Context, p: P.Poly) -> Tuple[int, Factor]:
     key = poly_key(prim)
     f = ctx._factor_intern.get(key)
     if f is None:
-        f = Factor(prim, key, len(ctx.den_atoms))
+        f = Factor(prim, key, len(ctx.den_atoms), ctx.layout)
         ctx._factor_intern[key] = f
         ctx.den_atoms.append(f)
     return c, f
@@ -116,9 +122,10 @@ def intern_factors(ctx: Context, p: P.Poly) -> Tuple[int, "FactorVec"]:
 
     The monomial content is split into per-variable factors so later
     cancellation can peel single powers (1/u1^2 becomes (u1)^2, not an
-    opaque atom u1^2).  A univariate primitive remainder is split into its
-    square-free parts, each interned with its multiplicity; a multivariate
-    one is interned whole."""
+    opaque atom u1^2).  A multivariate primitive remainder not yet interned
+    is first divided by every interned multi-term factor, as often as that
+    goes.  A univariate remainder is split into its square-free parts, each
+    interned with its multiplicity; a multivariate one is interned whole."""
     if not p:
         raise DivisionByZeroError("zero polynomial cannot be a factor")
     lay = ctx.layout
@@ -133,7 +140,13 @@ def intern_factors(ctx: Context, p: P.Poly) -> Tuple[int, "FactorVec"]:
         return p[0], _sort_factors(fs)
     mult, prim = _primitive(p)
     var = P.pvars(prim, lay)
-    parts = [(prim, 1)]
+    if len(var) > 1 and poly_key(prim) not in ctx._factor_intern:
+        cap = lay.total(max(prim))  # no factor divides prim more often
+        prim, left = _divide_out(lay, prim, [(g, cap) for g in ctx.den_atoms
+                                             if len(g.poly) > 1])
+        fs += [(g, cap - e) for g, e in left]
+        var = P.pvars(prim, lay)
+    parts = [(prim, 1)] if var else []
     # an interned univariate factor is one of these parts, so square-free
     if len(var) == 1 and poly_key(prim) not in ctx._factor_intern:
         i, = var
@@ -271,23 +284,50 @@ def _sort_factors(fs: Iterable[Tuple[Factor, int]]) -> FactorVec:
     return tuple(sorted((fe for fe in fs if fe[1] > 0), key=lambda fe: fe[0].fid))
 
 
+def _divide_out(lay: P.Layout, num: P.Poly, factors: Sequence[Tuple[Factor, int]]
+                ) -> Tuple[P.Poly, List[Tuple[Factor, int]]]:
+    """Divide the nonzero num by each (f, e) of factors in turn, as often as
+    f divides it and at most e times.  Returns the quotient and each f with
+    the exponent left.  The trailing monomial ta of num and its value a2 at
+    (2, ..., 2) are computed once, a3 at (3, ..., 3) when a trial first
+    needs it, and each is carried exactly through every division."""
+    if not factors:
+        return num, []
+    borrow = lay.borrow_mask
+    ta, a2, a3 = min(num), P.pvalue(num, 2, lay), None
+    left = []
+    for f, e in factors:
+        if f.var is not None:  # divide out x^k in one pass
+            s = P.FIELD_BITS * f.var
+            k = min(e, (ta >> s) & P.FIELD_MASK)
+            if k:
+                k = min(k, min((m >> s) & P.FIELD_MASK for m in num))
+            if k:
+                xk = lay.var_mono(f.var, k)
+                num, ta, a2, e = P.pdiv_mono(num, xk), ta - xk, a2 >> k, e - k
+                a3 = None if a3 is None else a3 // 3 ** k
+        else:
+            while e > 0 and not f.rejects(ta, num[ta], a2, a3, borrow):
+                if a3 is None:
+                    a3 = P.pvalue(num, 3, lay)
+                    continue  # check again, now with the value at (3, ..., 3)
+                q = P.pdiv_exact(num, f, lay)
+                if q is None:
+                    break
+                num, ta, e = q, ta - f.trail, e - 1
+                a2 = a2 // f.v2 if f.v2 else P.pvalue(q, 2, lay)
+                a3 = a3 // f.v3 if f.v3 else P.pvalue(q, 3, lay)
+        left.append((f, e))
+    return num, left
+
+
 def rf_make(ctx: Context, num: P.Poly, den_scalar: int, den_factors) -> RatFunc:
     """Canonicalize: cancel known factors, reduce integer content, fix signs."""
     if not num:
         return rf_zero(ctx)
     if den_scalar == 0:
         raise DivisionByZeroError("zero denominator scalar")
-    lay = ctx.layout
-    reduced: List[Tuple[Factor, int]] = []
-    for f, e in den_factors:
-        while e > 0:
-            q = P.pdiv_exact(num, f.poly, lay)
-            if q is None:
-                break
-            num = q
-            e -= 1
-        if e > 0:
-            reduced.append((f, e))
+    num, left = _divide_out(ctx.layout, num, den_factors)
     if den_scalar < 0:
         den_scalar = -den_scalar
         num = P.pneg(num)
@@ -296,7 +336,7 @@ def rf_make(ctx: Context, num: P.Poly, den_scalar: int, den_factors) -> RatFunc:
     if g > 1:
         num = {m: v // g for m, v in num.items()}
         den_scalar //= g
-    return RatFunc(num, den_scalar, _sort_factors(reduced))
+    return RatFunc(num, den_scalar, _sort_factors(left))
 
 
 def rf_neg(ctx: Context, a: RatFunc) -> RatFunc:

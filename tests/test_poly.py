@@ -285,12 +285,24 @@ def ref_div_exact(a, b):
     return quot
 
 
+def divisor_rejects(a, b):
+    """Divisor.rejects on the data of a, whose values pvalue computes as
+    the reference evaluation does."""
+    ta = min(a)
+    a2, a3 = (P.pvalue(a, x, LAYOUT) for x in (2, 3))
+    assert (a2, a3) == (ref_eval(a, [2] * NVARS), ref_eval(a, [3] * NVARS))
+    div = P.Divisor(b, LAYOUT)
+    return div.rejects(ta, a[ta], a2, a3, LAYOUT.borrow_mask)
+
+
 def check_div(a, b):
     """pdiv_exact agrees with the reference; a quotient is exact and
-    listed in descending graded-lex order."""
+    listed in descending graded-lex order, and Divisor.rejects, a set of
+    necessary conditions, does not reject it."""
     got = P.pdiv_exact(a, b, LAYOUT)
     assert got == ref_div_exact(a, b)
     if got is not None:
+        assert not divisor_rejects(a, b)
         assert P.pmul(got, b, LAYOUT) == a
         assert list(got) == sorted(got, reverse=True)
     return got
@@ -398,6 +410,7 @@ def test_div_exact_trailing_term_mismatch():
             b[tb] = b[tb] * 7 + (1 if b[tb] > 0 else -1)
             if min(b) != tb or a[min(a)] % b[tb] == 0:
                 continue
+        assert divisor_rejects(a, b)
         fails += check_div(a, b) is None
     assert fails > 50
 
@@ -411,10 +424,11 @@ def test_div_exact_large_dividend():
     assert len(a) > 500
     assert check_div(a, b) == q
     assert check_div(a, q) == b
-    # a perturbation invisible to both O(n) checks: above the trailing term
-    # and zero at (2,...,2), so only elimination can reject it
+    # a perturbation invisible to the checks: above the trailing term and
+    # zero at (2,...,2) and (3,...,3), so only elimination can reject it
     blind = poly_of((1, [6, 6, 6, 6]), (-1, [6, 6, 7, 5]))
     assert at_two(blind) == 0
+    assert not divisor_rejects(P.padd(a, blind), b)
     assert check_div(P.padd(a, blind), b) is None
     assert check_div(P.padd(a, {LAYOUT.pack([0, 0, 0, 9]): 1}), b) is None
 

@@ -309,32 +309,169 @@ def test_intern_factors_splits_univariate_powers(ctx):
     want = {(R.poly_key(poly_of(ctx, t)), e)
             for t, e in (("u1", 2), ("u1^3 - 1", 3), ("u1 + 2", 1))}
     assert {(f.key, e) for f, e in fs} == want
-    # a multivariate remainder is interned whole
+    # a multivariate remainder that no interned factor divides is interned
+    # whole
     _, fs = R.intern_factors(ctx, poly_of(ctx, "(u1 + v1)^2"))
     assert [(f.key, e) for f, e in fs] == [
         (R.poly_key(poly_of(ctx, "(u1 + v1)^2")), 1)]
 
 
+def to_sympy(sympy, p, lay, used):
+    """p as a sympy Poly in the variables of the index list used only:
+    sympy's gcd slows down with every generator, used or not."""
+    gens = sympy.symbols(f"x0:{len(used)}")
+    return sympy.Poly.from_dict(
+        {tuple(lay.exp(m, i) for i in used): c for m, c in p.items()}, *gens)
+
+
 def test_factor_base_stays_coprime_on_the_workloads():
-    """After exact verify-all and the 26 screen pairs, no two interned
-    univariate factors in the same variable share a factor."""
+    """After exact verify-all and the 26 screen pairs, every interned
+    factor, multivariate ones included, is square-free, and no two share a
+    factor (sympy as the reference).  Each factor's division data equals a
+    fresh recomputation from its polynomial."""
+    sympy = pytest.importorskip("sympy")
     cat = Catalog(ctx=default_context())
     verify.verify_all(cat, jobs=1)
     for e in cat.list("hyperbolic"):
         for ev in ("ev12", "ev21"):
             verify.verify_pair(cat.get(e.id), cat.get(ev))
     lay = cat.ctx.layout
-    by_var = {}
-    for f in cat.ctx.den_atoms:
-        var = P.pvars(f.poly, lay)
-        if len(var) == 1:
-            i, = var
-            dense = [f.poly.get(lay.var_mono(i, k), 0)
-                     for k in range(P.pdeg_var(f.poly, i) + 1)]
-            by_var.setdefault(i, []).append(dense)
-    assert by_var
-    for dense in by_var.values():
-        for j, a in enumerate(dense):
-            assert R.square_free_parts(a) == [(a, 1)]
-            for b in dense[j + 1:]:
-                assert ref_gcd_degree(a, b) == 0
+    atoms = cat.ctx.den_atoms
+    assert sum(len(P.pvars(f.poly, lay)) > 1 for f in atoms) >= 3
+    used = sorted(set().union(*(P.pvars(f.poly, lay) for f in atoms)))
+    polys = [to_sympy(sympy, f.poly, lay, used) for f in atoms]
+    for j, a in enumerate(polys):
+        _, parts = sympy.sqf_list(a)
+        assert [e for _, e in parts] == [1], atoms[j]
+        for b in polys[j + 1:]:
+            assert sympy.gcd(a, b).total_degree() == 0
+    for f in atoms:
+        fresh = P.Divisor(f.poly, lay)
+        assert [getattr(f, k) for k in P.Divisor.__slots__] == \
+            [getattr(fresh, k) for k in P.Divisor.__slots__]
+
+
+def test_inverse_interns_the_cofactor_of_an_interned_factor():
+    """Once g is interned, 1/(g^2*h) interns h, not g^2*h, for
+    multivariate g and h; the form is the same as 1/g^2 times 1/h."""
+    ctx = default_context()
+    g, h = rf_of(ctx, "u1*v1 + u2"), rf_of(ctx, "u2^2 - v1 + 3")
+    R.rf_inverse(ctx, g)
+    gh = R.rf_mul(ctx, R.rf_mul(ctx, g, g), h)
+    got = R.rf_inverse(ctx, gh)
+    keys = [f.key for f in ctx.den_atoms]
+    assert keys == [R.poly_key(g.num), R.poly_key(h.num)]
+    assert [(f.key, e) for f, e in got.den_factors] == [(keys[0], 2),
+                                                        (keys[1], 1)]
+    assert rf_fields(got) == rf_fields(
+        R.rf_mul(ctx, R.rf_inverse(ctx, R.rf_mul(ctx, g, g)),
+                 R.rf_inverse(ctx, h)))
+    assert R.rf_as_fraction(R.rf_mul(ctx, gh, got)) == 1
+
+
+# -- trial data carried through rf_make ---------------------------------------
+
+def fresh_checks_pass(a, b, lay):
+    """The necessary conditions for b | a, recomputed from a and b: the
+    trailing terms, and the values at (2, ..., 2) and (3, ..., 3)."""
+    ta, tb = min(a), min(b)
+    d = ta - tb
+    if d < 0 or d & lay.borrow_mask or a[ta] % b[tb]:
+        return False
+    for x in (2, 3):
+        av = sum(c * x ** lay.total(m) for m, c in a.items())
+        bv = sum(c * x ** lay.total(m) for m, c in b.items())
+        if av % bv if bv else av:
+            return False
+    return True
+
+
+def ref_rf_make(ctx, num, den_scalar, den_factors, divide, passed):
+    """rf_make's per-trial loop before the carried data: each factor is
+    tried by a division of its own for as long as it is exact.  passed[0]
+    counts the trials by a multi-term factor that pass fresh_checks_pass,
+    the ones that rf_make must hand to pdiv_exact."""
+    lay = ctx.layout
+    reduced = []
+    for f, e in den_factors:
+        while e > 0:
+            if len(f.poly) > 1 and fresh_checks_pass(num, f.poly, lay):
+                passed[0] += 1
+            q = divide(num, f.poly, lay)
+            if q is None:
+                break
+            num, e = q, e - 1
+        if e > 0:
+            reduced.append((f, e))
+    if den_scalar < 0:
+        den_scalar, num = -den_scalar, P.pneg(num)
+    g = math.gcd(P.pcontent(num), den_scalar)
+    num = {m: v // g for m, v in num.items()}
+    return R.RatFunc(num, den_scalar // g,
+                     tuple(sorted(reduced, key=lambda fe: fe[0].fid)))
+
+
+def test_rf_make_carries_the_trial_data(monkeypatch):
+    """rf_make agrees field by field with the per-trial reference on seeded
+    numerators built from powers of the factors, and hands pdiv_exact
+    exactly the trials that pass the checks recomputed from scratch.  The
+    factors include ones that vanish at (2, ..., 2) and (3, ..., 3), ones
+    whose values there are even, and single variables; exponents go up to
+    4, numerators may hold a factor more often than the denominator, and
+    cofactors have terms without a given variable."""
+    ctx = default_context()
+    lay = ctx.layout
+    # interned in this order, so that variables sit between the others in
+    # a denominator's trial order
+    texts = ["u1 - u2", "u1", "u1 + u2", "u1 - 3", "u2", "u1^3 - 1",
+             "u1*u2 - v1", "v1", "u1 + u2 + 1", "v1 - u2 - 1", "2*u1 + 1",
+             "u2^2 + u1*v1", "u1 + 2*u2"]
+    factors = [R.intern_factor(ctx, poly_of(ctx, t))[1] for t in texts]
+    by_text = dict(zip(texts, factors))
+    cofactors = [poly_of(ctx, t) for t in (
+        "1", "-2", "u1 + 1", "u2*v1 - 4", "u1^2 + u2", "3*v1 + u1*u2 + 5",
+        "u1 - u2 + 1", "6", "u1*u2", "u1^3 - 1 + u2")]
+    real = P.pdiv_exact
+    calls = [0]
+
+    def counted(a, b, layout):
+        calls[0] += 1
+        return real(a, b, layout)
+
+    monkeypatch.setattr(P, "pdiv_exact", counted)
+
+    def check(num, scalar, den):
+        passed, calls[0] = [0], 0
+        got = R.rf_make(ctx, num, scalar, den)
+        want = ref_rf_make(ctx, num, scalar, den, real, passed)
+        assert rf_fields(got) == rf_fields(want)
+        assert calls[0] == passed[0]
+        return got.den_factors != den, passed[0]
+
+    rng = random.Random(2024)
+    hits = passed_total = 0
+    for _ in range(400):
+        den = tuple(sorted(((f, rng.randint(1, 4))
+                            for f in rng.sample(factors, rng.randint(1, 5))),
+                           key=lambda fe: fe[0].fid))
+        num = rng.choice(cofactors)
+        for f in [f for f, _ in den] + rng.sample(factors, 1):
+            num = P.pmul(num, P.ppow(f.poly, rng.randint(0, 5), lay), lay)
+        if rng.random() < 0.2:
+            num = P.padd(num, rng.choice(cofactors))
+        hit, passed = check(num, rng.choice((1, 2, -3, 6)), den)
+        hits += hit
+        passed_total += passed
+    assert hits > 200 and passed_total > 200
+    # dividing out u1 halves the value at (2, ..., 2): left at 2*c(2), it
+    # would pass the check by u1 + u2, whose values are 4 and 6
+    c = poly_of(ctx, "-3*u1*u2 - 3*u1^2 - 3*u2^2 - 3*u1 - 2*u2")
+    assert check(P.pmul(c, poly_of(ctx, "u1"), lay), 1,
+                 ((by_text["u1"], 1), (by_text["u1 + u2"], 1))) == (True, 0)
+    # the trial by u1 - 3 computes the value at (3, ..., 3), and dividing
+    # out u2 divides it by 3: left at 3*c(3), it would pass the check by
+    # u1 + 2*u2, whose values are 6 and 9
+    c = poly_of(ctx, "-3*u1 - 4*u2 - 4*u1^2 - 4*u1*u2 - 2*u2^2")
+    assert check(P.pmul(c, poly_of(ctx, "u2"), lay), 1,
+                 tuple((by_text[t], 1) for t in ("u1 - 3", "u2", "u1 + 2*u2"))
+                 ) == (True, 0)

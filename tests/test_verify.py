@@ -710,10 +710,14 @@ def test_audit_pass_term_products(monkeypatch):
     after the products with the rules: trial divisions fell from 5,481 to
     2,651, and term products rose to 138,583, because the unreduced
     quotient-rule and chain-rule terms, larger than the reduced partial,
-    are what is multiplied by the rules."""
+    are what is multiplied by the rules.  pdiv_exact now counts heap
+    eliminations only, not trials (2,651 before): rf_make rejects a trial
+    that fails the trailing-term or value checks on data it carries, and
+    divides out a variable factor as a shift, without calling pdiv_exact;
+    term products did not change."""
     cat = Catalog(ctx=default_context())
     work = count_poly_work(monkeypatch)
     reports = verify.verify_all(cat, samples=0, jobs=1)
     assert all(r.residual_is_zero for r in reports)
     assert all(r.ok for r in transforms.check_all(cat))
-    assert work == {"products": 138583, "pdiv_exact": 2651}
+    assert work == {"products": 138583, "pdiv_exact": 415}
