@@ -237,8 +237,6 @@ class Catalog:
         self.entries: Dict[str, CatalogEntry] = {}
         self.transform_texts: Dict[str, Dict[str, object]] = {}
         self._pairings: List[PairingClaim] = []
-        # id -> tree as substitute folds it; the oracle follows that shape
-        self._folded: Dict[str, Expr] = {}
         self._load_builtin()
         for p in extra_paths:
             self.load_path(p)
@@ -318,8 +316,8 @@ class Catalog:
         Bindings are exact rationals substituted both in the expression and
         in the symbol relations (so e.g. the constant in the cubic of fa
         specializes).  A binding that violates a declared admissibility
-        condition raises AdmissibilityError.  With nothing bound, every call
-        returns the same tree.
+        condition raises AdmissibilityError.  With nothing bound, the
+        equation holds the entry's own tree.
         """
         e = self.entry(id)
         bound: Dict[str, Fraction] = {}
@@ -330,14 +328,11 @@ class Catalog:
             if spec.nonzero and bound.get(spec.name) == 0:
                 raise AdmissibilityError(
                     f"{id}: {spec.name} = 0 violates '{spec}'")
+        ctx, expression = self.ctx, e.expression
         if bound:
             ctx = self.ctx.bind(bound)
             expression = substitute(
-                e.expression, {k: Const(v) for k, v in bound.items()})
-        else:
-            ctx, expression = self.ctx, self._folded.get(id)
-            if expression is None:
-                expression = self._folded[id] = substitute(e.expression, {})
+                expression, {k: Const(v) for k, v in bound.items()})
         params: Dict[str, Optional[Fraction]] = {
             p.name: bound.get(p.name) for p in e.params}
         if e.role == "hyperbolic":

@@ -188,6 +188,19 @@ class Context:
         d = self._defs.get(name)
         return d.link if d is not None else None
 
+    def depends_on(self, name: str) -> Optional[str]:
+        """The jet or auxiliary variable a name varies with: the name itself
+        for such a variable, a symbol's argument for a symbol, and None for
+        a parameter or an argument-free symbol (sc).  An unregistered name
+        raises UnknownNameError."""
+        name = self.resolve(name)
+        d = self._defs.get(name)
+        if d is None:
+            raise UnknownNameError(f"unknown name {name!r}")
+        if d.link is not None:
+            return d.arg
+        return None if d.kind == PARAM else name
+
     def xjet(self, k: int) -> str:
         if k == 0:
             return "u"

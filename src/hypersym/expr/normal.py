@@ -477,23 +477,26 @@ def nf_free_vars(ctx: Context, a: NF) -> set:
 
 # -- conversion back to expression trees -------------------------------------
 
-def _poly_to_expr(ctx: Context, p: P.Poly) -> Expr:
-    lay = ctx.layout
-    terms = []
-    for m, c in P.psorted(p):
-        parts: List[Expr] = []
-        if c != 1 or m == 0:
-            parts.append(Const(c))
-        for i in lay.mono_vars(m):
-            e = lay.exp(m, i)
-            nm = Name(ctx.base_vars[i].name)
-            parts.append(nm if e == 1 else Pow(nm, e))
-        if not parts:
-            parts.append(tree.ONE)
-        terms.append(parts[0] if len(parts) == 1 else Mul(tuple(parts)))
+def _term(parts: List[Expr], lay, syms, m: int) -> Expr:
+    """The product of parts and the Name or Pow factor of each variable of
+    the monomial m over syms (ctx.base_vars or ctx.alg_syms), raw."""
+    for i in lay.mono_vars(m):
+        e = lay.exp(m, i)
+        nm = Name(syms[i].name)
+        parts.append(nm if e == 1 else Pow(nm, e))
+    return parts[0] if len(parts) == 1 else Mul(tuple(parts))
+
+
+def _sum(terms: List[Expr]) -> Expr:
     if not terms:
         return tree.ZERO
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
+
+
+def _poly_to_expr(ctx: Context, p: P.Poly) -> Expr:
+    return _sum([_term([Const(c)] if c != 1 or m == 0 else [],
+                       ctx.layout, ctx.base_vars, m)
+                 for m, c in P.psorted(p)])
 
 
 def _rf_to_expr(ctx: Context, a: RatFunc) -> Expr:
@@ -507,25 +510,12 @@ def _rf_to_expr(ctx: Context, a: RatFunc) -> Expr:
 def nf_to_expr(ctx: Context, a: NF) -> Expr:
     """Deterministic expression form: algebraic monomials in descending
     graded-lex order, each coefficient a ratio of ordered integer polynomials."""
-    if not a:
-        return tree.ZERO
-    lay = ctx.alg_layout
     terms = []
     for m in sorted(a, reverse=True):
-        c = a[m]
-        parts: List[Expr] = []
-        coeff = _rf_to_expr(ctx, c)
-        if m == 0:
-            terms.append(coeff)
-            continue
-        if coeff != tree.ONE:
-            parts.append(coeff)
-        for i in lay.mono_vars(m):
-            e = lay.exp(m, i)
-            nm = Name(ctx.alg_syms[i].name)
-            parts.append(nm if e == 1 else Pow(nm, e))
-        terms.append(parts[0] if len(parts) == 1 else Mul(tuple(parts)))
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+        coeff = _rf_to_expr(ctx, a[m])
+        terms.append(_term([coeff] if coeff != tree.ONE or m == 0 else [],
+                           ctx.alg_layout, ctx.alg_syms, m))
+    return _sum(terms)
 
 
 def nf_size(a: NF) -> int:

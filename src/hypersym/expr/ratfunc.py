@@ -457,11 +457,7 @@ def rf_inverse(ctx: Context, a: RatFunc) -> RatFunc:
     if a.is_zero():
         raise DivisionByZeroError("inverse of zero")
     c, fs = intern_factors(ctx, a.num)
-    lay = ctx.layout
-    num: P.Poly = P.pconst(a.den_scalar)
-    for g, e in a.den_factors:
-        num = P.pmul(num, P.ppow(g.poly, e, lay, ctx.max_terms), lay, ctx.max_terms)
-    return rf_make(ctx, num, c, fs)
+    return rf_make(ctx, rf_den_poly(ctx, a), c, fs)
 
 
 def rf_partial_terms(ctx: Context, a: RatFunc, var_index: int) -> List[RatFunc]:
@@ -489,7 +485,8 @@ def rf_equal(ctx: Context, a: RatFunc, b: RatFunc) -> bool:
 
 
 def rf_den_poly(ctx: Context, a: RatFunc) -> P.Poly:
-    """Materialize the denominator as a single polynomial (for display/tests)."""
+    """The denominator multiplied out as one polynomial: the numerator of
+    the inverse (rf_inverse) and of a printed denominator."""
     lay = ctx.layout
     out = P.pconst(a.den_scalar)
     for f, e in a.den_factors:

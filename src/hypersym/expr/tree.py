@@ -3,8 +3,9 @@
 A tree is pure syntax: leaves are rational constants or names, and the
 meaning of a name (jet variable, parameter, transcendental or algebraic
 symbol) is decided by the context that later normalizes the tree.  Trees
-are immutable.  The building helpers fold constants but do nothing else,
-so a parsed expression keeps its shape.
+are immutable.  The building helpers fold constants and splice nested sums
+and products, and nothing else; negation is the product by -1.  The parser
+builds through them, so substitute rebuilds a parsed tree unchanged.
 """
 
 from __future__ import annotations
@@ -164,14 +165,6 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
-def const(value: Rat) -> Expr:
-    return Const(value)
-
-
-def name(n: str) -> Expr:
-    return Name(n)
-
-
 def _flatten(args, kind) -> tuple:
     """The operands of args, with nested kind nodes spliced in, in order:
     (the non-constant operands, the constant values)."""
@@ -201,9 +194,6 @@ def add(*args) -> Expr:
 
 
 def sub(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
     return add(a, neg(b))
 
 
@@ -222,10 +212,7 @@ def mul(*args) -> Expr:
 
 
 def neg(a) -> Expr:
-    a = _coerce(a)
-    if isinstance(a, Const):
-        return Const(-a.value)
-    return Mul((Const(-1), a))
+    return mul(-1, a)
 
 
 def div(a, b) -> Expr:

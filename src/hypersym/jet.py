@@ -2,7 +2,9 @@
 
 The equations are HyperbolicEq, u_xy = F(u_x, u_y, u), and EvolutionEq,
 u_t = u_5 + G along x only: a claim along y is checked as the x claim
-against swap_xy(F).  Each constructor checks the free names of its tree.
+against swap_xy(F).  Each constructor checks the free names of its tree:
+each must vary with one of its jet variables, or with none
+(Context.depends_on, which also gives NFJet the variables to derive by).
 
 Mixed derivatives are never materialized: D_x(v_1) = F, D_x(v_j) =
 D_y^{j-1}(F), D_y(u_1) = F, D_y(u_k) = D_x^{k-1}(F), with the iterated
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional
 
 from .errors import UnknownNameError
 from .expr import normal as N
-from .expr.context import AUX, PARAM, XJET, YJET, Context, std_context
+from .expr.context import Context, std_context
 from .expr.tree import Expr, free_names, map_names
 
 
@@ -67,21 +69,13 @@ class EvolutionEq:
 
 
 def _check_vars(ctx: Context, e: Expr, allowed: set, what: str) -> None:
-    """Free names must be the allowed jet variables, parameters, or symbols
-    whose argument is one of the allowed variables."""
+    """Every free name must vary with one of the allowed jet variables, or
+    with none (Context.depends_on)."""
     for nm in sorted(free_names(e)):
-        nm = ctx.resolve(nm)
-        if nm in allowed:
-            continue
-        link = ctx.chain(nm)
-        if link is not None:
-            if link[0] is None or link[0] in allowed:
-                continue
-            raise ValueError(f"{what}: symbol {nm} has argument {link[0]}, "
+        var = ctx.depends_on(nm)
+        if var is not None and var not in allowed:
+            raise ValueError(f"{what}: {nm} varies with {var}, "
                              f"outside {sorted(allowed)}")
-        if ctx.base(nm).kind == PARAM:
-            continue
-        raise ValueError(f"{what}: variable {nm} outside {sorted(allowed)}")
 
 
 class JetEngine:
@@ -185,16 +179,10 @@ class NFJet:
 
 
 def partial_vars(ctx: Context, a) -> List[str]:
-    """The variables a normal form may depend on, sorted: its jet and
-    auxiliary variables and the arguments of its symbols."""
-    names = set()
-    for nm in N.nf_free_vars(ctx, a):
-        link = ctx.chain(nm)
-        if link is not None:
-            if link[0] is not None:
-                names.add(link[0])
-        elif ctx.base(nm).kind in (XJET, YJET, AUX):
-            names.add(nm)
+    """The variables a normal form may depend on, sorted: the jet and
+    auxiliary variables its names vary with (Context.depends_on)."""
+    names = {ctx.depends_on(nm) for nm in N.nf_free_vars(ctx, a)}
+    names.discard(None)
     return sorted(names)
 
 

@@ -23,8 +23,10 @@ is drawn once per context and master seed and reused by every later zero
 test; a context keeps the points of its last seed only.  _compile imports
 trees as they are; residual_program builds the determining residual from
 the trees of F and G by forward differentiation on the ops (Baur &
-Strassen 1983; Griewank & Walther 2008), with the
-folding of expr.tree's helpers.  That differentiation, _Jet, is the one
+Strassen 1983; Griewank & Walther 2008), with the folding of expr.tree's
+helpers, negation the product by -1 included.  The parser builds through
+those helpers too, so an entry's tree compiles to the program of the
+tree substitute rebuilds from it.  That differentiation, _Jet, is the one
 derivative engine on terms: jet.JetEngine and jet.partial import their
 trees into a table, derive with _Jet and read the result back as a tree
 (_Ops.tree), so a residual built from their trees compiles to the program
@@ -280,10 +282,7 @@ class _Ops:
         return flat[0] if len(flat) == 1 else self.op((_MUL, tuple(flat), None))
 
     def sub(self, a: int, b: int) -> int:
-        value = self.value
-        if b in value:  # tree.neg of a constant folds; of any other term,
-            return self.add((a, self.const(-value[b])))  # it is Mul(-1, b)
-        return self.add((a, self.op((_MUL, (self.const(-1), b), None))))
+        return self.add((a, self.mul((self.const(-1), b))))
 
     def div(self, a: int, b: int) -> int:
         value = self.value

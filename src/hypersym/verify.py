@@ -329,9 +329,6 @@ def u5_constraint(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
                     N.nf_scale(ctx, nfj.d_x(nfj.partial_F("u1")), 5))
 
 
-_G_ALLOWED_KINDS = (PARAM,)
-
-
 def extract_g(G: EvolutionEq) -> Expr:
     """The function g(u_1) with dG/du_4 = 5 u_2 g(u_1).
 
@@ -342,18 +339,10 @@ def extract_g(G: EvolutionEq) -> Expr:
     five_u2 = N.nf_scale(ctx, N.nf_base(ctx, "u2"), 5)
     g = N.nf_mul(ctx, Gu4, N.nf_inverse(ctx, five_u2))
     for nm in sorted(N.nf_free_vars(ctx, g)):
-        if nm == "u1":
-            continue
-        link = ctx.chain(nm)
-        if link is not None:
-            if link[0] == "u1":
-                continue
-            raise LemmaPremiseError(
-                f"dG/du_4 carries symbol {nm} not based on u_1")
-        if ctx.base(nm).kind in _G_ALLOWED_KINDS:
-            continue
-        raise LemmaPremiseError(
-            f"dG/du_4 is not 5*u2*g(u_1): stray variable {nm}")
+        var = ctx.depends_on(nm)
+        if var is not None and var != "u1":
+            raise LemmaPremiseError(f"dG/du_4 is not 5*u2*g(u_1): {nm} "
+                                    f"varies with {var}, outside ['u1']")
     return N.nf_to_expr(ctx, g)
 
 

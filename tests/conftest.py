@@ -9,6 +9,7 @@ import pytest
 from hypersym.catalog import Catalog
 from hypersym.expr import poly as P
 from hypersym.expr import tree
+from hypersym.expr.tree import Const, Name
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +30,8 @@ def random_expr(rng: random.Random, names, depth: int) -> tree.Expr:
     """
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.25:
-            return tree.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        return tree.name(rng.choice(names))
+            return Const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return Name(rng.choice(names))
     op = rng.choice(("add", "add", "mul", "mul", "pow"))
     if op == "add":
         return tree.add(random_expr(rng, names, depth - 1),

@@ -78,10 +78,14 @@ def test_get_returns_equation_objects(catalog):
     assert isinstance(G, EvolutionEq) and G.id == "ev12"
 
 
-def test_unbound_get_folds_each_entry_once(catalog):
-    G = catalog.get("ev21")
-    assert G.G is catalog.get("ev21").G
-    assert G.G == substitute(catalog.entry("ev21").expression, {})
+def test_unbound_get_holds_the_parsed_tree(catalog):
+    """The parser builds through the folding helpers, so substitute rebuilds
+    every entry's tree unchanged, and an unbound get holds that tree itself
+    (the oracle's float values follow its shape)."""
+    for e in catalog.list():
+        assert substitute(e.expression, {}) == e.expression, e.id
+        eq = catalog.get(e.id)
+        assert (eq.F if e.role == "hyperbolic" else eq.G) is e.expression, e.id
 
 
 def test_get_with_bindings_substitutes_exactly(catalog):

@@ -121,6 +121,22 @@ def test_verify_param_binding(capsys):
     assert code == 1
 
 
+def test_verify_exit_uses_the_oracles_rule(capsys, catalog):
+    """The numeric check agrees only when its largest residual lies below
+    the tolerance, as numeval.numeric_zero decides: a tolerance equal to
+    that residual fails the claim."""
+    r = verify.verify_pair(catalog.get("hyp4"), catalog.get("ev12"),
+                           samples=3)
+    assert r.residual_is_zero and r.numeric_max_residual > 0
+    tol = repr(r.numeric_max_residual)
+    code, out, _ = run(capsys, "--format", "structured", "verify", "hyp4",
+                       "ev12", "--samples", "3", "--tol", tol)
+    assert code == 1 and f"numeric_max_residual = {tol}" in out
+    code, _, _ = run(capsys, "verify", "hyp4", "ev12", "--samples", "3",
+                     "--tol", repr(2 * r.numeric_max_residual))
+    assert code == 0
+
+
 def test_verify_rejects_bad_parameter_value(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "S3", "ev17", "--param", "mu=oops"])

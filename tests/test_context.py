@@ -119,3 +119,19 @@ def test_aliases_resolve_for_base_lookups_only(ctx, twins):
             ctx.alg(name)
     with pytest.raises(UnknownNameError):
         ctx.base("nosuch")
+
+
+# name: what Context.depends_on says it varies with; None for a constant
+DEPENDS_ON = {"u1": "u1", "uy": "v1", "f": "u1", "E": "u", "V": "V",
+              "sc": None, "a": None}
+
+
+def test_depends_on_names_the_variable_a_name_varies_with():
+    """A jet or auxiliary variable varies with itself (an alias with its
+    target), a symbol with its argument, and a parameter or the
+    argument-free sc with nothing; an unregistered name raises."""
+    ctx = default_context()
+    for name, var in DEPENDS_ON.items():
+        assert ctx.depends_on(name) == var, name
+    with pytest.raises(UnknownNameError):
+        ctx.depends_on("nosuch")

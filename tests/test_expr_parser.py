@@ -41,22 +41,22 @@ def test_known_calls_resolve_to_tower_symbols(ctx):
 
 
 def test_exp_multiples_become_powers(ctx):
-    assert_same(ctx, "exp(2*u)", tree.pow_(tree.name("E"), 2))
-    assert_same(ctx, "exp(-2*u)", tree.div(1, tree.pow_(tree.name("E"), 2)))
-    assert_same(ctx, "exp(u)*exp(-2*u)", tree.div(1, tree.name("E")))
+    assert_same(ctx, "exp(2*u)", tree.pow_(Name("E"), 2))
+    assert_same(ctx, "exp(-2*u)", tree.div(1, tree.pow_(Name("E"), 2)))
+    assert_same(ctx, "exp(u)*exp(-2*u)", tree.div(1, Name("E")))
 
 
 def test_precedence_and_associativity(ctx):
-    assert_same(ctx, "2*u1^2", tree.mul(2, tree.pow_(tree.name("u1"), 2)))
-    assert_same(ctx, "(2*u1)^2", tree.mul(4, tree.pow_(tree.name("u1"), 2)))
-    assert_same(ctx, "-u1^2", tree.neg(tree.pow_(tree.name("u1"), 2)))
-    assert_same(ctx, "2 - -3", tree.const(5))
-    assert_same(ctx, "12/3/2", tree.const(2))  # division is left-associative
+    assert_same(ctx, "2*u1^2", tree.mul(2, tree.pow_(Name("u1"), 2)))
+    assert_same(ctx, "(2*u1)^2", tree.mul(4, tree.pow_(Name("u1"), 2)))
+    assert_same(ctx, "-u1^2", tree.neg(tree.pow_(Name("u1"), 2)))
+    assert_same(ctx, "2 - -3", Const(5))
+    assert_same(ctx, "12/3/2", Const(2))  # division is left-associative
     assert_same(ctx, "u1 - u2 - u3",
-                tree.sub(tree.sub(tree.name("u1"), tree.name("u2")),
-                         tree.name("u3")))
-    assert_same(ctx, "2^3", tree.const(8))
-    assert_same(ctx, "1/2*u1", tree.mul(Fraction(1, 2), tree.name("u1")))
+                tree.sub(tree.sub(Name("u1"), Name("u2")),
+                         Name("u3")))
+    assert_same(ctx, "2^3", Const(8))
+    assert_same(ctx, "1/2*u1", tree.mul(Fraction(1, 2), Name("u1")))
 
 
 def test_parse_errors(ctx):

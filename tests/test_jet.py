@@ -10,6 +10,7 @@ from hypersym.errors import HypersymError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.parser import parse
+from hypersym.expr.tree import Name
 from hypersym.jet import (EvolutionEq, HyperbolicEq, JetEngine, NFJet,
                           nf_jet, nf_partials, swap_xy)
 
@@ -44,13 +45,13 @@ def test_first_jet_replacements(tz):
     eng = JetEngine(tz)
     F = tz.F
     # the defining replacements: D_y(u1) = F and D_x(v1) = F
-    assert N.nf_equal(ctx, nf(ctx, eng.d_y(tree.name("u1"))), nf(ctx, F))
-    assert N.nf_equal(ctx, nf(ctx, eng.d_x(tree.name("v1"))), nf(ctx, F))
+    assert N.nf_equal(ctx, nf(ctx, eng.d_y(Name("u1"))), nf(ctx, F))
+    assert N.nf_equal(ctx, nf(ctx, eng.d_x(Name("v1"))), nf(ctx, F))
     # D_x of a pure x-jet is the shift
-    assert N.nf_equal(ctx, nf(ctx, eng.d_x(tree.name("u3"))),
+    assert N.nf_equal(ctx, nf(ctx, eng.d_x(Name("u3"))),
                       nf(ctx, "u4"))
     # D_y(u2) = D_x(F) along solutions
-    assert N.nf_equal(ctx, nf(ctx, eng.d_y(tree.name("u2"))),
+    assert N.nf_equal(ctx, nf(ctx, eng.d_y(Name("u2"))),
                       nf(ctx, eng.d_x(F)))
 
 

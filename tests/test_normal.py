@@ -16,6 +16,7 @@ from hypersym.expr import ratfunc as R
 from hypersym.expr import tree
 from hypersym.expr.context import default_context
 from hypersym.expr.parser import parse
+from hypersym.expr.tree import Name
 from hypersym.jet import swap_xy
 
 TOWER_NAMES = ["u", "u1", "u2", "v1", "f", "r", "fa", "E", "W"]
@@ -239,7 +240,7 @@ def test_inverse_in_the_tower(ctx):
 
 
 def test_negative_powers_via_division(ctx):
-    a = nf(ctx, tree.pow_(tree.name("f"), -2))
+    a = nf(ctx, tree.pow_(Name("f"), -2))
     b = nf(ctx, "f(u1)^2")
     assert nf_struct_equal(N.nf_mul(ctx, a, b), N.nf_const(ctx, 1))
 

@@ -96,9 +96,9 @@ def test_eval_exactness_and_errors(ctx):
     rel = parse("(f(u1) + u1)^2*(2*f(u1) - u1) + 1", ctx)
     assert abs(numeval.eval(rel, p)) < 1e-12
     with pytest.raises(EvalError):
-        numeval.eval(tree.div(tree.const(1), parse("u1 - u1", ctx)), p)
+        numeval.eval(tree.div(Const(1), parse("u1 - u1", ctx)), p)
     with pytest.raises(EvalError):
-        numeval.eval(tree.name("u1"), numeval.SamplePoint({}, 0))
+        numeval.eval(Name("u1"), numeval.SamplePoint({}, 0))
 
 
 def test_eval_and_numeric_zero_reject_normal_forms(ctx):
@@ -552,7 +552,7 @@ def test_oracle_pass_draws_each_point_once(monkeypatch):
 
 
 FOLD_OPERANDS = [Const(0), Const(1), Const(-1), Const(Fraction(-3, 4)),
-                 Const(2), Name("u1")]
+                 Const(2), Name("u1"), tree.mul(2, Name("u1")), -Name("u1")]
 
 
 def _folded(build):
@@ -564,13 +564,17 @@ def _folded(build):
 
 
 def test_ops_fold_constants_as_the_tree_helpers():
-    """The op table's div and pow_ fold constants rule for rule as
-    tree.div and tree.pow_ do, raising the same errors: a denominator of 0
-    or 1, a zero numerator, a constant base, a power of 0 or 1, and 0 to a
-    negative power.  The op is read back as a tree to compare."""
+    """The op table's sub, div and pow_ fold constants rule for rule as
+    tree.sub, tree.div and tree.pow_ do, raising the same errors: a
+    difference of constants, -1 times a product (2*u1 gives -2*u1, -u1
+    gives u1), a denominator of 0 or 1, a zero numerator, a constant base,
+    a power of 0 or 1, and 0 to a negative power.  The op is read back as
+    a tree to compare."""
     t = numeval._Ops()
     for a in FOLD_OPERANDS:
         for b in FOLD_OPERANDS:
+            assert t.tree(t.sub(t.imp(a), t.imp(b))) == tree.sub(a, b), \
+                ("sub", a, b)
             assert _folded(lambda: t.tree(t.div(t.imp(a), t.imp(b)))) == \
                 _folded(lambda: tree.div(a, b)), ("div", a, b)
         for k in (-2, -1, 0, 1, 2, 3):

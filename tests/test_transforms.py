@@ -11,8 +11,8 @@ from hypersym import transforms as T
 from hypersym.catalog import Catalog
 from hypersym.errors import TransformError
 from hypersym.expr import normal as N
-from hypersym.expr import tree
 from hypersym.expr.parser import parse
+from hypersym.expr.tree import Const, Name
 
 TRANSFORM_IDS = ["S3i", "S3ii", "S4S1", "S5S3", "S6T", "T1"]
 
@@ -163,8 +163,8 @@ def test_parametrization_and_scaling(ctx):
 
 
 def test_curve_relation_expands_to_depressed_cubic(ctx):
-    phi, s = tree.name("phi"), tree.name("s")
-    built = T.curve_relation(phi, s, tree.const(5))
+    phi, s = Name("phi"), Name("s")
+    built = T.curve_relation(phi, s, Const(5))
     expanded = parse("2*phi^3 + 3*s*phi^2 - s^3 + 5", ctx)
     assert N.nf_equal(ctx, N.normalize(ctx, built),
                       N.normalize(ctx, expanded))
