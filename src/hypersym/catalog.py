@@ -12,10 +12,8 @@ interpreted by the transforms module.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, CatalogError, ParseError,
                      UnknownEntryError, UnknownNameError)
@@ -28,8 +26,7 @@ VALID_ROLES = ("evolution", "hyperbolic")
 VALID_STATUS = ("asserted-by-paper", "resolved-by-tool")
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """One declared parameter of an entry; nonzero marks 'name != 0'."""
 
     name: str
@@ -39,8 +36,7 @@ class ParamSpec:
         return f"{self.name} != 0" if self.nonzero else self.name
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     role: str
     params: Tuple[ParamSpec, ...]
@@ -53,8 +49,7 @@ class CatalogEntry:
         return tuple(p.name for p in self.params)
 
 
-@dataclass(frozen=True)
-class PairingClaim:
+class PairingClaim(NamedTuple):
     hyperbolic_id: str
     evolution_id: str
     direction: str
@@ -244,27 +239,26 @@ class Catalog:
     # -- loading -------------------------------------------------------------
 
     def _load_builtin(self) -> None:
-        root = resources.files("hypersym").joinpath("catalog_data")
-        names = sorted(
-            r.name for r in root.iterdir()
-            if r.name.endswith(".txt"))
-        for name in names:
-            self._load_text(root.joinpath(name).read_text(encoding="utf-8"),
-                            f"catalog_data/{name}")
+        root = os.path.join(os.path.dirname(__file__), "catalog_data")
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".txt"):
+                self._load_file(os.path.join(root, name),
+                                f"catalog_data/{name}")
 
     def load_path(self, path: str) -> None:
         """Load one extra catalog file or every *.txt file in a directory."""
         if os.path.isdir(path):
             for name in sorted(os.listdir(path)):
                 if name.endswith(".txt"):
-                    full = os.path.join(path, name)
-                    with open(full, "r", encoding="utf-8") as fh:
-                        self._load_text(fh.read(), full)
+                    self._load_file(os.path.join(path, name))
         elif os.path.isfile(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                self._load_text(fh.read(), path)
+            self._load_file(path)
         else:
             raise CatalogError(f"catalog path {path!r} does not exist")
+
+    def _load_file(self, path: str, label: Optional[str] = None) -> None:
+        with open(path, encoding="utf-8") as fh:
+            self._load_text(fh.read(), label or path)
 
     def _load_text(self, text: str, path: str) -> None:
         body = "\n".join(

@@ -92,7 +92,7 @@ class JetEngine:
     def __init__(self, eq: HyperbolicEq, custom_dx: Optional[Dict[str, Expr]] = None,
                  custom_dy: Optional[Dict[str, Expr]] = None):
         # imported here, so that only the users of the tree engine pay for
-        # importing numeval (its dataclasses)
+        # importing numeval
         from .numeval import _Jet, _Ops
         self.eq = eq
         self.ctx = eq.ctx

@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -57,11 +56,15 @@ MAX_ATTEMPTS = 100
 _CALL_FUNCS = {"exp": math.exp, "ln": math.log}
 
 
-@dataclass
 class SamplePoint:
-    assignment: Dict[str, float]
-    seed: int
-    relation_residuals: Dict[str, float] = field(default_factory=dict)
+    __slots__ = ("assignment", "seed", "relation_residuals")
+
+    def __init__(self, assignment: Dict[str, float], seed: int,
+                 relation_residuals: Optional[Dict[str, float]] = None):
+        self.assignment = assignment
+        self.seed = seed
+        self.relation_residuals = ({} if relation_residuals is None
+                                   else relation_residuals)
 
     def __getitem__(self, name: str) -> float:
         try:
@@ -612,8 +615,7 @@ def sample_point(ctx: Optional[Context] = None, seed: int = 0) -> SamplePoint:
     raise SampleError(f"no consistent sample after {MAX_ATTEMPTS} attempts: {last}")
 
 
-@dataclass
-class NumericVerdict:
+class NumericVerdict(NamedTuple):
     zero_like: bool
     max_residual: float
     residuals: List[float]
@@ -661,8 +663,7 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
                           tolerance=tol, seed=seed)
 
 
-@dataclass
-class FDCheck:
+class FDCheck(NamedTuple):
     name: str
     wrt: str
     fd: float

@@ -28,9 +28,8 @@ equation at fixed parameters with x and y exchanged where marked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog
 from .errors import TransformError
@@ -50,8 +49,7 @@ MAX_PRINTED_TERMS = 12
 # definitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransformDef:
+class TransformDef(NamedTuple):
     """One substitution claim: source entry, target form, defining
     relations, and the finite set of sign/branch conventions to try."""
 
@@ -122,8 +120,7 @@ def load_transforms(catalog: Catalog) -> Dict[str, TransformDef]:
 # report types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One required-zero identity: its exact term count after reduction,
     and the printed residual when it is small enough to show."""
 
@@ -136,8 +133,7 @@ class CheckResult:
         return self.term_count == 0
 
 
-@dataclass(frozen=True)
-class ConventionResult:
+class ConventionResult(NamedTuple):
     name: str
     checks: Tuple[CheckResult, ...]
     fitted: Tuple[Tuple[str, str], ...] = ()
@@ -152,8 +148,7 @@ class ConventionResult:
         return sum(c.term_count for c in self.checks)
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(NamedTuple):
     id: str
     source: str
     target_text: str
@@ -619,8 +614,7 @@ def check_all(catalog: Catalog) -> List[TransformReport]:
 # the reduced four-equation list
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ListIdentity:
+class ListIdentity(NamedTuple):
     final_id: str
     source_id: str
     bindings: Tuple[Tuple[str, Fraction], ...]

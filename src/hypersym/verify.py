@@ -29,9 +29,8 @@ sampled values do not move.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
@@ -210,8 +209,7 @@ def jet_coefficients(ctx: Context, R: N.NF
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     pairing: Optional[PairingClaim]
     hyperbolic_id: str
     evolution_id: str
@@ -346,8 +344,7 @@ def extract_g(G: EvolutionEq) -> Expr:
     return N.nf_to_expr(ctx, g)
 
 
-@dataclass
-class LemmaDecomposition:
+class LemmaDecomposition(NamedTuple):
     g: Expr
     eq28: N.NF
     eq29: N.NF

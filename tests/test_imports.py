@@ -1,11 +1,16 @@
 """The runtime is pure standard library: every module-level import of the
 package is the standard library or hypersym itself, and is used.  Every
-definition of the package is used as well."""
+definition of the package is used as well, and the cold start loads no
+introspection module."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import hypersym
 
@@ -99,3 +104,30 @@ def test_every_definition_is_referenced():
             for d in _definitions(module)
             if seen[d.name] == Counter(_references(d))[d.name]]
     assert not dead, dead
+
+
+_COLD_START = """
+import sys
+before = set(sys.modules)
+import hypersym.transforms, hypersym.verify
+from hypersym.catalog import Catalog
+Catalog()
+loaded = set(sys.modules) - before
+print(" ".join(sorted(loaded & {"dataclasses", "inspect",
+                                "importlib.resources"})))
+before = set(sys.modules)
+import hypersym.numeval
+loaded = set(sys.modules) - before
+print("hypersym.numeval" in loaded, "dataclasses" in loaded)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["plain", "no-site"])
+def test_cold_start_loads_no_introspection_modules(flags):
+    """Every CLI call and verify_all worker pays for import plus Catalog():
+    neither loads dataclasses (which pulls in inspect, ast and dis) nor
+    importlib.resources.  Under -S no site hook loads them first."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, *flags, "-c", _COLD_START],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["", "True False"]

@@ -2,7 +2,6 @@
 fitted constants, and the point identities of S4S1, S5S3 and the final
 list."""
 
-import dataclasses
 import textwrap
 
 import pytest
@@ -151,7 +150,7 @@ def test_check_transform_accepts_id(catalog):
 
 
 def test_s3i_unknown_convention_is_rejected(catalog, defs, monkeypatch):
-    bogus = dataclasses.replace(defs["S3i"], conventions=("bogus",))
+    bogus = defs["S3i"]._replace(conventions=("bogus",))
     monkeypatch.setattr(T, "load_transforms", lambda catalog: {"S3i": bogus})
     with pytest.raises(TransformError, match="unknown convention .bogus."):
         T.check_transform("S3i", catalog)

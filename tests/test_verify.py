@@ -1,7 +1,6 @@
 """The determining identity: exact residuals, coefficient localization, the
 order-reduction conditions, ODE checks, and parameter forcing."""
 
-import dataclasses
 import gc
 import hashlib
 import math
@@ -597,8 +596,8 @@ def test_report_identity_sees_a_changed_coefficient_or_denominator(
         scaled = [(mono, f"(1 + 1/1000000)*({coeff})"), *rest]
         den = r.cleared_denominator
         for doctored in (
-                dataclasses.replace(r, failing_coefficients=scaled),
-                dataclasses.replace(r, cleared_denominator=(
+                r._replace(failing_coefficients=scaled),
+                r._replace(cleared_denominator=(
                     f"2*({den})" if den else "2"))):
             assert report_mismatches(F, G, doctored, points), (F.id, G.id)
 
