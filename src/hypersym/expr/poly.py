@@ -1,7 +1,9 @@
 """Sparse integer polynomials over bit-packed exponent vectors.
 
-A monomial is a single Python integer: sixteen bits per variable plus a
-leading field holding the total degree.  Integer comparison of packed
+A monomial is a single Python integer: ten bits per variable plus a
+leading field holding the total degree.  Each exponent and the total
+degree stay below FIELD_TOP = 512; pack and every product raise
+SizeLimitError past it.  Integer comparison of packed
 monomials is then exactly graded-lexicographic order (total degree first,
 ties broken by the exponent of the largest registered variable), and
 monomial multiplication is integer addition.  A polynomial is a plain dict
@@ -18,9 +20,15 @@ from ..errors import SizeLimitError
 
 Poly = Dict[int, int]
 
-FIELD_BITS = 16
+FIELD_BITS = 10
 FIELD_MASK = (1 << FIELD_BITS) - 1
 FIELD_TOP = 1 << (FIELD_BITS - 1)
+OVERFLOW = ("monomial exponent overflow: each exponent and the total "
+            f"degree must stay below {FIELD_TOP}")
+
+
+def _out_of_range(what: str) -> str:
+    return f"{what} out of packing range: it must stay below {FIELD_TOP}"
 
 
 class Layout:
@@ -45,11 +53,11 @@ class Layout:
         for i, e in enumerate(exps):
             if e:
                 if e < 0 or e >= FIELD_TOP:
-                    raise SizeLimitError(f"exponent {e} out of packing range")
+                    raise SizeLimitError(_out_of_range(f"exponent {e}"))
                 mono |= e << (FIELD_BITS * i)
                 total += e
         if total >= FIELD_TOP:
-            raise SizeLimitError("total degree out of packing range")
+            raise SizeLimitError(_out_of_range(f"total degree {total}"))
         return mono | (total << self.total_shift)
 
     def unpack(self, mono: int) -> List[int]:
@@ -66,13 +74,13 @@ class Layout:
 
     def var_mono(self, i: int, e: int = 1) -> int:
         if e < 0 or e >= FIELD_TOP:
-            raise SizeLimitError(f"exponent {e} out of packing range")
+            raise SizeLimitError(_out_of_range(f"exponent {e}"))
         return (e << (FIELD_BITS * i)) | (e << self.total_shift)
 
     def mono_mul(self, a: int, b: int) -> int:
         m = a + b
         if m & self.borrow_mask:
-            raise SizeLimitError("monomial exponent overflow")
+            raise SizeLimitError(OVERFLOW)
         return m
 
     def mono_divides(self, a: int, b: int) -> bool:
@@ -91,10 +99,10 @@ class Layout:
         """The factor of mono in the variables whose fields mask selects.
 
         The total degree is the sum of the kept fields.  Multiplying by
-        sum(2**(16*i)) puts the prefix sums of the fields into the fields of
-        the product; the top variable's field holds the whole sum, and no
-        prefix sum carries, since it is at most the monomial's total degree,
-        which pack and mono_mul keep below 2**15.
+        sum(2**(FIELD_BITS*i)) puts the prefix sums of the fields into the
+        fields of the product; the top variable's field holds the whole sum,
+        and no prefix sum carries, since it is at most the monomial's total
+        degree, which pack and mono_mul keep below FIELD_TOP.
         """
         m = mono & mask
         total = ((m * self._ones) >> (self.total_shift - FIELD_BITS)) & FIELD_MASK
@@ -102,7 +110,7 @@ class Layout:
 
     def over_offset(self, caps: Sequence[int]) -> int:
         """Added to a monomial, sets the borrow bit of field i exactly when
-        exponent i reaches caps[i]; both terms are below 2**15, so no carry."""
+        exponent i reaches caps[i]; both are below FIELD_TOP, so no carry."""
         return sum((FIELD_TOP - c) << (FIELD_BITS * i)
                    for i, c in enumerate(caps))
 
@@ -158,15 +166,14 @@ def pscale(a: Poly, c: int) -> Poly:
 
 
 def pmul_mono(a: Poly, mono: int, coeff: int, layout: Layout) -> Poly:
-    if coeff == 0:
+    """coeff * mono * a, with the one overflow check of pmul_into."""
+    if coeff == 0 or not a:
         return {}
-    borrow = layout.borrow_mask
+    if (max(a) + mono) & layout.borrow_mask:
+        raise SizeLimitError(OVERFLOW)
     out = {}
     for m, c in a.items():
-        mm = m + mono
-        if mm & borrow:
-            raise SizeLimitError("monomial exponent overflow")
-        out[mm] = c * coeff
+        out[m + mono] = c * coeff
     return out
 
 
@@ -177,9 +184,12 @@ def pmul_into(out: Poly, a: Poly, b: Poly, layout: Layout, max_terms: int = 0,
     A monomial field is at most the total degree, so a product term
     overflows a field only if its total degree overflows, and the term of
     largest total degree is max(a) * max(b); one check of that sum covers
-    every term.  max_terms bounds out as it grows."""
+    every term, and it runs before out is touched.  max_terms bounds out
+    as it grows."""
     if not a or not b or not scale:
         return
+    if (max(a) + max(b)) & layout.borrow_mask:
+        raise SizeLimitError(OVERFLOW)
     if len(a) < len(b):
         a, b = b, a
     get = out.get
@@ -195,8 +205,6 @@ def pmul_into(out: Poly, a: Poly, b: Poly, layout: Layout, max_terms: int = 0,
         if max_terms and len(out) > max_terms:
             raise SizeLimitError(
                 f"polynomial exceeded {max_terms} terms during multiplication")
-    if (max(a) + max(b)) & layout.borrow_mask:
-        raise SizeLimitError("monomial exponent overflow")
 
 
 def pmul(a: Poly, b: Poly, layout: Layout, max_terms: int = 0) -> Poly:

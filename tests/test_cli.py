@@ -12,6 +12,7 @@ import pytest
 
 import hypersym
 from hypersym import cli, verify
+from hypersym.expr.poly import FIELD_TOP
 
 DATA = Path(__file__).parent / "data"
 
@@ -346,6 +347,24 @@ def test_catalog_entry_that_divides_by_zero_names_its_file(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "zero.txt" in err
     assert "constant zero denominator" in err
+
+
+def test_entry_past_the_packing_limit_is_a_size_error(tmp_path):
+    """u1^600*u cannot be packed: verify exits 2 and names the limit,
+    without a traceback; u1^200*u still gets a verdict."""
+    for k in (200, 600):
+        (tmp_path / "big.txt").write_text(
+            f"id: big\nrole: hyperbolic\nparams:\nprovenance: demo\n"
+            f"expr:\nu1^{k}*u\n")
+        r = run_cold("--catalog", str(tmp_path), "verify", "big", "ev12")
+        if k < FIELD_TOP:
+            assert r.returncode == 1 and r.stderr == ""
+            assert r.stdout.startswith("big ev12 x: residual NONZERO")
+        else:
+            assert r.returncode == 2 and r.stdout == ""
+            assert r.stderr.startswith("error: ")
+            assert f"must stay below {FIELD_TOP}" in r.stderr
+            assert "Traceback" not in r.stderr
 
 
 def test_unknown_command_is_usage_error(capsys):

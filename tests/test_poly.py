@@ -56,12 +56,13 @@ def test_pack_unpack_roundtrip():
 
 
 def test_pack_rejects_out_of_range_exponents():
-    with pytest.raises(SizeLimitError):
-        LAYOUT.pack([1 << 15, 0, 0, 0])
-    with pytest.raises(SizeLimitError):
-        LAYOUT.pack([20000, 20000, 0, 0])  # total degree overflows
-    with pytest.raises(SizeLimitError):
-        LAYOUT.var_mono(0, 1 << 15)
+    top = P.FIELD_TOP
+    with pytest.raises(SizeLimitError, match=f"packing range.*below {top}"):
+        LAYOUT.pack([top, 0, 0, 0])
+    with pytest.raises(SizeLimitError, match=f"packing range.*below {top}"):
+        LAYOUT.pack([top * 5 // 8, top * 5 // 8, 0, 0])  # total overflows
+    with pytest.raises(SizeLimitError, match=f"packing range.*below {top}"):
+        LAYOUT.var_mono(0, top)
 
 
 def test_mono_mul_and_divides():
@@ -71,7 +72,7 @@ def test_mono_mul_and_divides():
     assert LAYOUT.mono_divides(a, LAYOUT.mono_mul(a, b))
     assert not LAYOUT.mono_divides(LAYOUT.pack([2, 0, 0, 0]), a)
     for mono, want in ((a, [0, 1, 3]),
-                       (LAYOUT.pack([0, 0, 0, 0x4001]), [3]),
+                       (LAYOUT.pack([0, 0, 0, P.FIELD_TOP // 2 + 1]), [3]),
                        (0, [])):
         assert list(LAYOUT.mono_vars(mono)) == want
 
@@ -79,11 +80,59 @@ def test_mono_mul_and_divides():
 def test_restrict_matches_unpack_and_pack():
     rng = random.Random(17)
     for _ in range(200):
-        exps = [rng.choice([0, 1, 3, rng.randint(0, 4000)]) for _ in range(NVARS)]
+        exps = [rng.choice([0, 1, 3, rng.randint(0, (P.FIELD_TOP - 1) // 4)])
+                for _ in range(NVARS)]
         keep = [i for i in range(NVARS) if rng.random() < 0.5]
         part = LAYOUT.restrict(LAYOUT.pack(exps), LAYOUT.field_mask(keep))
         assert part == LAYOUT.pack([e if i in keep else 0
                                     for i, e in enumerate(exps)])
+
+
+def rand_exps_up_to(rng, nvars, total):
+    """An exponent vector of the given total, split at random cut points."""
+    cuts = sorted(rng.randint(0, total) for _ in range(nvars - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_packing_is_exact_up_to_the_top_total_degree():
+    """At every total up to FIELD_TOP - 1, packed-integer order is
+    graded-lex (total degree, then the exponent of the largest variable
+    first), and restrict and mono_vars read the fields right; a total of
+    FIELD_TOP no longer packs."""
+    rng = random.Random(41)
+    top = P.FIELD_TOP
+    for nvars in (NVARS, 33):
+        layout = P.Layout(nvars)
+        vecs = [[0] * nvars, [top - 1] + [0] * (nvars - 1),
+                [0] * (nvars - 1) + [top - 1]]
+        for _ in range(300):
+            vecs.append(rand_exps_up_to(
+                rng, nvars, rng.choice([top - 1, rng.randint(0, top - 1)])))
+        monos = [layout.pack(e) for e in vecs]
+        for m, e in zip(monos, vecs):
+            assert layout.unpack(m) == e and layout.total(m) == sum(e)
+            assert list(layout.mono_vars(m)) == [i for i, x in enumerate(e)
+                                                 if x]
+            keep = [i for i in range(nvars) if rng.random() < 0.5]
+            assert layout.restrict(m, layout.field_mask(keep)) == layout.pack(
+                [x if i in keep else 0 for i, x in enumerate(e)])
+
+        def grlex(e):
+            return (sum(e), e[::-1])
+
+        order = sorted(range(len(vecs)), key=lambda k: monos[k])
+        assert order == sorted(range(len(vecs)), key=lambda k: grlex(vecs[k]))
+        for _ in range(50):
+            e = rand_exps_up_to(rng, nvars, top - 1)
+            layout.pack(e)
+            i = rng.randrange(nvars)
+            e[i] += 1
+            with pytest.raises(SizeLimitError,
+                               match=f"total degree {top} out of packing"):
+                layout.pack(e)
+            e[i] -= 1
+            with pytest.raises(SizeLimitError, match="overflow"):
+                layout.mono_mul(layout.pack(e), layout.var_mono(i))
 
 
 def test_add_sub_neg_match_reference():
@@ -148,8 +197,9 @@ def test_mul_into_keeps_the_size_and_exponent_limits():
     with pytest.raises(SizeLimitError):
         P.pmul_into(out, b, {LAYOUT.var_mono(3, 50): 1}, LAYOUT, len(out))
     # only the product of the two largest monomials overflows
-    big = {LAYOUT.var_mono(0, 20000): 1, LAYOUT.var_mono(1): 2}
-    wide = {LAYOUT.var_mono(2, 20000): 1, 0: -1}
+    high = P.FIELD_TOP * 5 // 8  # two of these overflow
+    big = {LAYOUT.var_mono(0, high): 1, LAYOUT.var_mono(1): 2}
+    wide = {LAYOUT.var_mono(2, high): 1, 0: -1}
     for out in ({}, {LAYOUT.var_mono(3): 5}):
         with pytest.raises(SizeLimitError, match="overflow"):
             P.pmul_into(out, big, wide, LAYOUT)
@@ -157,7 +207,26 @@ def test_mul_into_keeps_the_size_and_exponent_limits():
             P.pmul_into(out, wide, big, LAYOUT, scale=-2)
     with pytest.raises(SizeLimitError, match="overflow"):
         P.pmul(big, wide, LAYOUT)
-    assert P.pmul(big, {LAYOUT.var_mono(2, 12767): 1, 0: -1}, LAYOUT)
+    with pytest.raises(SizeLimitError, match="overflow"):
+        P.pmul(big, {LAYOUT.var_mono(2, high): 3}, LAYOUT)
+    assert P.pmul(big, {LAYOUT.var_mono(2, P.FIELD_TOP - 1 - high): 1, 0: -1},
+                  LAYOUT)
+
+
+def test_mul_into_overflow_leaves_out_unchanged():
+    """The overflow check runs before the first write, so a raised
+    SizeLimitError leaves out as it was, in content and order."""
+    rng = random.Random(33)
+    high = P.FIELD_TOP * 5 // 8
+    big = {LAYOUT.var_mono(0, high): 1, LAYOUT.var_mono(1): 2}
+    wide = {LAYOUT.var_mono(2, high): 1, 0: -1, LAYOUT.var_mono(1): 4}
+    for _ in range(20):
+        out = P.padd(rand_poly(rng, 8), {LAYOUT.var_mono(1, 2): 7})
+        before = repr(list(out.items()))
+        for a, b in ((big, wide), (wide, big)):
+            with pytest.raises(SizeLimitError, match="overflow"):
+                P.pmul_into(out, a, b, LAYOUT, len(out) + 100, -3)
+            assert repr(list(out.items())) == before
 
 
 def test_pow_matches_repeated_mul():

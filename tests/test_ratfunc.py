@@ -189,14 +189,15 @@ def test_sum_by_denominator_matches_per_summand_sum(ctx):
 
 
 def test_sum_keeps_the_exponent_limit():
-    # u1^16000 brought over the denominator u1^20000 + 1 overflows the
-    # packed exponent of u1
+    # u1^(top/2) brought over the denominator u1^(5*top/8) + 1 overflows
+    # the packed exponent of u1
     ctx = default_context()
     lay = ctx.layout
     u1 = ctx.base("u1").index
-    _, f = R.intern_factor(ctx, {lay.var_mono(u1, 20000): 1, 0: 1})
+    top = P.FIELD_TOP
+    _, f = R.intern_factor(ctx, {lay.var_mono(u1, top * 5 // 8): 1, 0: 1})
     items = [R.RatFunc({0: 1}, 1, ((f, 1),)),
-             R.RatFunc({lay.var_mono(u1, 16000): 1}, 1, ())]
+             R.RatFunc({lay.var_mono(u1, top // 2): 1}, 1, ())]
     with pytest.raises(SizeLimitError, match="overflow"):
         R.rf_sum(ctx, items)
     with pytest.raises(SizeLimitError, match="overflow"):
