@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, CatalogError, ParseError,
                      UnknownEntryError, UnknownNameError)
-from .expr.context import PARAM, Context, std_context
+from .expr.context import PARAM, Context, default_context
 from .expr.parser import parse
 from .expr.tree import Const, Expr, free_names, substitute
 from .jet import EvolutionEq, HyperbolicEq
@@ -224,11 +224,13 @@ def _parse_pairing_line(line: str, path: str,
 
 
 class Catalog:
-    """All shipped entries plus any user-supplied catalog files."""
+    """All shipped entries plus any user-supplied catalog files.  With no
+    ctx it builds a context of its own, so no other catalog's factor base
+    or memos reach its reports."""
 
     def __init__(self, extra_paths: Sequence[str] = (),
                  ctx: Optional[Context] = None):
-        self.ctx = ctx or std_context()
+        self.ctx = ctx or default_context()
         self.entries: Dict[str, CatalogEntry] = {}
         self.transform_texts: Dict[str, Dict[str, object]] = {}
         self._pairings: List[PairingClaim] = []

@@ -323,17 +323,6 @@ class Context:
         return ctx
 
 
-_STD: Optional[Context] = None
-
-
-def std_context() -> Context:
-    """Process-wide shared default context."""
-    global _STD
-    if _STD is None:
-        _STD = default_context()
-    return _STD
-
-
 def default_context(max_x_jet: int = 10, max_y_jet: int = 6,
                     max_terms: int = 2_000_000) -> Context:
     """The standard registry used by the catalog and the verifier."""

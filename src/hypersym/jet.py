@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from .errors import UnknownNameError
 from .expr import normal as N
-from .expr.context import Context, std_context
+from .expr.context import Context
 from .expr.tree import Expr, free_names, map_names
 
 
@@ -39,12 +39,12 @@ class HyperbolicEq:
 
     __slots__ = ("id", "F", "params", "ctx")
 
-    def __init__(self, id: str, F: Expr, params: Optional[dict] = None,
-                 ctx: Optional[Context] = None):
+    def __init__(self, id: str, F: Expr, params: Optional[dict] = None, *,
+                 ctx: Context):
         self.id = id
         self.F = F
         self.params = dict(params or {})
-        self.ctx = ctx or std_context()
+        self.ctx = ctx
         _check_vars(self.ctx, F, {"u", "u1", "v1"}, f"F of {id}")
 
     def __repr__(self):
@@ -56,12 +56,12 @@ class EvolutionEq:
 
     __slots__ = ("id", "G", "params", "ctx")
 
-    def __init__(self, id: str, G: Expr, params: Optional[dict] = None,
-                 ctx: Optional[Context] = None):
+    def __init__(self, id: str, G: Expr, params: Optional[dict] = None, *,
+                 ctx: Context):
         self.id = id
         self.G = G
         self.params = dict(params or {})
-        self.ctx = ctx or std_context()
+        self.ctx = ctx
         _check_vars(self.ctx, G, {"u", "u1", "u2", "u3", "u4"}, f"G of {id}")
 
     def __repr__(self):
@@ -235,10 +235,9 @@ def nf_flow(G: EvolutionEq) -> NFFlow:
     return flow
 
 
-def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:
+def swap_xy(e: Expr, ctx: Context) -> Expr:
     """Exchange the roles of x and y: u_k <-> v_k, each symbol replaced by
     its registered mirror.  Raises when a name has no mirror."""
-    ctx = ctx or std_context()
     table: Dict[str, str] = {}
     for nm in free_names(e):
         m = ctx.mirror_of(nm)
@@ -248,9 +247,9 @@ def swap_xy(e: Expr, ctx: Optional[Context] = None) -> Expr:
     return map_names(e, table)
 
 
-def partial(e: Expr, var: str, ctx: Optional[Context] = None) -> Expr:
+def partial(e: Expr, var: str, ctx: Context) -> Expr:
     """Partial derivative w.r.t. one jet variable, with chain rules through
     the registered symbols of that variable; all other jet variables fixed."""
     from .numeval import _Jet, _Ops  # see JetEngine.__init__
     t = _Ops()
-    return t.tree(_Jet(t, ctx or std_context()).partial(t.imp(e), var))
+    return t.tree(_Jet(t, ctx).partial(t.imp(e), var))

@@ -43,8 +43,7 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .errors import EvalError, SampleError
-from .expr.context import (PARAM, POSITIVE_AWAY_FROM_ONE, SIGNED, TSYM,
-                           Context, std_context)
+from .expr.context import PARAM, POSITIVE_AWAY_FROM_ONE, SIGNED, TSYM, Context
 from .expr.tree import Add, Const, Div, Expr, Mul, Name, Pow
 
 RELATION_TOL = 1e-12
@@ -600,10 +599,9 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
     return SamplePoint(assignment=a, seed=seed, relation_residuals=relations)
 
 
-def sample_point(ctx: Optional[Context] = None, seed: int = 0) -> SamplePoint:
+def sample_point(ctx: Context, seed: int = 0) -> SamplePoint:
     """Draw a consistent assignment for every variable and symbol.  The
     parameters bound on ctx (Context.bind) are pinned to their values."""
-    ctx = ctx or std_context()
     pinned = {k: float(v) for k, v in ctx.bound.items()}
     rng = random.Random(seed)
     last: Optional[SampleError] = None
@@ -624,8 +622,8 @@ class NumericVerdict(NamedTuple):
     seed: int
 
 
-def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
-                 ctx: Optional[Context] = None) -> NumericVerdict:
+def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0, *,
+                 ctx: Context) -> NumericVerdict:
     """Probabilistic zero test: relative residual at `samples` points,
     |value| / (1 + largest top-level term contribution).  e is a tree or a
     Program (its first root the value, the others the terms).  A bound ctx
@@ -640,7 +638,6 @@ def numeric_zero(e, samples: int, tol: float = 1e-9, seed: int = 0,
     elif not isinstance(e, Program):
         raise EvalError(f"cannot evaluate a {type(e).__name__}: "
                         "expected a tree or a Program")
-    ctx = ctx or std_context()
     kept_seed, points = ctx._sample_points
     if kept_seed != seed:
         points = []
@@ -671,8 +668,7 @@ class FDCheck(NamedTuple):
     rel_error: float
 
 
-def fd_checks(ctx: Optional[Context] = None,
-              p: Optional[SamplePoint] = None) -> List[FDCheck]:
+def fd_checks(ctx: Context, p: Optional[SamplePoint] = None) -> List[FDCheck]:
     """Validate every derivative rule against central finite differences.
 
     A transcendental symbol with a closed form is evaluated at its shifted
@@ -683,7 +679,6 @@ def fd_checks(ctx: Optional[Context] = None,
     checked along the chain: dP/du = 6W^2 through W moving by P h.  An
     argument-free symbol has nothing to check.
     """
-    ctx = ctx or std_context()
     if p is None:
         p = sample_point(ctx, 0)
     h = FD_STEP

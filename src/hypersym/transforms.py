@@ -35,7 +35,7 @@ from .catalog import Catalog
 from .errors import TransformError
 from .expr import normal as N
 from .expr import tree
-from .expr.context import Context, std_context
+from .expr.context import Context
 from .expr.parser import print_expr
 from .expr.tree import Const, Expr, Name
 from .jet import HyperbolicEq, JetEngine, nf_jet, swap_xy
@@ -296,10 +296,9 @@ def curve_relation(f: Expr, u1: Expr, kappa: Expr) -> Expr:
         kappa)
 
 
-def check_parametrization(ctx: Optional[Context] = None) -> N.NF:
+def check_parametrization(ctx: Context) -> N.NF:
     """Substitute u1 = (2V + V^-2)/3, f = (V - V^-2)/3 into the cubic
     relation of f; the result is identically zero."""
-    ctx = ctx or std_context()
     V = Name("V")
     vinv2 = tree.pow_(V, -2)
     u1_of = tree.div(tree.add(tree.mul(2, V), vinv2), 3)
@@ -307,11 +306,10 @@ def check_parametrization(ctx: Optional[Context] = None) -> N.NF:
     return N.normalize(ctx, curve_relation(f_of, u1_of, tree.ONE))
 
 
-def check_scaling_law(ctx: Optional[Context] = None) -> N.NF:
+def check_scaling_law(ctx: Context) -> N.NF:
     """Substituting fa = a*phi with argument a*s into the fa-cubic equals
     a^3 times the unit cubic in (phi, s); the difference is identically
     zero, so normalizing a to one is a point change."""
-    ctx = ctx or std_context()
     a, phi, s = Name("a"), Name("phi"), Name("s")
     scaled = curve_relation(tree.mul(a, phi), tree.mul(a, s),
                             tree.pow_(a, 3))

@@ -36,7 +36,7 @@ from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError
 from .expr import normal as N
 from .expr import tree
-from .expr.context import PARAM, XJET, YJET, Context, std_context
+from .expr.context import PARAM, XJET, YJET, Context
 from .expr.parser import print_expr
 # pmul: unused, kept as the alias perfbench/selftest.py checks is traced
 from .expr.poly import Layout, Poly, pmul  # noqa: F401
@@ -390,9 +390,8 @@ def lemma_split(F: HyperbolicEq, g: Expr) -> LemmaDecomposition:
     return LemmaDecomposition(g=g, eq28=eq28, eq29=eq29)
 
 
-def ode_check(w: Expr, g: Expr, ctx: Optional[Context] = None) -> N.NF:
+def ode_check(w: Expr, g: Expr, ctx: Context) -> N.NF:
     """Normal form of w'' + g w' + g' w with ' = d/du_1."""
-    ctx = ctx or std_context()
     wn = N.normalize(ctx, w)
     gn = N.normalize(ctx, g)
     w1 = N.nf_partial(ctx, wn, "u1")
@@ -444,11 +443,9 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
 
 
 def conditions_hold(conditions: Sequence[Tuple[str, Expr]],
-                    bindings: Dict[str, object],
-                    ctx: Optional[Context] = None) -> bool:
+                    bindings: Dict[str, object], ctx: Context) -> bool:
     """Substitute a candidate parameter binding into every condition; a
     name that is not a parameter raises UnknownNameError."""
-    ctx = ctx or std_context()
     subs = {k: tree.Const(v) for k, v in ctx.param_values(bindings).items()}
     for _mono, cond in conditions:
         val = N.normalize(ctx, tree.substitute(cond, subs))

@@ -251,3 +251,29 @@ def test_catalog_input_checks(tmp_path, files, target, message):
     path = tmp_path / target if target else tmp_path
     with pytest.raises(CatalogError, match=message):
         Catalog(extra_paths=[str(path)])
+
+
+DOUBLED = "(a^3 - uy^3)/(a^6 - 2*a^3*uy^3 + uy^6)"
+
+
+def normal_text(cat, text):
+    ctx = cat.ctx
+    return print_expr(N.nf_to_expr(ctx, N.normalize(ctx, parse(text, ctx))),
+                      ctx)
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+def test_catalogs_share_no_context(poisoned):
+    """Each Catalog() owns its context: another catalog's factor base and
+    memos never reach it.  Normalizing 1/(a^3 - uy^3) first interns
+    a^3 - uy^3, next to which the square below would print reduced; in a
+    catalog of its own it prints as in a fresh one."""
+    other = Catalog()
+    if poisoned:
+        assert normal_text(other, "1/(a^3 - uy^3)") == "1/(a^3 - uy^3)"
+    cat = Catalog()
+    assert cat.ctx is not other.ctx
+    assert (normal_text(cat, DOUBLED)
+            == "(a^3 - uy^3)/(a^6 - 2*uy^3*a^3 + uy^6)")
+    assert not {id(f) for f in cat.ctx.den_atoms} & {
+        id(f) for f in other.ctx.den_atoms}

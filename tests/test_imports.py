@@ -1,7 +1,7 @@
 """The runtime is pure standard library: every module-level import of the
 package is the standard library or hypersym itself, and is used.  Every
-definition of the package is used as well, and the cold start loads no
-introspection module."""
+definition of the package is used as well, no context is shared across
+the process, and the cold start loads no introspection module."""
 
 import ast
 import os
@@ -104,6 +104,50 @@ def test_every_definition_is_referenced():
             for d in _definitions(module)
             if seen[d.name] == Counter(_references(d))[d.name]]
     assert not dead, dead
+
+
+def _builds_context(node: ast.AST) -> bool:
+    """node names the Context type or calls default_context."""
+    return any(isinstance(n, ast.Name) and n.id in (
+        "Context", "default_context") for n in ast.walk(node))
+
+
+def test_no_context_is_shared():
+    """A context belongs to the catalog or equation that made it, and
+    nothing is process-wide: no function but Catalog.__init__ lets ctx
+    default to None, and no module keeps a context at module level,
+    assigned there or through a global statement."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(SRC)
+        problems += [f"{where}:{n.lineno} keeps a context" for n in module.body
+                     if isinstance(n, (ast.Assign, ast.AnnAssign))
+                     and _builds_context(n)]
+        catalog_init = {id(f) for c in module.body
+                        if isinstance(c, ast.ClassDef) and c.name == "Catalog"
+                        for f in c.body
+                        if getattr(f, "name", None) == "__init__"}
+        for fn in ast.walk(module):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaults = [*zip(positional[len(positional) - len(a.defaults):],
+                             a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+            if id(fn) not in catalog_init and any(
+                    arg.arg == "ctx" and isinstance(d, ast.Constant)
+                    and d.value is None for arg, d in defaults):
+                problems.append(f"{where}:{fn.lineno} lets ctx default to "
+                                "None")
+            declared = {nm for n in ast.walk(fn) if isinstance(n, ast.Global)
+                        for nm in n.names}
+            problems += [f"{where}:{n.lineno} keeps a context in a global"
+                         for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                         and _builds_context(n.value)
+                         and any(isinstance(t, ast.Name) and t.id in declared
+                                 for t in n.targets)]
+    assert not problems, problems
 
 
 _COLD_START = """

@@ -541,9 +541,9 @@ def test_numeric_zero_after_a_draw_that_raises(monkeypatch):
 
 def test_oracle_pass_draws_each_point_once(monkeypatch):
     """The work counter behind the oracle's speed: the 12 shipped claims
-    use two contexts (the standard one and mu = 0), so 25 samples each
+    use two contexts (the catalog's own and mu = 0), so 25 samples each
     draw 50 points, not 12 * 25 = 300."""
-    cat = Catalog(ctx=default_context())
+    cat = Catalog()
     calls = count_sample_points(monkeypatch)
     reports = verify.verify_all(cat, samples=25, seed=1, jobs=1)
     assert len(reports) == 12

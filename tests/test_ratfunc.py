@@ -331,7 +331,7 @@ def test_factor_base_stays_coprime_on_the_workloads():
     factor (sympy as the reference).  Each factor's division data equals a
     fresh recomputation from its polynomial."""
     sympy = pytest.importorskip("sympy")
-    cat = Catalog(ctx=default_context())
+    cat = Catalog()
     verify.verify_all(cat, jobs=1)
     for e in cat.list("hyperbolic"):
         for ev in ("ev12", "ev21"):

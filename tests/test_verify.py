@@ -22,7 +22,7 @@ from hypersym.errors import (LemmaPremiseError, SizeLimitError,
 from hypersym.expr import normal as N
 from hypersym.expr import poly as P
 from hypersym.expr import tree
-from hypersym.expr.context import XJET, YJET, default_context, std_context
+from hypersym.expr.context import XJET, YJET, default_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_from_poly
 from hypersym.jet import (EvolutionEq, HyperbolicEq, NFJet, nf_flow, nf_jet,
@@ -361,12 +361,11 @@ def test_verify_claim_uses_declared_bindings(catalog):
 
 
 def test_verify_all_verifies_the_catalog_it_is_given(catalog):
-    std = std_context()
-    before = len(std.den_atoms)
-    own = Catalog(ctx=default_context())
+    before = len(catalog.ctx.den_atoms)
+    own = Catalog()
     reports = verify.verify_all(own, jobs=1)
     assert len(own.ctx.den_atoms) > 0
-    assert len(std.den_atoms) == before
+    assert len(catalog.ctx.den_atoms) == before
     assert [r.structured_lines() for r in reports] == [
         r.structured_lines() for r in verify.verify_all(catalog, jobs=1)]
 
@@ -423,7 +422,7 @@ def test_a_pickled_catalog_verifies_as_the_original():
     """Under spawn or forkserver each worker gets the catalog pickled; a
     copy made after the sampled claims filled its context's caches gives
     the original's reports."""
-    cat = Catalog(ctx=default_context())
+    cat = Catalog()
     before = [r.structured_lines()
               for r in verify.verify_all(cat, samples=5, seed=3, jobs=1)]
     copy = pickle.loads(pickle.dumps(cat))
@@ -620,12 +619,12 @@ def test_warm_memos_do_not_change_a_report():
     and other equations equals the report made in a fresh context.  S6 ev21
     takes the order D_x(D_yH), so S3 ev21 makes the partials of D_xH on a
     record that another equation made; hyp4 ev12 y follows hyp4 ev12 x."""
-    warm = Catalog(ctx=default_context())
+    warm = Catalog()
     order = [("S6", "ev21", "x"), ("S3", "ev21", "x"), ("hyp3", "ev12", "x"),
              ("hyp3", "ev21", "x"), ("S6", "ev12", "x"), ("hyp4", "ev12", "x"),
              ("hyp4", "ev12", "y")]
     for h, e, d in order:
-        cold = Catalog(ctx=default_context())
+        cold = Catalog()
         assert (verify.verify_pair(warm.get(h), warm.get(e),
                                    direction=d).structured_lines()
                 == verify.verify_pair(cold.get(h), cold.get(e),
@@ -647,7 +646,7 @@ def test_warm_memos_do_not_change_a_report():
 def test_flow_record_does_not_read_F(hid):
     """The flow record's D_xH, made from the jet rules' names alone, equals
     D_xH taken with F's rules, on a context where nothing else ran."""
-    cat = Catalog(ctx=default_context())
+    cat = Catalog()
     flow = nf_flow(cat.get("ev21"))
     want = NFJet(cat.get(hid)).d_x(flow.H)
     assert want and _nf_shape(flow.dxH) == _nf_shape(want)
@@ -725,7 +724,7 @@ def test_audit_pass_term_products(monkeypatch):
     not -1 times 2*fa, and its normal form takes fewer term products: 19
     fewer, 138,564 (the claims' 102,753 did not move; S3i, S3ii and T1
     fell by 9, 2 and 8)."""
-    cat = Catalog(ctx=default_context())
+    cat = Catalog()
     work = count_poly_work(monkeypatch)
     reports = verify.verify_all(cat, samples=0, jobs=1)
     assert all(r.residual_is_zero for r in reports)
