@@ -26,7 +26,7 @@ from . import numeval, transforms, verify
 from .catalog import Catalog
 from .errors import HypersymError
 from .expr import normal as N
-from .expr.parser import print_expr
+from .expr.parser import print_expr, print_nf
 
 ENV_CATALOG = "HYPERSYM_CATALOG"
 
@@ -254,13 +254,9 @@ def _cmd_lemma(args: argparse.Namespace, catalog: Catalog) -> int:
             f"second_condition_zero = {str(ok29).lower()}",
         ]
         if not ok28:
-            lines.append(
-                "first_condition = "
-                f"{print_expr(N.nf_to_expr(F.ctx, dec.eq28), F.ctx)}")
+            lines.append(f"first_condition = {print_nf(dec.eq28, F.ctx)}")
         if not ok29:
-            lines.append(
-                "second_condition = "
-                f"{print_expr(N.nf_to_expr(F.ctx, dec.eq29), F.ctx)}")
+            lines.append(f"second_condition = {print_nf(dec.eq29, F.ctx)}")
         if not (ok28 and ok29):
             status = 1
     print(*lines, sep="\n")

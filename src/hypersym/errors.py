@@ -50,6 +50,10 @@ class CatalogError(HypersymError):
     """Malformed catalog data file or pairing line."""
 
 
+class RoleError(HypersymError):
+    """An entry given where an entry of the other role is needed."""
+
+
 class LemmaPremiseError(HypersymError):
     """dG/du_4 is not of the form 5*u_2*g(u_1)."""
 

@@ -117,6 +117,8 @@ class Context:
         # points of the last master seed (seed, points), filled by numeval
         self._minpoly_progs: Dict[object, object] = {}
         self._sample_points: Tuple[Optional[int], List[object]] = (None, [])
+        # (name, e) -> text and precedence of name^e, filled by the printer
+        self._atom_texts: Dict[Tuple[str, int], Tuple[str, int]] = {}
         self._bind_cache: Dict[tuple, "Context"] = {}
 
     # -- construction ------------------------------------------------------

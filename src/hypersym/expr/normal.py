@@ -25,6 +25,9 @@ Inverses are computed by the extended Euclidean algorithm in K[s]/(m(s)),
 where s is the highest registered symbol occurring in the operand and K is
 the normal-form field over the remaining symbols; the recursion bottoms out
 at pure base-variable rational functions.
+
+nf_to_expr turns a normal form back into a tree, for extract_g; a report
+prints its normal forms with parser.print_nf, whose reference it is.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ exponents; unary minus; parentheses; call forms exp(.), ln(.), sqrt(.),
 f(.), fa(.), w(.), wp(.) that resolve to registered symbols by structural
 match of the argument.  Jet aliases uy, uyy, uyyy (and u0) are accepted and
 resolved at parse time; the printer emits the alias spelling.
+
+print_expr prints a tree, and print_nf a normal form straight from its
+dicts, as print_expr would print the tree of normal.nf_to_expr.  Both read
+the text of name^e from a per-context memo.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..errors import ParseError
+from . import poly as P
+from . import ratfunc as R
 from . import tree
 from .context import Context
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
@@ -216,12 +222,20 @@ _PREC_ATOM = 4
 _ALIAS_OUT = {"v1": "uy", "v2": "uyy", "v3": "uyyy"}
 
 
-def _name_text(name: str, ctx: Context) -> Tuple[str, int]:
-    call = ctx.call_form(name)
-    if call is not None:
-        fname, carg = call
-        return f"{fname}({_render(carg, ctx, _PREC_SUM)})", _PREC_ATOM
-    return _ALIAS_OUT.get(name, name), _PREC_ATOM
+def _name_text(name: str, ctx: Context, e: int = 1) -> Tuple[str, int]:
+    """Text and precedence of name^e, e >= 1, made once per context."""
+    got = ctx._atom_texts.get((name, e))
+    if got is None:
+        if e > 1:
+            got = ((f"exp({e}*u)", _PREC_ATOM) if name == "E" else
+                   (f"{_name_text(name, ctx)[0]}^{e}", _PREC_POW))
+        elif ctx.call_form(name) is not None:
+            fname, carg = ctx.call_form(name)
+            got = f"{fname}({_render(carg, ctx, _PREC_SUM)})", _PREC_ATOM
+        else:
+            got = _ALIAS_OUT.get(name, name), _PREC_ATOM
+        ctx._atom_texts[(name, e)] = got
+    return got
 
 
 def _const_text(q: Fraction) -> Tuple[str, int]:
@@ -252,11 +266,12 @@ def _split_neg(e: Expr) -> Tuple[bool, Expr]:
     return False, e
 
 
+def _paren(text: str, prec: int, parent_prec: int) -> str:
+    return f"({text})" if prec < parent_prec else text
+
+
 def _render(e: Expr, ctx: Context, parent_prec: int) -> str:
-    text, prec = _render_prec(e, ctx)
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    return _paren(*_render_prec(e, ctx), parent_prec)
 
 
 def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
@@ -266,24 +281,13 @@ def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
     if t is Name:
         return _name_text(e.name, ctx)
     if t is Add:
-        first = True
-        parts: List[str] = []
-        for a in e.args:
-            negated, body = _split_neg(a)
-            rendered = _render(body, ctx, _PREC_MUL)
-            if first:
-                parts.append(f"-{rendered}" if negated else rendered)
-                first = False
-            else:
-                parts.append(f" - {rendered}" if negated else f" + {rendered}")
-        return "".join(parts), _PREC_SUM
+        terms = [(negated, *_render_prec(body, ctx))
+                 for negated, body in map(_split_neg, e.args)]
+        return _sum_text(terms), _PREC_SUM
     if t is Mul:
         negated, body = _split_neg(e)
         if negated:
-            inner, bprec = _render_prec(body, ctx)
-            if bprec < _PREC_MUL:
-                inner = f"({inner})"
-            return f"-{inner}", _PREC_SUM
+            return f"-{_render(body, ctx, _PREC_MUL)}", _PREC_SUM
         parts = [_render(f, ctx, _PREC_MUL + (1 if i > 0 else 0))
                  for i, f in enumerate(e.args)]
         return "*".join(parts), _PREC_MUL
@@ -293,12 +297,8 @@ def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
         return f"{num}/{den}", _PREC_MUL
     if t is Pow:
         if type(e.base) is Name and e.base.name == "E":
-            k = e.exp
-            if k == 1:
-                return "exp(u)", _PREC_ATOM
-            if k == -1:
-                return "exp(-u)", _PREC_ATOM
-            return f"exp({k}*u)", _PREC_ATOM
+            k = {1: "", -1: "-"}.get(e.exp, f"{e.exp}*")
+            return f"exp({k}u)", _PREC_ATOM
         base = _render(e.base, ctx, _PREC_ATOM)
         if e.exp < 0:
             return f"{base}^({e.exp})", _PREC_POW
@@ -308,3 +308,71 @@ def _render_prec(e: Expr, ctx: Context) -> Tuple[str, int]:
 
 def print_expr(e: Expr, ctx: Context) -> str:
     return _render_prec(e, ctx)[0]
+
+
+# A normal form is printed straight from its dicts, as the tree that
+# normal.nf_to_expr builds would print.  Each part is made as the split that
+# _split_neg makes of it inside a sum: (negated?, positive text, precedence).
+_Split = Tuple[bool, str, int]
+
+
+def _alone(neg: bool, body: str, prec: int) -> Tuple[str, int]:
+    """Text and precedence of a split part outside a sum."""
+    return (f"-{body}", _PREC_SUM) if neg else (body, prec)
+
+
+def _sum_text(terms: List[_Split]) -> str:
+    text = "".join(f"{' - ' if neg else ' + '}{_paren(body, prec, _PREC_MUL)}"
+                   for neg, body, prec in terms)
+    return ("-" if terms[0][0] else "") + text[3:]
+
+
+def _scaled(ctx: Context, c: int, m: int, lay, syms) -> _Split:
+    """c times the monomial m over syms (ctx.base_vars or ctx.alg_syms)."""
+    k = -c if c < 0 else c
+    if m == 0:
+        return (c < 0, *_const_text(k))
+    atoms = [_name_text(syms[i].name, ctx, lay.exp(m, i))
+             for i in lay.mono_vars(m)]
+    if k == 1 and len(atoms) == 1:
+        return (c < 0, *atoms[0])
+    return (c < 0, "*".join([str(k)] * (k != 1) + [t for t, _ in atoms]),
+            _PREC_MUL)
+
+
+def _poly_split(ctx: Context, p: P.Poly) -> _Split:
+    terms = [_scaled(ctx, c, m, ctx.layout, ctx.base_vars)
+             for m, c in P.psorted(p)]
+    return terms[0] if len(terms) == 1 else (False, _sum_text(terms), _PREC_SUM)
+
+
+def _rf_split(ctx: Context, a: R.RatFunc, alone: bool) -> _Split:
+    """A coefficient; alone, a negated numerator keeps its sign inside."""
+    num = _poly_split(ctx, a.num)
+    if R.rf_is_poly(a):
+        return num
+    den = _paren(*_alone(*_poly_split(ctx, R.rf_den_poly(ctx, a))), _PREC_POW)
+    if alone or not num[0]:
+        return False, f"{_paren(*_alone(*num), _PREC_MUL)}/{den}", _PREC_MUL
+    return True, f"{num[1]}/{den}", _PREC_MUL
+
+
+def print_nf(a, ctx: Context) -> str:
+    """The text of the normal form a: exactly
+    print_expr(normal.nf_to_expr(ctx, a), ctx), with no tree built."""
+    lay, syms, alone = ctx.alg_layout, ctx.alg_syms, len(a) == 1
+    terms = []
+    for m in sorted(a, reverse=True):
+        rf = a[m]
+        c = rf.num.get(0) if len(rf.num) == 1 and R.rf_is_poly(rf) else None
+        if c is not None:
+            terms.append(_scaled(ctx, c, m, lay, syms))
+        elif m == 0:
+            terms.append(_rf_split(ctx, rf, alone))
+        else:  # Mul(coefficient, symbols...), never negated
+            coeff = _paren(*_alone(*_rf_split(ctx, rf, True)), _PREC_MUL)
+            terms.append((False, f"{coeff}*{_scaled(ctx, 1, m, lay, syms)[1]}",
+                          _PREC_MUL))
+    if not terms:
+        return "0"
+    return _alone(*terms[0])[0] if alone else _sum_text(terms)

@@ -36,7 +36,7 @@ from .errors import TransformError
 from .expr import normal as N
 from .expr import tree
 from .expr.context import Context
-from .expr.parser import print_expr
+from .expr.parser import print_expr, print_nf
 from .expr.tree import Const, Expr, Name
 from .jet import HyperbolicEq, JetEngine, nf_jet, swap_xy
 
@@ -206,10 +206,6 @@ class TransformReport(NamedTuple):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _print_nf(ctx: Context, a: N.NF) -> str:
-    return print_expr(N.nf_to_expr(ctx, a), ctx)
-
-
 def _quotient(ctx: Context, num: N.NF, den: N.NF) -> N.NF:
     """num / den; den is inverted only when num is nonzero."""
     return num and N.nf_mul(ctx, num, N.nf_inverse(ctx, den))
@@ -217,7 +213,7 @@ def _quotient(ctx: Context, num: N.NF, den: N.NF) -> N.NF:
 
 def _check(ctx: Context, name: str, residual: N.NF) -> CheckResult:
     n = N.nf_size(residual)
-    text = _print_nf(ctx, residual) if n <= MAX_PRINTED_TERMS else None
+    text = print_nf(residual, ctx) if n <= MAX_PRINTED_TERMS else None
     return CheckResult(name, n, text)
 
 
@@ -366,8 +362,8 @@ def _check_t1(t: TransformDef, catalog: Catalog) -> List[ConventionResult]:
             _check(ctx, "target_identity", main),
         )
         notes = (
-            ("v_xy_from_u_relation", _print_nf(ctx, route_u)),
-            ("v_xy_from_exp_relation", _print_nf(ctx, route_exp)),
+            ("v_xy_from_u_relation", print_nf(route_u, ctx)),
+            ("v_xy_from_exp_relation", print_nf(route_exp, ctx)),
             ("exp_route_over_u_route", "2" if ratio_two else "differs"),
         )
         results.append(ConventionResult(conv, checks, fitted, notes))
@@ -419,7 +415,7 @@ def _s3i_suite(eq: HyperbolicEq, sign: int,
         _check(ctx, "adjoined_rule_commutation", commut),
         _check(ctx, "v_y_route_residual", cross),
     )
-    notes = (("v_x_route_v_xy", _print_nf(ctx, N.normalize(ctx, qq))),)
+    notes = (("v_x_route_v_xy", print_nf(N.normalize(ctx, qq), ctx)),)
     return checks, notes
 
 

@@ -33,14 +33,14 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog, PairingClaim
-from .errors import HypersymError, LemmaPremiseError
+from .errors import HypersymError, LemmaPremiseError, RoleError
 from .expr import normal as N
 from .expr import tree
 from .expr.context import PARAM, XJET, YJET, Context
-from .expr.parser import print_expr
+from .expr.parser import print_expr, print_nf
 # pmul: unused, kept as the alias perfbench/selftest.py checks is traced
 from .expr.poly import Layout, Poly, pmul  # noqa: F401
-from .expr.ratfunc import RatFunc, over_lcm, rf_from_poly
+from .expr.ratfunc import RatFunc, over_lcm
 from .expr.tree import Expr
 # partial: unused, kept as the alias perfbench/selftest.py checks is traced
 from .jet import (EvolutionEq, HyperbolicEq, nf_flow, nf_jet,  # noqa: F401
@@ -53,7 +53,17 @@ DEFAULT_TOL = 1e-9
 # residual
 # ---------------------------------------------------------------------------
 
+def _check_role(eq, role: type) -> None:
+    """Refuse an entry of the other role, naming its id and its role."""
+    if not isinstance(eq, role):
+        names = {HyperbolicEq: "a hyperbolic equation",
+                 EvolutionEq: "an evolution equation"}
+        raise RoleError(f"{eq.id} is {names[type(eq)]}, not {names[role]}")
+
+
 def _shared_ctx(F: HyperbolicEq, G: EvolutionEq) -> Context:
+    _check_role(F, HyperbolicEq)
+    _check_role(G, EvolutionEq)
     if F.ctx is not G.ctx:
         raise ValueError(
             "F and G must share one context (bind parameters through the "
@@ -154,19 +164,20 @@ def _factor_order(layout: Layout, fac) -> tuple:
 
 
 def jet_coefficients(ctx: Context, R: N.NF
-                     ) -> Tuple[List[Tuple[str, Expr]], Optional[Expr], int]:
+                     ) -> Tuple[List[Tuple[str, str]], Optional[Expr], int]:
     """Coefficients of the denominator-cleared residual, grouped by jet
     monomial in descending graded-lex order.
 
-    Returns ([(jet monomial text, coefficient expression)], common denominator
+    Returns ([(jet monomial text, coefficient text)], common denominator
     expression or None, number of nonzero coefficients).  The coefficient of
     each jet monomial collects the algebraic-symbol and parameter content;
     all coefficients vanish iff the residual is zero.  The count is the
     number of distinct jet monomials in the cleared polynomials: for a fixed
     algebraic monomial the cleared polynomial has distinct monomials, and
     splitting a monomial into (jet part, rest) is injective, so no
-    coefficient can cancel.  Terms are collected, and turned into
-    expressions, only for the first MAX_REPORTED_COEFFS jet monomials.
+    coefficient can cancel.  Terms are collected, and printed straight from
+    their normal forms (parser.print_nf), only for the first
+    MAX_REPORTED_COEFFS jet monomials.
     """
     if not R:
         return [], None, 0
@@ -188,16 +199,15 @@ def jet_coefficients(ctx: Context, R: N.NF
             if jet is not None:
                 # (jet, rest) is new for this alg_mono: the split is injective
                 groups[jet].setdefault(alg_mono, {})[mono - jet] = c
-    out: List[Tuple[str, Expr]] = []
-    for jet in jets:
-        coeff_nf = {alg_mono: rf_from_poly(ctx, p)
-                    for alg_mono, p in groups[jet].items()}
-        out.append((_mono_text(ctx, jet, layout, _base_names(ctx)),
-                    N.nf_to_expr(ctx, coeff_nf)))
+    names = _base_names(ctx)
+    # a group is an integer polynomial, which rf_make would leave as it is
+    out = [(_mono_text(ctx, jet, layout, names),
+            print_nf({alg_mono: RatFunc(p, 1, ())
+                      for alg_mono, p in groups[jet].items()}, ctx))
+           for jet in jets]
     den_expr: Optional[Expr] = None
     if den.den_scalar != 1 or den.den_factors:
-        den_expr = N.nf_to_expr(ctx, {0: RatFunc(
-            {0: den.den_scalar}, 1, ())})
+        den_expr = tree.Const(den.den_scalar)
         for fac, e in sorted(den.den_factors,
                              key=lambda fe: _factor_order(layout, fe[0])):
             den_expr = tree.mul(den_expr, tree.pow_(
@@ -270,10 +280,9 @@ def verify_pair(F: HyperbolicEq, G: EvolutionEq, samples: int = 0,
     if direction not in ("x", "y"):
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
     hyp_id, ev_id = F.id, G.id
-    if direction == "y":
-        F = HyperbolicEq(F.id, swap_xy(F.F, F.ctx), params=F.params,
-                         ctx=F.ctx)
     ctx = _shared_ctx(F, G)
+    if direction == "y":
+        F = HyperbolicEq(F.id, swap_xy(F.F, ctx), params=F.params, ctx=ctx)
     R = determining_residual(F, G)
     zero = N.nf_is_zero(R)
     count = N.nf_size(R)
@@ -281,8 +290,7 @@ def verify_pair(F: HyperbolicEq, G: EvolutionEq, samples: int = 0,
     failing_total = 0
     den_text: Optional[str] = None
     if not zero:
-        coeffs, den, failing_total = jet_coefficients(ctx, R)
-        failing = [(m, print_expr(c, ctx)) for m, c in coeffs]
+        failing, den, failing_total = jet_coefficients(ctx, R)
         if den is not None:
             den_text = print_expr(den, ctx)
     residuals: List[float] = []
@@ -332,6 +340,7 @@ def extract_g(G: EvolutionEq) -> Expr:
 
     Raises LemmaPremiseError when dG/du_4 is not linear in u_2 or depends on
     jet variables other than u_1."""
+    _check_role(G, EvolutionEq)
     ctx = G.ctx
     Gu4 = nf_flow(G).partials.get("u4", N.nf_zero(ctx))  # d(u_5)/du_4 = 0
     five_u2 = N.nf_scale(ctx, N.nf_base(ctx, "u2"), 5)
@@ -359,6 +368,7 @@ def lemma_split(F: HyperbolicEq, g: Expr) -> LemmaDecomposition:
     and cross-check that 5 (eq28 u_2 + eq29) reproduces the expansion of
     D_y(5 u_2 g) + 5 D_x(F_{u1}) exactly.
     """
+    _check_role(F, HyperbolicEq)
     ctx = F.ctx
     gn = N.normalize(ctx, g)
     gp = N.nf_partial(ctx, gn, "u1")

@@ -204,6 +204,23 @@ def test_lemma_output(capsys):
     assert "second_condition_zero = true" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "hyp3", "hyp4"),
+     "hyp4 is a hyperbolic equation, not an evolution equation"),
+    (("lemma", "hyp3"),
+     "hyp3 is a hyperbolic equation, not an evolution equation"),
+    (("verify", "ev12", "hyp3"),
+     "ev12 is an evolution equation, not a hyperbolic equation"),
+    (("lemma", "ev12", "--hyp", "ev21"),
+     "ev21 is an evolution equation, not a hyperbolic equation"),
+])
+def test_entry_in_the_wrong_role_is_a_usage_error(capsys, argv, message):
+    """Exit 1 would read as a nonzero residual; an entry given in the
+    other role is a usage error, named by id and role."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_lemma_failing_conditions_exit_one(capsys):
     # hyp3 does not satisfy the conditions for ev17's g
     code, out, _ = run(capsys, "lemma", "ev17", "--hyp", "hyp3")

@@ -1,14 +1,17 @@
 """Expression text: parsing, aliases, call resolution, precedence, and the
 print/parse round trip."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_expr
 from hypersym.errors import CyclicBindingError, ParseError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
-from hypersym.expr.parser import parse, print_expr
+from hypersym.expr.context import default_context
+from hypersym.expr.parser import parse, print_expr, print_nf
 from hypersym.expr.tree import Add, Const, Div, Mul, Name, Pow
 
 
@@ -155,6 +158,65 @@ def test_printed_text_is_pinned(ctx, e, text):
 def test_print_is_deterministic(ctx):
     e = parse("5*mu*(u1 + f(u1))^2*u3 + u2^4/f(u1)^6", ctx)
     assert print_expr(e, ctx) == print_expr(e, ctx)
+
+
+def tree_route(ctx, a):
+    """The text of a normal form printed through its expression tree."""
+    return print_expr(N.nf_to_expr(ctx, a), ctx)
+
+
+def test_print_nf_matches_the_tree_route_on_random_forms(ctx):
+    """Seeded normal forms and their quotients by other seeded forms, so
+    that denominators and negated numerators occur; each text also parses
+    back to its form."""
+    rng = random.Random(29)
+    names = ["u", "u1", "u2", "v1", "b", "f", "r", "fb", "E", "W"]
+    quotients = 0
+    for _ in range(120):
+        a = nf(ctx, random_expr(rng, names, 3))
+        den = nf(ctx, random_expr(rng, names, 2))
+        forms = [a, N.nf_mul(ctx, a, N.nf_inverse(ctx, den))] if den else [a]
+        for form in forms:
+            text = print_nf(form, ctx)
+            assert text == tree_route(ctx, form)
+            assert N.nf_equal(ctx, nf(ctx, text), form)
+            quotients += "/" in text
+    assert quotients > 100
+
+
+@pytest.mark.parametrize("source, text", [
+    ("0", "0"),
+    ("-sqrt(u1)", "-sqrt(u1)"),
+    ("-3*sqrt(u1)*f(u1)", "-3*sqrt(u1)*f(u1)"),
+    ("u1 - sqrt(u1)", "-sqrt(u1) + u1"),
+    ("-480*w(u)^6*f(u1)*wp(u)", "(-480*w(u)^6)*f(u1)*wp(u)"),
+    ("exp(2*u)*u1 - exp(u)", "u1*exp(2*u) - exp(u)"),
+    ("fa(uy + b)^2 - u1", "fa(uy + b)^2 - u1"),
+    ("(u1 + u2)/(u + 1)", "(u2 + u1)/(u + 1)"),
+    ("-u1/(2*u)", "(-u1)/(2*u)"),
+    ("-u1/(u + 1) + sqrt(u1)", "sqrt(u1) - u1/(u + 1)"),
+    ("(u1 + 1)*sqrt(u1) + u1 + 1", "(u1 + 1)*sqrt(u1) + (u1 + 1)"),
+    ("-1/2", "(-1)/2"),
+])
+def test_print_nf_edge_cases(ctx, source, text):
+    """The zero form, constants -1 and -c on a symbol, a negative term
+    times symbols, exp powers, a call argument that is a sum, sum
+    numerators and denominators, and a sum as the symbol-free coefficient
+    of a longer sum."""
+    a = nf(ctx, source)
+    assert print_nf(a, ctx) == tree_route(ctx, a) == text
+    assert N.nf_equal(ctx, nf(ctx, text), a)
+
+
+def test_tree_printing_renders_each_call_argument_once():
+    """print_expr reads a name's text from the context's atom memo, so a
+    call argument such as uy + b is rendered once per context."""
+    ctx = default_context()
+    e = parse("fa(uy + b)^2 + fa(uy + b)*u1", ctx)
+    assert print_expr(e, ctx) == "fa(uy + b)^2 + fa(uy + b)*u1"
+    assert ctx._atom_texts[("fb", 1)] == ("fa(uy + b)", 4)
+    ctx._atom_texts[("fb", 1)] = ("FB", 4)
+    assert print_expr(e, ctx) == "FB^2 + FB*u1"
 
 
 def test_substitute_rejects_cycles_but_not_shifts():

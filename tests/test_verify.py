@@ -144,12 +144,24 @@ def test_jet_coefficients_convert_only_printed_groups(catalog, hid, eid,
     got, _den, total = verify.jet_coefficients(ctx, R)
     assert total == len(ref) == groups
     assert len(got) == min(total, verify.MAX_REPORTED_COEFFS)
-    text = [(m, print_expr(c, ctx)) for m, c in got]
-    assert text == [(m, print_expr(c, ctx))
-                    for m, c in ref[:verify.MAX_REPORTED_COEFFS]]
+    assert got == [(m, print_expr(c, ctx))
+                   for m, c in ref[:verify.MAX_REPORTED_COEFFS]]
     r = verify.verify_pair(F, G)
     assert r.failing_total == total
-    assert r.failing_coefficients == text
+    assert r.failing_coefficients == got
+
+
+def test_coefficients_are_printed_without_trees(catalog, monkeypatch):
+    """S3 ev21 reports 64 coefficients.  They are printed straight from
+    their normal forms: print_expr runs once, for the cleared denominator,
+    and no coefficient is turned into a tree."""
+    printed, converted = [], []
+    monkeypatch.setattr(verify, "print_expr",
+                        lambda e, ctx: printed.append(e) or print_expr(e, ctx))
+    monkeypatch.setattr(N, "nf_to_expr", lambda ctx, a: converted.append(a))
+    r = verify.verify_pair(*get_pair(catalog, "S3", "ev21", {}))
+    assert len(r.failing_coefficients) == verify.MAX_REPORTED_COEFFS
+    assert len(printed) <= 1 and converted == []
 
 
 def test_pure_exponential_neighbor_is_also_exact(catalog):
