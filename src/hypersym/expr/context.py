@@ -106,6 +106,8 @@ class Context:
         # lazy caches, filled by the normal-form layer
         self._deriv_nf: Dict[str, object] = {}
         self._reduction: Dict[Tuple[int, int], object] = {}
+        self._expansion: Dict[int, tuple] = {}  # see normal._expansion
+        self._den_merge: Dict[tuple, tuple] = {}  # see ratfunc.den_mul
         self._minpoly_nf: Dict[int, tuple] = {}
         # an equation's exact normal forms, keyed on its tree (trees compare
         # structurally), filled by jet.nf_jet and jet.nf_flow

@@ -9,17 +9,21 @@ equality and the zero test is exact.
 
 Coefficients are reduced once per result, not once per term product:
 nf_sum_products adds each term product, unreduced, into the numerator sum
-of its algebraic monomial and its denominator, rewriting symbol powers over
-their degree first.  Partials (a, v, r) go in the same way: the unreduced
-quotient-rule and chain-rule terms of da/dv, each times every term of r, so
-a total derivative sum_v (da/dv) D(v) (jet.NFJet) is reduced once, not once
-per partial and again per product.  Each monomial's sums are then brought
-over their lcm with one cofactor product per distinct denominator and
-reduced with one rf_make (ratfunc.rf_sum_by_den).  A result may be a whole
-sum, such as the determining residual of verify.determining_residual, which
-is then reduced once.  That gives the form that reducing every step gives,
-because on the square-free, pairwise coprime factor base a reduced rational
-function is unique (see ratfunc).
+of its algebraic monomial and its denominator.  Partials (a, v, r) go in
+the same way: the unreduced quotient-rule and chain-rule terms of da/dv,
+each times every term of r, so a total derivative sum_v (da/dv) D(v)
+(jet.NFJet) is reduced once, not once per partial and again per product.
+A monomial with a symbol power over its degree is summed like any other;
+before anything is reduced, its sums are rewritten once, by the normal
+form of that monomial alone (its expansion, made once per context), not
+once per product: delayed reduction modulo a triangular set (Li, Moreno
+Maza and Schost, J. Symb. Comp. 44(7), 2009).  Each monomial's sums are
+then brought over their lcm with one cofactor product per distinct
+denominator and reduced with one rf_make (ratfunc.rf_sum_by_den).  A
+result may be a whole sum, such as the determining residual of
+verify.determining_residual, which is then reduced once.  That gives the
+form that reducing every step gives, because on the square-free, pairwise
+coprime factor base a reduced rational function is unique (see ratfunc).
 
 Inverses are computed by the extended Euclidean algorithm in K[s]/(m(s)),
 where s is the highest registered symbol occurring in the operand and K is
@@ -155,37 +159,65 @@ def _rewrite_table(ctx: Context, i: int) -> Tuple[RatFunc, ...]:
     return table
 
 
+def _over(ctx: Context, mono: int) -> int:
+    """The borrow bits of the symbols of mono at or over their degree."""
+    return (mono + ctx.alg_over) & ctx.alg_layout.borrow_mask
+
+
+def _expansion(ctx: Context, mono: int) -> Tuple[Tuple[int, R.Den, P.Poly], ...]:
+    """The normal form of the alg monomial mono, some symbol of it over its
+    degree, as (monomial, denominator, numerator) triples, made once per
+    context: the first symbol over its degree rewritten by its table, the
+    last term first.  The triples keep the order in which that meets their
+    monomials; one whose coefficient cancelled keeps its place with {}."""
+    hit = ctx._expansion.get(mono)
+    if hit is None:
+        over = _over(ctx, mono)
+        # the lowest borrow bit is the first symbol over its degree
+        i = ((over & -over).bit_length() - 1) // P.FIELD_BITS
+        unit = ctx.alg_layout.unit(i)
+        rest = mono - ctx.alg_syms[i].degree * unit
+        table = _rewrite_table(ctx, i)
+        sums: Sums = {}
+        for k in range(len(table) - 1, -1, -1):
+            if not table[k].is_zero():
+                _collect(ctx, sums, rest + k * unit, table[k])
+        order = [m for m in sums if not _over(ctx, m)]
+        nf, zero = _reduce_groups(ctx, sums), R.rf_zero(ctx)
+        hit = ctx._expansion[mono] = tuple(
+            (m, nf.get(m, zero).den, nf.get(m, zero).num) for m in order)
+    return hit
+
+
 def _collect(ctx: Context, sums: Sums, mono: int, a: RatFunc,
              b: Optional[RatFunc] = None) -> None:
     """Add the unreduced a * b (or a) times the alg monomial mono into the
-    numerator sum of its monomial and denominator.  A symbol power over its
-    degree is rewritten first: the product is formed once and multiplied by
-    each table term straight into the target sums, the last term first."""
-    over = (mono + ctx.alg_over) & ctx.alg_layout.borrow_mask
-    den = (a.den_scalar, a.den_factors) if b is None else R.den_mul(a, b)
-    if not over:
-        acc = sums.setdefault(mono, {}).setdefault(den, {})
-        if b is None:
-            P.padd_inplace(acc, a.num)
-        else:
-            P.pmul_into(acc, a.num, b.num, ctx.layout, ctx.max_terms)
-        return
-    if b is not None:
-        a = RatFunc(P.pmul(a.num, b.num, ctx.layout, ctx.max_terms), *den)
-    # the lowest borrow bit is the first symbol over its degree
-    over = ((over & -over).bit_length() - 1) // P.FIELD_BITS
-    unit = ctx.alg_layout.unit(over)
-    rest = mono - ctx.alg_syms[over].degree * unit
-    table = _rewrite_table(ctx, over)
-    for k in range(len(table) - 1, -1, -1):
-        if not table[k].is_zero():
-            _collect(ctx, sums, rest + k * unit, a, table[k])
+    numerator sum of its monomial and denominator, mono over a symbol's
+    degree or not.  The first time an over one is met, the monomials of its
+    expansion are entered in order, so the result keeps the monomial order
+    that rewriting each product on its own gives."""
+    group = sums.get(mono)
+    if group is None:
+        if _over(ctx, mono):
+            for m, _, _ in _expansion(ctx, mono):
+                sums.setdefault(m, {})
+        group = sums[mono] = {}
+    if b is None:
+        P.padd_inplace(group.setdefault(a.den, {}), a.num)
+    else:
+        P.pmul_into(group.setdefault(R.den_mul(ctx, a.den, b.den), {}),
+                    a.num, b.num, ctx.layout, ctx.max_terms)
 
 
 def _reduce_groups(ctx: Context, sums: Sums) -> NF:
-    """Each monomial's sums reduced once, at its monomial, with one
-    cofactor product per distinct denominator; a monomial is dropped as
-    soon as it is reduced."""
+    """Each monomial over a symbol's degree rewritten by its expansion,
+    once per denominator of its sums; then each monomial's sums reduced
+    once, with one cofactor product per distinct denominator, and dropped."""
+    for m in [m for m in sums if _over(ctx, m)]:
+        for den, num in sums.pop(m).items():
+            for mt, dt, nt in _expansion(ctx, m):
+                P.pmul_into(sums[mt].setdefault(R.den_mul(ctx, den, dt), {}),
+                            num, nt, ctx.layout, ctx.max_terms)
     out: NF = {}
     for m in list(sums):
         tot = R.rf_sum_by_den(ctx, sums.pop(m))
@@ -451,7 +483,7 @@ def _collect_partial(ctx: Context, sums: Sums, a: NF, var_name: str,
                 for mb, cb in deriv_nf(ctx, s.name).items():
                     terms.append((mf + mb, RatFunc(
                         P.pmul(cf.num, cb.num, ctx.layout, ctx.max_terms),
-                        *R.den_mul(cf, cb))))
+                        *R.den_mul(ctx, cf.den, cb.den))))
         for mt, t in terms:
             for mr, cr in rule_terms:
                 _collect(ctx, sums, mt + mr, t, cr)

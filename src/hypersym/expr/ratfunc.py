@@ -115,6 +115,7 @@ def intern_factor(ctx: Context, p: P.Poly) -> Tuple[int, Factor]:
 
 
 FactorVec = Tuple[Tuple[Factor, int], ...]
+Den = Tuple[int, FactorVec]  # (den_scalar, den_factors) of an unreduced term
 
 
 def intern_factors(ctx: Context, p: P.Poly) -> Tuple[int, "FactorVec"]:
@@ -255,6 +256,10 @@ class RatFunc:
         self.den_scalar = den_scalar
         self.den_factors = den_factors
 
+    @property
+    def den(self) -> Den:
+        return self.den_scalar, self.den_factors
+
     def is_zero(self) -> bool:
         return not self.num
 
@@ -358,20 +363,21 @@ def rf_scale(ctx: Context, a: RatFunc, q) -> RatFunc:
     return RatFunc(num, den_scalar // g, a.den_factors)
 
 
-Den = Tuple[int, FactorVec]  # (den_scalar, den_factors) of an unreduced term
-
-
-def den_mul(a: RatFunc, b: RatFunc) -> Den:
-    """The denominator of a * b: scalars multiplied, factor exponents
-    merged."""
-    fa, fb = a.den_factors, b.den_factors
-    if fa and fb:
-        merged: Dict[int, Tuple[Factor, int]] = {f.fid: (f, e) for f, e in fa}
+def den_mul(ctx: Context, a: Den, b: Den) -> Den:
+    """The denominator of a product of a term over a and one over b:
+    scalars multiplied, factor exponents merged.  Few distinct pairs of
+    factor vectors occur, so each pair is merged once per context
+    (ctx._den_merge)."""
+    fa, fb = a[1], b[1]
+    if not (fa and fb):
+        return a[0] * b[0], fa or fb
+    merged = ctx._den_merge.get((fa, fb))
+    if merged is None:
+        exps: Dict[int, Tuple[Factor, int]] = {f.fid: (f, e) for f, e in fa}
         for f, e in fb:
-            cur = merged.get(f.fid)
-            merged[f.fid] = (f, e + (cur[1] if cur else 0))
-        fa = tuple(fe for _, fe in sorted(merged.items()))
-    return a.den_scalar * b.den_scalar, fa or fb
+            exps[f.fid] = (f, e + exps.get(f.fid, (f, 0))[1])
+        merged = ctx._den_merge[fa, fb] = tuple(fe for _, fe in sorted(exps.items()))
+    return a[0] * b[0], merged
 
 
 def over_lcm(ctx: Context, dens: Iterable[Den]
@@ -433,8 +439,7 @@ def rf_sum(ctx: Context, items: Iterable[RatFunc]) -> RatFunc:
     sums: Dict[Den, P.Poly] = {}
     for a in items:
         if a.num:
-            P.padd_inplace(sums.setdefault((a.den_scalar, a.den_factors), {}),
-                           a.num)
+            P.padd_inplace(sums.setdefault(a.den, {}), a.num)
     return rf_sum_by_den(ctx, sums) if sums else rf_zero(ctx)
 
 
@@ -450,7 +455,7 @@ def rf_mul(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
     if a.is_zero() or b.is_zero():
         return rf_zero(ctx)
     return rf_make(ctx, P.pmul(a.num, b.num, ctx.layout, ctx.max_terms),
-                   *den_mul(a, b))
+                   *den_mul(ctx, a.den, b.den))
 
 
 def rf_inverse(ctx: Context, a: RatFunc) -> RatFunc:

@@ -89,12 +89,12 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     # size(D_xH) * sum of size(D_x^kF) over k <= 4.  Those tables already
     # exist (D_y(u5) = D_x^4F); D_x^5F is left out, since the D_x order
     # never needs it.  The factor 50 is fitted over the 195 hyperbolic x
-    # evolution pairs (one process, 2-core x86-64 VM, Python 3.11), memos
-    # warm: every pair where D_x(D_yH) was faster by more than 3 ms has a
-    # cost ratio of at least 125, and every pair where D_y(D_xH) was, at
-    # most 110 (final2 ev21, in one of two runs).  Any factor from 25 to
-    # 150 came within 1 % of the best-of-both total, 1.70-1.83 s against
-    # 1.79-1.93 s for D_y(D_xH) alone.
+    # evolution pairs (2-core x86-64 VM, Python 3.11), best of 3 per order,
+    # each pair in a fresh Catalog, memos cold as in a verify-all claim: in
+    # two runs any factor from 25 to 110 came within 0.1 % of the best
+    # total, 150 1.7-1.8 % and 200 2.0-2.4 % over.  With memos warm, 120 to
+    # 250 came within 1 % of the best-of-both total and 25 to 115 1.3-2.1 %
+    # over, but 200 made audit wall_s 5 % worse (compare.py, seeds 1-4).
     tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
     if 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables:
         mixed, dx_of_dyH = [], nfj.partial_rules(dyH, "x")

@@ -277,3 +277,24 @@ def test_catalogs_share_no_context(poisoned):
             == "(a^3 - uy^3)/(a^6 - 2*uy^3*a^3 + uy^6)")
     assert not {id(f) for f in cat.ctx.den_atoms} & {
         id(f) for f in other.ctx.den_atoms}
+    # the rewrite and denominator memos: filled in each, shared by neither
+    for c in (other, cat):
+        normal_text(c, OVER_DEGREE)
+        assert c.ctx._expansion and c.ctx._den_merge
+    assert not memo_objects(cat.ctx) & memo_objects(other.ctx)
+
+
+OVER_DEGREE = "(f(u1)^2/(u1 + 1))*(f(u1)^2/(u2 + 1))"
+
+
+def memo_objects(ctx):
+    """The ids of the entries of ctx's expansion and denominator memos, and
+    of the factors they hold."""
+    out = set()
+    for triples in ctx._expansion.values():
+        out.add(id(triples))
+        out.update(id(f) for _, (_, fs), _ in triples for f, _ in fs)
+    for (fa, fb), merged in ctx._den_merge.items():
+        out.add(id(merged))
+        out.update(id(f) for f, _ in fa + fb + merged)
+    return out

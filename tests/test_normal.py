@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_invariants, random_expr
+from hypersym.catalog import Catalog
 from hypersym.errors import (AdmissibilityError, NotInvertibleError,
                              SizeLimitError)
 from hypersym.expr import normal as N
@@ -392,3 +393,102 @@ def test_nf_mul_reduces_once_per_output_monomial(ctx, monkeypatch):
     out = N.nf_mul(ctx, a, b)
     assert len(out) > 1
     assert len(calls) == len(out)
+
+
+@pytest.fixture(scope="module")
+def own_catalog():
+    # the sums below intern factors; keep them out of the shared catalog
+    return Catalog()
+
+
+def catalog_or_bound(cat, which):
+    return cat.ctx if which == "catalog" else cat.get("S3", {"a": 1, "b": 0}).ctx
+
+
+OVER_COEFFS = ["u1 + 2", "3/(u1 + 1)", "(u2 - u1)/(2*u1^2)", "v1/(u1*(u2 + 1))",
+               "-1/2"]
+
+
+@pytest.mark.parametrize("which", ["catalog", "bound"])
+def test_over_degree_sums_match_eager_rewriting(own_catalog, which):
+    """Products over a symbol's degree are summed as they are and rewritten
+    once per sum: the same terms come out, in the same order, as from
+    rewriting and reducing each product on its own.  Cubic symbols reach
+    degree + 1, two symbols are over at once, and the coefficients have
+    factored denominators."""
+    ctx = catalog_or_bound(own_catalog, which)
+    lay, syms = ctx.alg_layout, ctx.alg_syms
+    coeffs = [nf(ctx, t)[0] for t in OVER_COEFFS]
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(30):
+        picked = rng.sample(range(len(syms)), 2)
+        sums, want = {}, {}
+        for _ in range(rng.randint(1, 6)):
+            exps = [0] * len(syms)
+            for i in picked:
+                d = syms[i].degree
+                exps[i] = rng.choice((0, 1, d - 1, d, d + 1))
+            mono = lay.pack(exps)
+            over = [i for i in picked if exps[i] >= syms[i].degree]
+            if len(over) == 2:
+                seen.add("two over")
+            if any(exps[i] == syms[i].degree + 1 == 4 for i in over):
+                seen.add("cubic + 1")
+            a, b = rng.choice(coeffs), rng.choice(coeffs + [None])
+            N._collect(ctx, sums, mono, a, b)
+            ref_accumulate(ctx, want, mono, a if b is None else R.rf_mul(ctx, a, b))
+        got = N._reduce_groups(ctx, sums)
+        assert list(got) == list(want)
+        assert nf_struct_equal(got, want)
+    assert seen == {"two over", "cubic + 1"}
+    assert any(f for c in coeffs for f in c.den_factors)
+
+
+@pytest.mark.parametrize("which", ["catalog", "bound"])
+def test_expansions_are_normal_forms_of_their_monomials(own_catalog, which):
+    """Each stored expansion of a monomial over a symbol's degree is the
+    normal form of that monomial alone: normalize of its tree, and its
+    eager rewriting, monomial order included.  A name that the binding
+    aliased (fa, fb, ...) normalizes as its twin, so its tree is skipped."""
+    ctx = catalog_or_bound(own_catalog, which)
+    lay = ctx.alg_layout
+    own = [s for s in ctx.alg_syms if ctx.resolve(s.name) == s.name]
+    for s in own:
+        for t in own:
+            N.normalize(ctx, parse(f"{s.name}^{s.degree + 1}*{t.name}^{t.degree}",
+                                   ctx))
+    assert len(ctx._expansion) > len(own)
+    own = {s.index for s in own}
+    for mono, triples in ctx._expansion.items():
+        got = {m: R.RatFunc(num, *den) for m, den, num in triples if num}
+        if set(lay.mono_vars(mono)) <= own:
+            tree_of = N._term([], lay, ctx.alg_syms, mono)
+            assert nf_struct_equal(got, N.normalize(ctx, tree_of))
+        want = {}
+        ref_accumulate(ctx, want, mono, R.rf_const(ctx, 1))
+        assert list(got) == list(want)
+        assert nf_struct_equal(got, want)
+
+
+def test_term_budget_enforced_in_the_rewrite():
+    """The rewrite of over-degree sums multiplies under the same term
+    budget: each product of a with a is 21 terms times f(u1)^4, and f^4's
+    expansion takes it over 40."""
+    small = default_context(max_x_jet=10, max_y_jet=6, max_terms=40)
+    a = nf(small, "(u2 + u3 + u4 + v1 + v2 + v3)*f(u1)^2")
+    assert N.nf_size(a) == 6
+    with pytest.raises(SizeLimitError, match="40 terms"):
+        N.nf_sum_products(small, [(a, a), (a, nf(small, "f(u1)^2"))])
+
+
+@pytest.mark.parametrize("bindings, name", [({"c": 4}, "sc"), ({"a": 0}, "fa")])
+def test_over_degree_product_refuses_a_reducible_relation(bindings, name):
+    """A relation that a binding made reducible is refused by the first
+    normal form that uses its symbol, also when that is a product over the
+    symbol's degree that only the rewrite meets."""
+    bound = default_context().bind(bindings)
+    s = bound.alg(name)
+    power = {(s.degree - 1) * bound.alg_layout.unit(s.index): R.rf_const(bound, 1)}
+    with pytest.raises(AdmissibilityError, match="reducible"):
+        N.nf_mul(bound, power, power)

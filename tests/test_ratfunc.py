@@ -172,7 +172,7 @@ def test_sum_by_denominator_matches_per_summand_sum(ctx):
     for _ in range(40):
         items = [rand_rf(ctx, rng) for _ in range(rng.randint(1, 7))]
         # unreduced products over shared denominators, as normal forms sum them
-        items += [R.RatFunc(P.pmul(a.num, b.num, ctx.layout), *R.den_mul(a, b))
+        items += [R.RatFunc(P.pmul(a.num, b.num, ctx.layout), *R.den_mul(ctx, a.den, b.den))
                   for a, b in zip(items, items[1:])]
         rng.shuffle(items)
         assert rf_fields(R.rf_sum(ctx, items)) == rf_fields(ref_rf_sum(ctx, items))
