@@ -77,14 +77,6 @@ class SymbolDef:
         self.degree = len(minpoly_coeffs) - 1
         self.link = (arg, derivative) if kind in (TSYM, ALG) else None
 
-    @property
-    def minpoly_expr(self) -> Expr:
-        s = Name(self.name)
-        out = tree.ZERO
-        for k, c in enumerate(self.minpoly_coeffs):
-            out = out + c * s ** k
-        return out
-
     def __repr__(self):
         return f"SymbolDef({self.name})"
 
@@ -119,8 +111,10 @@ class Context:
         # points of the last master seed (seed, points), filled by numeval
         self._minpoly_progs: Dict[object, object] = {}
         self._sample_points: Tuple[Optional[int], List[object]] = (None, [])
-        # (name, e) -> text and precedence of name^e, filled by the printer
-        self._atom_texts: Dict[Tuple[str, int], Tuple[str, int]] = {}
+        # printed texts, filled by the printer and verify: (name, e) and
+        # (monomial, layout) -> text and precedence of name^e and of the
+        # monomial; (monomial, layout, "plain") -> its text in plain names
+        self._atom_texts: Dict[tuple, object] = {}
         self._bind_cache: Dict[tuple, "Context"] = {}
 
     # -- construction ------------------------------------------------------

@@ -9,15 +9,17 @@ resolved at parse time; the printer emits the alias spelling.
 
 print_expr prints a tree, and print_nf a normal form straight from its
 dicts, as print_expr would print the tree of normal.nf_to_expr.  Both read
-the text of name^e from a per-context memo.
+the text of name^e, and print_nf that of each monomial, from a per-context
+memo.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from ..errors import ParseError
+from ..errors import ParseError, SizeLimitError
 from . import poly as P
 from . import ratfunc as R
 from . import tree
@@ -238,11 +240,23 @@ def _name_text(name: str, ctx: Context, e: int = 1) -> Tuple[str, int]:
     return got
 
 
+def _digits(n: int) -> str:
+    """str(n); an integer past the interpreter's limit on its digits raises
+    SizeLimitError, and the limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = n.bit_length() * 30103 // 100000  # bits times log10(2)
+        raise SizeLimitError(
+            f"a constant of about {digits:,} digits is too long to print "
+            f"(the limit is {sys.get_int_max_str_digits()})") from None
+
+
 def _const_text(q: Fraction) -> Tuple[str, int]:
     if q.denominator == 1:
-        s = str(q.numerator)
+        s = _digits(q.numerator)
         return s, (_PREC_ATOM if q.numerator >= 0 else _PREC_SUM)
-    s = f"{q.numerator}/{q.denominator}"
+    s = f"{_digits(q.numerator)}/{_digits(q.denominator)}"
     return s, (_PREC_MUL if q.numerator >= 0 else _PREC_SUM)
 
 
@@ -327,17 +341,28 @@ def _sum_text(terms: List[_Split]) -> str:
     return ("-" if terms[0][0] else "") + text[3:]
 
 
+def _render_mono(ctx: Context, m: int, lay, syms) -> Tuple[str, int]:
+    """Text and precedence of the monomial m != 0 over syms: a single atom
+    keeps its own precedence."""
+    atoms = [_name_text(syms[i].name, ctx, lay.exp(m, i))
+             for i in lay.mono_vars(m)]
+    if len(atoms) == 1:
+        return atoms[0]
+    return "*".join([t for t, _ in atoms]), _PREC_MUL
+
+
 def _scaled(ctx: Context, c: int, m: int, lay, syms) -> _Split:
-    """c times the monomial m over syms (ctx.base_vars or ctx.alg_syms)."""
+    """c times the monomial m over syms (ctx.base_vars or ctx.alg_syms).
+    The text of m is made once per context, kept under (m, lay)."""
     k = -c if c < 0 else c
     if m == 0:
         return (c < 0, *_const_text(k))
-    atoms = [_name_text(syms[i].name, ctx, lay.exp(m, i))
-             for i in lay.mono_vars(m)]
-    if k == 1 and len(atoms) == 1:
-        return (c < 0, *atoms[0])
-    return (c < 0, "*".join([str(k)] * (k != 1) + [t for t, _ in atoms]),
-            _PREC_MUL)
+    mono = ctx._atom_texts.get((m, lay))
+    if mono is None:
+        mono = ctx._atom_texts[(m, lay)] = _render_mono(ctx, m, lay, syms)
+    if k == 1:
+        return (c < 0, *mono)
+    return c < 0, f"{_digits(k)}*{mono[0]}", _PREC_MUL
 
 
 def _poly_split(ctx: Context, p: P.Poly) -> _Split:
@@ -376,3 +401,21 @@ def print_nf(a, ctx: Context) -> str:
     if not terms:
         return "0"
     return _alone(*terms[0])[0] if alone else _sum_text(terms)
+
+
+def print_den(ctx: Context, scalar: int, factors) -> str:
+    """The text of scalar times the factor powers (f, e), in their order, as
+    print_expr prints tree.mul(Const(scalar), pow_(f1, e1), ...).  A factor
+    is a sum or one base variable (see ratfunc.intern_factors)."""
+    parts = [] if scalar == 1 else [_const_text(scalar)]
+    for f, e in factors:
+        if len(f.poly) == 1:
+            (i,) = ctx.layout.mono_vars(next(iter(f.poly)))
+            parts.append(_name_text(ctx.base_vars[i].name, ctx, e))
+        else:
+            body = _poly_split(ctx, f.poly)[1]
+            parts.append((body, _PREC_SUM) if e == 1 else
+                         (f"({body})^{e}", _PREC_POW))
+    if len(parts) == 1:
+        return parts[0][0]
+    return "*".join([_paren(t, prec, _PREC_MUL) for t, prec in parts])

@@ -77,17 +77,6 @@ class Layout:
             raise SizeLimitError(_out_of_range(f"exponent {e}"))
         return (e << (FIELD_BITS * i)) | (e << self.total_shift)
 
-    def mono_mul(self, a: int, b: int) -> int:
-        m = a + b
-        if m & self.borrow_mask:
-            raise SizeLimitError(OVERFLOW)
-        return m
-
-    def mono_divides(self, a: int, b: int) -> bool:
-        """True when monomial a divides monomial b."""
-        d = b - a
-        return d >= 0 and not (d & self.borrow_mask)
-
     def field_mask(self, indices: Iterable[int]) -> int:
         """Mask selecting the exponent fields of the given variables."""
         mask = 0
@@ -102,7 +91,7 @@ class Layout:
         sum(2**(FIELD_BITS*i)) puts the prefix sums of the fields into the
         fields of the product; the top variable's field holds the whole sum,
         and no prefix sum carries, since it is at most the monomial's total
-        degree, which pack and mono_mul keep below FIELD_TOP.
+        degree, which pack and every product keep below FIELD_TOP.
         """
         m = mono & mask
         total = ((m * self._ones) >> (self.total_shift - FIELD_BITS)) & FIELD_MASK
@@ -127,19 +116,6 @@ class Layout:
 
 def pconst(c: int) -> Poly:
     return {0: c} if c else {}
-
-
-def padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        else:
-            del out[m]
-    return out
 
 
 def padd_inplace(out: Poly, b: Poly, scale: int = 1) -> None:

@@ -279,12 +279,6 @@ def rf_const(ctx: Context, q) -> RatFunc:
     return RatFunc(P.pconst(q.numerator), q.denominator, ())
 
 
-def rf_from_poly(ctx: Context, p: P.Poly) -> RatFunc:
-    if not p:
-        return rf_zero(ctx)
-    return rf_make(ctx, dict(p), 1, ())
-
-
 def _sort_factors(fs: Iterable[Tuple[Factor, int]]) -> FactorVec:
     return tuple(sorted((fe for fe in fs if fe[1] > 0), key=lambda fe: fe[0].fid))
 
@@ -443,14 +437,6 @@ def rf_sum(ctx: Context, items: Iterable[RatFunc]) -> RatFunc:
     return rf_sum_by_den(ctx, sums) if sums else rf_zero(ctx)
 
 
-def rf_add(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
-    return rf_sum(ctx, (a, b))
-
-
-def rf_sub(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
-    return rf_sum(ctx, (a, rf_neg(ctx, b)))
-
-
 def rf_mul(ctx: Context, a: RatFunc, b: RatFunc) -> RatFunc:
     if a.is_zero() or b.is_zero():
         return rf_zero(ctx)
@@ -483,10 +469,6 @@ def rf_partial_terms(ctx: Context, a: RatFunc, var_index: int) -> List[RatFunc]:
                        for j, (g, ex) in enumerate(a.den_factors))
         terms.append(RatFunc(num, a.den_scalar, bumped))
     return terms
-
-
-def rf_equal(ctx: Context, a: RatFunc, b: RatFunc) -> bool:
-    return rf_sub(ctx, a, b).is_zero()
 
 
 def rf_den_poly(ctx: Context, a: RatFunc) -> P.Poly:

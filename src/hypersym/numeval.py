@@ -602,7 +602,11 @@ def _try_sample(ctx: Context, pinned: Dict[str, float],
 def sample_point(ctx: Context, seed: int = 0) -> SamplePoint:
     """Draw a consistent assignment for every variable and symbol.  The
     parameters bound on ctx (Context.bind) are pinned to their values."""
-    pinned = {k: float(v) for k, v in ctx.bound.items()}
+    try:
+        pinned = {k: float(v) for k, v in ctx.bound.items()}
+    except OverflowError:
+        raise SampleError("a bound parameter is outside the float range"
+                          ) from None
     rng = random.Random(seed)
     last: Optional[SampleError] = None
     for _ in range(MAX_ATTEMPTS):

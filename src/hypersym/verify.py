@@ -37,7 +37,9 @@ from .errors import HypersymError, LemmaPremiseError, RoleError
 from .expr import normal as N
 from .expr import tree
 from .expr.context import PARAM, XJET, YJET, Context
-from .expr.parser import print_expr, print_nf
+# print_expr: unused, kept as the alias perfbench/selftest.py checks is traced
+from .expr.parser import (_const_text, print_den, print_expr,  # noqa: F401
+                           print_nf)
 # pmul: unused, kept as the alias perfbench/selftest.py checks is traced
 from .expr.poly import Layout, Poly, pmul  # noqa: F401
 from .expr.ratfunc import RatFunc, over_lcm
@@ -47,6 +49,7 @@ from .jet import (EvolutionEq, HyperbolicEq, nf_flow, nf_jet,  # noqa: F401
                   partial, swap_xy)
 
 DEFAULT_TOL = 1e-9
+MIXED_ORDER_FACTOR = 50  # the cost of D_x(D_yH), see determining_residual
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +87,11 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     dyH = N.nf_sum_products(ctx, nfj.pair_rules(flow.partials, "y"))
     # The mixed derivative in the cheaper order; on a square-free factor
     # base both orders give the same normal form.  D_x's rules are mostly
-    # the monomials u_{k+1}, so D_x(D_yH) is costed as 50 * size(D_yH).
-    # D_y's rules are the tables D_x^{k-1}F, so D_y(D_xH) is costed as
-    # size(D_xH) * sum of size(D_x^kF) over k <= 4.  Those tables already
-    # exist (D_y(u5) = D_x^4F); D_x^5F is left out, since the D_x order
-    # never needs it.  The factor 50 is fitted over the 195 hyperbolic x
+    # the monomials u_{k+1}, so D_x(D_yH) is costed as MIXED_ORDER_FACTOR
+    # * size(D_yH).  D_y's rules are the tables D_x^{k-1}F, so D_y(D_xH) is
+    # costed as size(D_xH) * sum of size(D_x^kF) over k <= 4.  Those tables
+    # already exist (D_y(u5) = D_x^4F); D_x^5F is left out, since the D_x
+    # order never needs it.  The factor 50 is fitted over the 195 hyperbolic x
     # evolution pairs (2-core x86-64 VM, Python 3.11), best of 3 per order,
     # each pair in a fresh Catalog, memos cold as in a verify-all claim: in
     # two runs any factor from 25 to 110 came within 0.1 % of the best
@@ -96,7 +99,7 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
     # 250 came within 1 % of the best-of-both total and 25 to 115 1.3-2.1 %
     # over, but 200 made audit wall_s 5 % worse (compare.py, seeds 1-4).
     tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
-    if 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables:
+    if MIXED_ORDER_FACTOR * N.nf_size(dyH) < N.nf_size(dxH) * tables:
         mixed, dx_of_dyH = [], nfj.partial_rules(dyH, "x")
     else:
         mixed, dx_of_dyH = nfj.pair_rules(flow.dx_partials, "y"), []
@@ -137,20 +140,20 @@ def _clear_denominators(ctx: Context, R: N.NF
     return cleared(), RatFunc({0: 1}, scalar, factors)
 
 
-def _mono_text(ctx: Context, mono: int, layout, names: Sequence[str]) -> str:
-    parts = []
-    for i in layout.mono_vars(mono):
-        e = layout.exp(mono, i)
-        parts.append(names[i] if e == 1 else f"{names[i]}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _base_names(ctx: Context) -> List[str]:
-    return [v.name for v in ctx.base_vars]
-
-
-def _alg_names(ctx: Context) -> List[str]:
-    return [s.name for s in ctx.alg_syms]
+def _mono_text(ctx: Context, mono: int, layout: Layout) -> str:
+    """The monomial over layout (ctx.layout or ctx.alg_layout) in its
+    variables' own names, "1" for the unit.  Made once per context, kept
+    in the printer's memo under (mono, layout, "plain")."""
+    key = (mono, layout, "plain")
+    text = ctx._atom_texts.get(key)
+    if text is None:
+        defs = ctx.base_vars if layout is ctx.layout else ctx.alg_syms
+        parts = []
+        for i in layout.mono_vars(mono):
+            e = layout.exp(mono, i)
+            parts.append(defs[i].name if e == 1 else f"{defs[i].name}^{e}")
+        text = ctx._atom_texts[key] = "*".join(parts) or "1"
+    return text
 
 
 MAX_REPORTED_COEFFS = 64
@@ -164,12 +167,12 @@ def _factor_order(layout: Layout, fac) -> tuple:
 
 
 def jet_coefficients(ctx: Context, R: N.NF
-                     ) -> Tuple[List[Tuple[str, str]], Optional[Expr], int]:
+                     ) -> Tuple[List[Tuple[str, str]], Optional[str], int]:
     """Coefficients of the denominator-cleared residual, grouped by jet
     monomial in descending graded-lex order.
 
     Returns ([(jet monomial text, coefficient text)], common denominator
-    expression or None, number of nonzero coefficients).  The coefficient of
+    text or None, number of nonzero coefficients).  The coefficient of
     each jet monomial collects the algebraic-symbol and parameter content;
     all coefficients vanish iff the residual is zero.  The count is the
     number of distinct jet monomials in the cleared polynomials: for a fixed
@@ -177,7 +180,8 @@ def jet_coefficients(ctx: Context, R: N.NF
     splitting a monomial into (jet part, rest) is injective, so no
     coefficient can cancel.  Terms are collected, and printed straight from
     their normal forms (parser.print_nf), only for the first
-    MAX_REPORTED_COEFFS jet monomials.
+    MAX_REPORTED_COEFFS jet monomials; the denominator is printed straight
+    from its factors (parser.print_den).
     """
     if not R:
         return [], None, 0
@@ -199,20 +203,16 @@ def jet_coefficients(ctx: Context, R: N.NF
             if jet is not None:
                 # (jet, rest) is new for this alg_mono: the split is injective
                 groups[jet].setdefault(alg_mono, {})[mono - jet] = c
-    names = _base_names(ctx)
     # a group is an integer polynomial, which rf_make would leave as it is
-    out = [(_mono_text(ctx, jet, layout, names),
+    out = [(_mono_text(ctx, jet, layout),
             print_nf({alg_mono: RatFunc(p, 1, ())
                       for alg_mono, p in groups[jet].items()}, ctx))
            for jet in jets]
-    den_expr: Optional[Expr] = None
+    den_text: Optional[str] = None
     if den.den_scalar != 1 or den.den_factors:
-        den_expr = tree.Const(den.den_scalar)
-        for fac, e in sorted(den.den_factors,
-                             key=lambda fe: _factor_order(layout, fe[0])):
-            den_expr = tree.mul(den_expr, tree.pow_(
-                N._poly_to_expr(ctx, fac.poly), e))
-    return out, den_expr, len(masked)
+        den_text = print_den(ctx, den.den_scalar, sorted(
+            den.den_factors, key=lambda fe: _factor_order(layout, fe[0])))
+    return out, den_text, len(masked)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ class VerificationReport(NamedTuple):
     @property
     def key(self) -> str:
         parts = [self.hyperbolic_id, self.evolution_id, self.direction]
-        parts += [f"{k}={v}" for k, v in self.bindings]
+        parts += [f"{k}={_const_text(v)[0]}" for k, v in self.bindings]
         return " ".join(parts)
 
     def structured_lines(self) -> List[str]:
@@ -290,9 +290,7 @@ def verify_pair(F: HyperbolicEq, G: EvolutionEq, samples: int = 0,
     failing_total = 0
     den_text: Optional[str] = None
     if not zero:
-        failing, den, failing_total = jet_coefficients(ctx, R)
-        if den is not None:
-            den_text = print_expr(den, ctx)
+        failing, den_text, failing_total = jet_coefficients(ctx, R)
     residuals: List[float] = []
     if samples > 0:
         from . import numeval
@@ -440,8 +438,8 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
     out: List[Tuple[str, Expr]] = []
     for alg_mono, rest in sorted(groups, key=lambda k: (k[1], k[0]),
                                  reverse=True):
-        rest_text = _mono_text(ctx, rest, layout, _base_names(ctx))
-        alg_text = _mono_text(ctx, alg_mono, ctx.alg_layout, _alg_names(ctx))
+        rest_text = _mono_text(ctx, rest, layout)
+        alg_text = _mono_text(ctx, alg_mono, ctx.alg_layout)
         if alg_text == "1":
             mono_text = rest_text
         elif rest_text == "1":

@@ -8,6 +8,7 @@ import pytest
 
 from hypersym.catalog import Catalog
 from hypersym.expr import poly as P
+from hypersym.expr import ratfunc as R
 from hypersym.expr import tree
 from hypersym.expr.tree import Const, Name
 
@@ -60,3 +61,21 @@ def canonical_invariants(ctx, a):
         assert lc > 0 and P.pcontent(f.poly) == 1
         # reduced: no denominator factor divides the numerator
         assert P.pdiv_exact(a.num, f.poly, ctx.layout) is None
+
+
+def ref_padd(a, b):
+    """The polynomial sum a + b, term by term."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_rf_add(ctx, a, b):
+    """The rational-function sum a + b."""
+    return R.rf_sum(ctx, (a, b))
+
+
+def ref_rf_equal(ctx, a, b):
+    """Whether a - b is zero."""
+    return R.rf_sum(ctx, (a, R.rf_neg(ctx, b))).is_zero()

@@ -10,7 +10,7 @@ from hypersym.catalog import Catalog, parse_blocks
 from hypersym.errors import (AdmissibilityError, CatalogError,
                              UnknownEntryError)
 from hypersym.expr import normal as N
-from hypersym.expr.parser import parse, print_expr
+from hypersym.expr.parser import parse, print_expr, print_nf
 from hypersym.expr.tree import substitute
 from hypersym.jet import EvolutionEq, HyperbolicEq
 
@@ -277,14 +277,25 @@ def test_catalogs_share_no_context(poisoned):
             == "(a^3 - uy^3)/(a^6 - 2*uy^3*a^3 + uy^6)")
     assert not {id(f) for f in cat.ctx.den_atoms} & {
         id(f) for f in other.ctx.den_atoms}
-    # the rewrite and denominator memos: filled in each, shared by neither
+    # the rewrite, denominator and text memos: filled in each, shared by
+    # neither
     for c in (other, cat):
-        normal_text(c, OVER_DEGREE)
+        assert (print_nf(N.normalize(c.ctx, parse(OVER_DEGREE, c.ctx)), c.ctx)
+                == normal_text(c, OVER_DEGREE))
         assert c.ctx._expansion and c.ctx._den_merge
+        assert any(type(key[0]) is int for key in c.ctx._atom_texts)
     assert not memo_objects(cat.ctx) & memo_objects(other.ctx)
+    assert not text_objects(cat.ctx) & text_objects(other.ctx)
 
 
 OVER_DEGREE = "(f(u1)^2/(u1 + 1))*(f(u1)^2/(u2 + 1))"
+
+
+def text_objects(ctx):
+    """The ids of the entries of ctx's text memo: each (text, precedence)
+    pair, and the layout each monomial key names."""
+    return ({id(v) for v in ctx._atom_texts.values()}
+            | {id(key[1]) for key in ctx._atom_texts if type(key[0]) is int})
 
 
 def memo_objects(ctx):

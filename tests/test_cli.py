@@ -384,6 +384,26 @@ def test_entry_past_the_packing_limit_is_a_size_error(tmp_path):
             assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "S3", "ev12", "--param", "a=1e5000", "--param", "b=0"],
+    ["verify", "S6", "ev21", "--param", "c=1e5000"],
+    ["--catalog", "{dir}", "show", "huge"],
+    ["--catalog", "{dir}", "verify", "huge", "ev12"],
+    ["sample", "--param", "c=1e400"],
+    ["verify", "S6", "ev21", "--param", "c=1e400", "--samples", "1"],
+])
+def test_numbers_out_of_range_are_data_errors(tmp_path, argv):
+    """A constant longer than Python prints (2^100000, a bound 10^5000)
+    and a parameter past the float range (10^400, when sampled) exit 2
+    with one error line, not a traceback."""
+    (tmp_path / "huge.txt").write_text(
+        "id: huge\nrole: hyperbolic\nparams:\nprovenance: demo\n"
+        "expr:\n2^100000*u1\n")
+    r = run_cold(*[a.format(dir=tmp_path) for a in argv])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

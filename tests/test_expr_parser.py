@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_expr
-from hypersym.errors import CyclicBindingError, ParseError
+from hypersym.errors import CyclicBindingError, ParseError, SizeLimitError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.context import default_context
@@ -217,6 +217,21 @@ def test_tree_printing_renders_each_call_argument_once():
     assert ctx._atom_texts[("fb", 1)] == ("fa(uy + b)", 4)
     ctx._atom_texts[("fb", 1)] = ("FB", 4)
     assert print_expr(e, ctx) == "FB^2 + FB*u1"
+
+
+def test_constant_past_the_digit_limit_is_a_size_error():
+    """Python prints at most sys.get_int_max_str_digits() digits of an
+    integer; a longer constant is a SizeLimitError from either printer,
+    and the limit is not raised."""
+    ctx = default_context()
+    e = parse("2^100000*u1", ctx)
+    for show in (lambda: print_expr(e, ctx),
+                 lambda: print_nf(N.normalize(ctx, e), ctx),
+                 lambda: print_nf(N.normalize(ctx, parse("1/2^100000", ctx)),
+                                  ctx)):
+        with pytest.raises(SizeLimitError, match="30,103 digits is too long"):
+            show()
+    assert print_expr(parse("2^1000*u1", ctx), ctx) == f"{2 ** 1000}*u1"
 
 
 def test_substitute_rejects_cycles_but_not_shifts():

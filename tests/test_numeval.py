@@ -580,3 +580,10 @@ def test_ops_fold_constants_as_the_tree_helpers():
         for k in (-2, -1, 0, 1, 2, 3):
             assert _folded(lambda: t.tree(t.pow_(t.imp(a), k))) == \
                 _folded(lambda: tree.pow_(a, k)), ("pow_", a, k)
+
+
+def test_parameter_past_the_float_range_is_a_sample_error():
+    """c = 10^400 has no float: sampling raises SampleError."""
+    ctx = default_context().bind({"c": 10 ** 400})
+    with pytest.raises(SampleError, match="outside the float range"):
+        numeval.sample_point(ctx, 0)

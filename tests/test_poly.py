@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref_padd
 from hypersym.errors import SizeLimitError
 from hypersym.expr import poly as P
 
@@ -65,12 +66,17 @@ def test_pack_rejects_out_of_range_exponents():
         LAYOUT.var_mono(0, top)
 
 
+def ref_mono_divides(a, b):
+    """Whether the monomial a divides the monomial b."""
+    return all(x <= y for x, y in zip(LAYOUT.unpack(a), LAYOUT.unpack(b)))
+
+
 def test_mono_mul_and_divides():
     a = LAYOUT.pack([1, 2, 0, 3])
     b = LAYOUT.pack([0, 1, 4, 0])
-    assert LAYOUT.mono_mul(a, b) == LAYOUT.pack([1, 3, 4, 3])
-    assert LAYOUT.mono_divides(a, LAYOUT.mono_mul(a, b))
-    assert not LAYOUT.mono_divides(LAYOUT.pack([2, 0, 0, 0]), a)
+    assert a + b == LAYOUT.pack([1, 3, 4, 3])
+    assert ref_mono_divides(a, a + b)
+    assert not ref_mono_divides(LAYOUT.pack([2, 0, 0, 0]), a)
     for mono, want in ((a, [0, 1, 3]),
                        (LAYOUT.pack([0, 0, 0, P.FIELD_TOP // 2 + 1]), [3]),
                        (0, [])):
@@ -132,24 +138,21 @@ def test_packing_is_exact_up_to_the_top_total_degree():
                 layout.pack(e)
             e[i] -= 1
             with pytest.raises(SizeLimitError, match="overflow"):
-                layout.mono_mul(layout.pack(e), layout.var_mono(i))
+                P.pmul({layout.pack(e): 1}, {layout.var_mono(i): 1}, layout)
 
 
 def test_add_sub_neg_match_reference():
     rng = random.Random(2)
     for _ in range(50):
         a, b = rand_poly(rng), rand_poly(rng)
-        s = P.padd(a, b)
-        ref = dict(a)
-        for m, c in b.items():
-            ref[m] = ref.get(m, 0) + c
-        ref = {m: c for m, c in ref.items() if c}
-        assert s == ref
-        assert P.padd(s, P.pneg(b)) == a
-        assert P.padd(a, P.pneg(a)) == {}
+        s = dict(a)
+        P.padd_inplace(s, b)
+        assert s == ref_padd(a, b)
+        assert ref_padd(s, P.pneg(b)) == a
+        assert ref_padd(a, P.pneg(a)) == {}
         out = dict(a)
         P.padd_inplace(out, b, scale=3)
-        assert out == P.padd(a, P.pscale(b, 3))
+        assert out == ref_padd(a, P.pscale(b, 3))
 
 
 def test_mul_matches_reference_and_ring_laws():
@@ -159,8 +162,8 @@ def test_mul_matches_reference_and_ring_laws():
         ab = P.pmul(a, b, LAYOUT)
         assert ab == ref_mul(a, b)
         assert ab == P.pmul(b, a, LAYOUT)
-        lhs = P.pmul(a, P.padd(b, c), LAYOUT)
-        rhs = P.padd(P.pmul(a, b, LAYOUT), P.pmul(a, c, LAYOUT))
+        lhs = P.pmul(a, ref_padd(b, c), LAYOUT)
+        rhs = ref_padd(P.pmul(a, b, LAYOUT), P.pmul(a, c, LAYOUT))
         assert lhs == rhs
 
 
@@ -221,7 +224,7 @@ def test_mul_into_overflow_leaves_out_unchanged():
     big = {LAYOUT.var_mono(0, high): 1, LAYOUT.var_mono(1): 2}
     wide = {LAYOUT.var_mono(2, high): 1, 0: -1, LAYOUT.var_mono(1): 4}
     for _ in range(20):
-        out = P.padd(rand_poly(rng, 8), {LAYOUT.var_mono(1, 2): 7})
+        out = ref_padd(rand_poly(rng, 8), {LAYOUT.var_mono(1, 2): 7})
         before = repr(list(out.items()))
         for a, b in ((big, wide), (wide, big)):
             with pytest.raises(SizeLimitError, match="overflow"):
@@ -245,7 +248,7 @@ def test_deriv_product_rule():
         a, b = rand_poly(rng, 5), rand_poly(rng, 5)
         for i in range(NVARS):
             lhs = P.pderiv(P.pmul(a, b, LAYOUT), i, LAYOUT)
-            rhs = P.padd(P.pmul(P.pderiv(a, i, LAYOUT), b, LAYOUT),
+            rhs = ref_padd(P.pmul(P.pderiv(a, i, LAYOUT), b, LAYOUT),
                          P.pmul(a, P.pderiv(b, i, LAYOUT), LAYOUT))
             assert lhs == rhs
 
@@ -261,7 +264,7 @@ def test_content_and_monomial_gcd():
         assert all(v % c == 0 for v in a.values())
         g = P.pmono_gcd(a, LAYOUT)
         reduced = P.pdiv_mono(a, g)
-        assert {LAYOUT.mono_mul(m, g): v for m, v in reduced.items()} == a
+        assert {m + g: v for m, v in reduced.items()} == a
         # after removing the gcd no variable divides every monomial
         gg = P.pmono_gcd(reduced, LAYOUT)
         assert gg == 0
@@ -280,7 +283,7 @@ def test_div_exact_inverts_mul():
         assert q == a
         # prod + 1 is not divisible by x0*b (no constant term in the divisor)
         bx = P.pmul(b, {LAYOUT.var_mono(0): 1}, LAYOUT)
-        nondiv = P.padd(P.pmul(a, bx, LAYOUT), P.pconst(1))
+        nondiv = ref_padd(P.pmul(a, bx, LAYOUT), P.pconst(1))
         assert P.pdiv_exact(nondiv, bx, LAYOUT) is None
     assert hits > 20
 
@@ -411,7 +414,7 @@ def test_div_exact_single_term_divisors():
             a[m] += 1
             a = {k: v for k, v in a.items() if v}
         elif kind == 2:  # an extra term the divisor's monomial misses
-            a = P.padd(a, {LAYOUT.pack([0] * NVARS): 1})
+            a = ref_padd(a, {LAYOUT.pack([0] * NVARS): 1})
         elif kind == 3:  # any polynomial at all
             a = nonzero_poly(rng, rng.randint(1, 8))
         if not a:
@@ -433,7 +436,7 @@ def test_div_exact_divisor_vanishing_at_two():
         a = P.pmul(nonzero_poly(rng, rng.randint(1, 6)), b, LAYOUT)
         if rng.random() < 0.5:
             # an extra term x3^k: nonzero at (2,...,2)
-            a = P.padd(a, {LAYOUT.var_mono(3, rng.randint(1, 9)): 1})
+            a = ref_padd(a, {LAYOUT.var_mono(3, rng.randint(1, 9)): 1})
         if not a:
             continue
         outcomes[check_div(a, b) is not None] += 1
@@ -469,10 +472,10 @@ def test_div_exact_trailing_term_mismatch():
             # a term below every term of q*b becomes the trailing term
             ta = min(a)
             low = [m for m in (0, LAYOUT.var_mono(0), LAYOUT.var_mono(1))
-                   if m < ta and not LAYOUT.mono_divides(tb, m)]
+                   if m < ta and not ref_mono_divides(tb, m)]
             if not low:
                 continue
-            a = P.padd(a, {low[0]: 1})
+            a = ref_padd(a, {low[0]: 1})
         else:
             # the divisor's trailing coefficient no longer divides a's
             b = dict(b)
@@ -497,9 +500,9 @@ def test_div_exact_large_dividend():
     # zero at (2,...,2) and (3,...,3), so only elimination can reject it
     blind = poly_of((1, [6, 6, 6, 6]), (-1, [6, 6, 7, 5]))
     assert at_two(blind) == 0
-    assert not divisor_rejects(P.padd(a, blind), b)
-    assert check_div(P.padd(a, blind), b) is None
-    assert check_div(P.padd(a, {LAYOUT.pack([0, 0, 0, 9]): 1}), b) is None
+    assert not divisor_rejects(ref_padd(a, blind), b)
+    assert check_div(ref_padd(a, blind), b) is None
+    assert check_div(ref_padd(a, {LAYOUT.pack([0, 0, 0, 9]): 1}), b) is None
 
 
 def test_div_exact_random_cases_agree_with_reference():
@@ -512,7 +515,7 @@ def test_div_exact_random_cases_agree_with_reference():
         kind = rng.randrange(3)
         if kind == 1:    # zero at (2,...,2): only elimination sees it
             m = LAYOUT.pack([rng.randint(1, 4) for _ in range(NVARS)])
-            a = P.padd(a, {m + LAYOUT.var_mono(0): 1,
+            a = ref_padd(a, {m + LAYOUT.var_mono(0): 1,
                            m + LAYOUT.var_mono(1): -1})
         elif kind == 2:
             a = nonzero_poly(rng, rng.randint(1, 10))

@@ -20,11 +20,12 @@ from hypersym.catalog import Catalog
 from hypersym.errors import (LemmaPremiseError, SizeLimitError,
                              UnknownNameError)
 from hypersym.expr import normal as N
+from hypersym.expr import parser
 from hypersym.expr import poly as P
 from hypersym.expr import tree
 from hypersym.expr.context import XJET, YJET, default_context
 from hypersym.expr.parser import parse, print_expr
-from hypersym.expr.ratfunc import rf_from_poly
+from hypersym.expr.ratfunc import rf_make
 from hypersym.jet import (EvolutionEq, HyperbolicEq, NFJet, nf_flow, nf_jet,
                           nf_partials, swap_xy)
 
@@ -120,10 +121,9 @@ def ref_jet_coefficients(ctx, R):
         for alg_mono, p in groups[jet].items():
             p = {m: c for m, c in p.items() if c}
             if p:
-                coeff_nf[alg_mono] = rf_from_poly(ctx, p)
+                coeff_nf[alg_mono] = rf_make(ctx, p, 1, ())
         if coeff_nf:
-            out.append((verify._mono_text(ctx, jet, layout,
-                                          verify._base_names(ctx)),
+            out.append((verify._mono_text(ctx, jet, layout),
                         N.nf_to_expr(ctx, coeff_nf)))
     return out
 
@@ -152,16 +152,94 @@ def test_jet_coefficients_convert_only_printed_groups(catalog, hid, eid,
 
 
 def test_coefficients_are_printed_without_trees(catalog, monkeypatch):
-    """S3 ev21 reports 64 coefficients.  They are printed straight from
-    their normal forms: print_expr runs once, for the cleared denominator,
-    and no coefficient is turned into a tree."""
-    printed, converted = [], []
-    monkeypatch.setattr(verify, "print_expr",
-                        lambda e, ctx: printed.append(e) or print_expr(e, ctx))
-    monkeypatch.setattr(N, "nf_to_expr", lambda ctx, a: converted.append(a))
-    r = verify.verify_pair(*get_pair(catalog, "S3", "ev21", {}))
-    assert len(r.failing_coefficients) == verify.MAX_REPORTED_COEFFS
-    assert len(printed) <= 1 and converted == []
+    """S3 ev21 reports 64 coefficients over a cleared denominator of a
+    scalar and four factors.  Both are printed straight from their normal
+    forms and factors: no tree is built or printed."""
+    F, G = get_pair(catalog, "S3", "ev21", {})
+    R = verify.determining_residual(F, G)
+    built = []
+    for module, name in ((verify, "print_expr"), (N, "nf_to_expr"),
+                         (N, "_poly_to_expr"), (tree, "Const"),
+                         (tree, "add"), (tree, "mul"), (tree, "pow_")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: built.append(name))
+    out, den, _total = verify.jet_coefficients(F.ctx, R)
+    assert len(out) == verify.MAX_REPORTED_COEFFS
+    assert den.startswith("16*u1^5*w(u)^6*") and built == []
+
+
+def ref_den_text(ctx, den):
+    """The cleared denominator as it was printed before print_den: the
+    tree of its scalar times its factor powers, in print order."""
+    e = tree.Const(den.den_scalar)
+    for fac, k in sorted(den.den_factors, key=lambda fe: verify._factor_order(
+            ctx.layout, fe[0])):
+        e = tree.mul(e, tree.pow_(N._poly_to_expr(ctx, fac.poly), k))
+    return print_expr(e, ctx)
+
+
+@pytest.mark.parametrize("hid, eid, text", [
+    ("hyp3", "ev12", "exp(u)"),
+    ("S1", "ev7", "a^3 - uy^3"),
+    ("S1", "ev9", "3*(a^3 - uy^3)"),
+    ("hyp2", "ev18", "16*(u1^3 - 1)^5"),
+    ("S2", "ev21", "16*exp(2*u)*w(u)^6*(u1^3 - 1)^5"),
+    ("S3", "ev21", "16*u1^5*w(u)^6*(u1^3 - 1)^5"
+                   "*(b^3 + 3*uy*b^2 + 3*uy^2*b - a^3 + uy^3)")])
+def test_cleared_denominator_prints_as_its_tree(catalog, hid, eid, text):
+    """A lone scalar, name or sum prints bare; in a product a sum takes
+    parentheses, and exp(u)^k prints as exp(k*u)."""
+    F, G = get_pair(catalog, hid, eid, {})
+    R = verify.determining_residual(F, G)
+    _cleared, den = verify._clear_denominators(F.ctx, R)
+    assert verify.jet_coefficients(F.ctx, R)[1] == text
+    assert ref_den_text(F.ctx, den) == text
+
+
+def test_report_renders_each_monomial_once_per_context(monkeypatch):
+    """Screen-style nonzero reports render the text of each distinct
+    monomial once per context (parser._render_mono), however often it
+    recurs; a catalog that renders every monomial afresh prints the same
+    reports."""
+    pairs = [("hyp3", "ev12"), ("S1", "ev12"), ("S4", "ev17"),
+             ("S1", "ev21")]
+    rendered = []
+    render = parser._render_mono
+    monkeypatch.setattr(parser, "_render_mono", lambda ctx, m, lay, syms: (
+        rendered.append((id(ctx), m, id(lay))) or render(ctx, m, lay, syms)))
+
+    def reports(cat):
+        return [verify.verify_pair(cat.get(h), cat.get(e)).structured_lines()
+                for h, e in pairs]
+
+    cat = Catalog()
+    first = reports(cat)
+    once = len(rendered)
+    assert once == len(set(rendered)) > 0
+    assert reports(cat) == first and len(rendered) == once
+
+    class Forgetful(dict):
+        def get(self, key, default=None):
+            return default
+
+    fresh = Catalog()
+    fresh.ctx._atom_texts = Forgetful()
+    assert reports(fresh) == first
+    assert len(rendered) - once > 5 * once
+
+
+def test_binding_past_the_digit_limit_is_a_size_error():
+    """At a = 10^5000 the coefficients of S3 ev12 and, on a zero pair,
+    the binding in the report's key are too long to print: both raise
+    SizeLimitError."""
+    cat = Catalog()
+    F, G = get_pair(cat, "S3", "ev12", {"a": 10 ** 5000, "b": 0})
+    with pytest.raises(SizeLimitError, match="too long to print"):
+        verify.verify_pair(F, G)
+    r = verify.verify_pair(*get_pair(cat, "S6", "ev21", {"c": 10 ** 5000}))
+    assert r.residual_is_zero
+    with pytest.raises(SizeLimitError, match="5,000 digits is too long"):
+        r.structured_lines()
 
 
 def test_pure_exponential_neighbor_is_also_exact(catalog):
@@ -496,7 +574,8 @@ def two_step_residual(F, G):
     H, dxH = flow.H, flow.dxH
     dyH = N.nf_sum_products(ctx, nfj.pair_rules(flow.partials, "y"))
     tables = sum(N.nf_size(nfj.dxk_F(k)) for k in range(5))
-    x_first = 50 * N.nf_size(dyH) < N.nf_size(dxH) * tables
+    x_first = (verify.MIXED_ORDER_FACTOR * N.nf_size(dyH)
+               < N.nf_size(dxH) * tables)
     if x_first:
         mixed = nfj.pair_rules(nf_partials(ctx, dyH), "x")
     else:
