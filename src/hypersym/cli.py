@@ -4,13 +4,15 @@ decomposition, transform checks, and numeric sampling.
 Exit status: 0 when every requested check passed, 1 when a check failed
 (a residual is nonzero where zero is claimed), 2 on usage or data errors,
 an unknown or empty transform id among them (main reports every
-HypersymError).  Output comes in two formats: ``text`` (human-oriented,
-not stable) and ``structured`` (line-oriented ``key = value`` pairs,
-deterministic for a fixed seed, safe to pin byte-for-byte in CI; reports
-print as blocks a blank line apart, through one writer).  Each subcommand
-reads the parsed arguments itself and prints to stdout; extra catalog
-files come from ``--catalog`` and then from the ``HYPERSYM_CATALOG``
-environment variable (a path list).
+HypersymError), 3 on an internal error: any other exception, reported
+with its traceback and then one ``error: internal error:`` line.  Output
+comes in two formats: ``text`` (human-oriented, not stable) and
+``structured`` (line-oriented ``key = value`` pairs, deterministic for a
+fixed seed, safe to pin byte-for-byte in CI; reports print as blocks a
+blank line apart, through one writer).  Each subcommand reads the parsed
+arguments itself and prints to stdout; extra catalog files come from
+``--catalog`` and then from the ``HYPERSYM_CATALOG`` environment variable
+(a path list).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -327,6 +330,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HypersymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a verdict: never exit 1
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -310,16 +310,6 @@ def nf_equal(ctx: Context, a: NF, b: NF) -> bool:
 
 # -- inversion --------------------------------------------------------------
 
-def _syms_in(ctx: Context, a: NF) -> List[int]:
-    lay = ctx.alg_layout
-    out = set()
-    for m in a:
-        if m:
-            for i in lay.mono_vars(m):
-                out.add(i)
-    return sorted(out)
-
-
 def _upoly_coeffs(ctx: Context, a: NF, i: int, degree_cap: int) -> List[NF]:
     """a viewed as a polynomial in symbol i with NF coefficients."""
     lay = ctx.alg_layout
@@ -328,9 +318,7 @@ def _upoly_coeffs(ctx: Context, a: NF, i: int, degree_cap: int) -> List[NF]:
     for m, c in a.items():
         e = lay.exp(m, i)
         coeffs[e][m - e * unit] = c
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    return _upoly_trim(coeffs)
 
 
 def _upoly_trim(p: List[NF]) -> List[NF]:
@@ -367,10 +355,10 @@ def _upoly_divmod(ctx: Context, a: List[NF], b: List[NF]) -> Tuple[List[NF], Lis
 def nf_inverse(ctx: Context, a: NF) -> NF:
     if not a:
         raise NotInvertibleError("inverse of zero")
-    syms = _syms_in(ctx, a)
+    syms = P.pvars(a, ctx.alg_layout)
     if not syms:
         return {0: R.rf_inverse(ctx, a[0])}
-    i = syms[-1]
+    i = max(syms)
     sym = ctx.alg_syms[i]
     d = sym.degree
     av = _upoly_coeffs(ctx, a, i, d)
@@ -499,11 +487,9 @@ def nf_partial(ctx: Context, a: NF, var_name: str) -> NF:
 
 def nf_free_vars(ctx: Context, a: NF) -> set:
     """Names of base variables and symbols occurring in a."""
-    out = set()
+    out = {ctx.alg_syms[i].name for i in P.pvars(a, ctx.alg_layout)}
     lay = ctx.layout
-    for m, c in a.items():
-        for i in ctx.alg_layout.mono_vars(m):
-            out.add(ctx.alg_syms[i].name)
+    for c in a.values():
         for p in (c.num, *(f.poly for f, _ in c.den_factors)):
             for i in P.pvars(p, lay):
                 out.add(ctx.base_vars[i].name)

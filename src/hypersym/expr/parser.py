@@ -27,6 +27,9 @@ from .context import Context
 from .tree import Add, Const, Div, Expr, Mul, Name, Pow
 
 _OPS = set("+-*/^()")
+# Parentheses, call arguments, exponent parentheses and unary minus nest at
+# most this deep; each level takes at most six stack frames of the parser.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -77,6 +80,7 @@ class _Parser:
         self.ctx = ctx
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -91,6 +95,15 @@ class _Parser:
         if t.kind != "op" or t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.pos)
         return t
+
+    def nested(self, t: _Token, rule):
+        """rule() one nesting level below t, refused past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.pos)
+        e = rule()
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expr:
         e = self.sum_()
@@ -129,7 +142,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "-":
             self.take()
-            return tree.neg(self.unary())
+            return tree.neg(self.nested(t, self.unary))
         return self.power()
 
     def power(self) -> Expr:
@@ -147,7 +160,7 @@ class _Parser:
             sign = -1
             t = self.take()
         elif t.kind == "op" and t.text == "(":
-            inner = self.exponent()
+            inner = self.nested(t, self.exponent)
             self.expect(")")
             return inner
         if t.kind != "int":
@@ -159,14 +172,14 @@ class _Parser:
         if t.kind == "int":
             return Const(Fraction(int(t.text)))
         if t.kind == "op" and t.text == "(":
-            e = self.sum_()
+            e = self.nested(t, self.sum_)
             self.expect(")")
             return e
         if t.kind == "ident":
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 self.take()
-                arg = self.sum_()
+                arg = self.nested(nxt, self.sum_)
                 self.expect(")")
                 return self.resolve_call(t.text, arg, t.pos)
             return self.resolve_name(t.text, t.pos)

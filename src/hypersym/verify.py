@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog, PairingClaim
 from .errors import HypersymError, LemmaPremiseError, RoleError
@@ -116,28 +116,44 @@ def determining_residual(F: HyperbolicEq, G: EvolutionEq) -> N.NF:
 # coefficient reporting
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(ctx: Context, R: N.NF
-                        ) -> Tuple[Iterator[Tuple[int, Poly]], RatFunc]:
-    """Multiply R by the least common denominator of its values.
+def _split_cleared(ctx: Context, R: N.NF, mask: int,
+                   top: Optional[int] = None
+                   ) -> Tuple[Dict[int, Dict[int, Poly]], int, RatFunc]:
+    """R times the least common denominator of its values, split by part.
 
-    Returns (the pairs (alg-monomial, integer polynomial), each made as it
-    is read; the common denominator as a RatFunc with numerator 1).  Each
-    value's numerator is brought over the lcm by the summation of ratfunc:
-    one product with the cofactor, the product of the factor powers its
-    denominator lacks, scaled to the common integer denominator; the
-    cofactor is made once per distinct factor vector.  The cleared form
-    vanishes iff R does, since denominators are nonzero by construction.
+    The terms m of each algebraic monomial's cleared polynomial are grouped
+    by their part over the fields mask selects (layout.restrict), keyed by
+    the rest m - part.  Returns ({part: {alg_mono: {rest: c}}} for the
+    first top parts, all when top is None, parts and algebraic monomials in
+    descending order; the number of distinct parts; the common denominator
+    as a RatFunc with numerator 1).  Each numerator is brought over the lcm
+    by ratfunc.over_lcm, its cofactor made once per distinct factor vector.
+    The cleared form vanishes iff R does, since denominators are nonzero by
+    construction, and the split cancels no coefficient: an algebraic
+    monomial's cleared polynomial has distinct monomials, and (part, rest)
+    determines the monomial.
     """
     scalar, factors, add = over_lcm(
         ctx, ((rf.den_scalar, rf.den_factors) for rf in R.values()))
-
-    def cleared():
-        for mono, rf in R.items():
-            p: Poly = {}
-            add(p, rf.num, (rf.den_scalar, rf.den_factors))
-            yield mono, p
-
-    return cleared(), RatFunc({0: 1}, scalar, factors)
+    cleared = []
+    for alg_mono in sorted(R, reverse=True):
+        rf, p = R[alg_mono], {}
+        add(p, rf.num, (rf.den_scalar, rf.den_factors))
+        cleared.append((alg_mono, p))
+    layout = ctx.layout
+    # restrict adds only the total degree of the masked fields, so distinct
+    # masked monomials give distinct parts
+    masked = {mono & mask for _, p in cleared for mono in p}
+    parts = sorted((layout.restrict(m, mask) for m in masked),
+                   reverse=True)[:top]
+    kept = {part & mask: part for part in parts}
+    groups: Dict[int, Dict[int, Poly]] = {part: {} for part in parts}
+    for alg_mono, p in cleared:
+        for mono, c in p.items():
+            part = kept.get(mono & mask)
+            if part is not None:
+                groups[part].setdefault(alg_mono, {})[mono - part] = c
+    return groups, len(masked), RatFunc({0: 1}, scalar, factors)
 
 
 def _mono_text(ctx: Context, mono: int, layout: Layout) -> str:
@@ -174,45 +190,29 @@ def jet_coefficients(ctx: Context, R: N.NF
     Returns ([(jet monomial text, coefficient text)], common denominator
     text or None, number of nonzero coefficients).  The coefficient of
     each jet monomial collects the algebraic-symbol and parameter content;
-    all coefficients vanish iff the residual is zero.  The count is the
-    number of distinct jet monomials in the cleared polynomials: for a fixed
-    algebraic monomial the cleared polynomial has distinct monomials, and
-    splitting a monomial into (jet part, rest) is injective, so no
-    coefficient can cancel.  Terms are collected, and printed straight from
-    their normal forms (parser.print_nf), only for the first
-    MAX_REPORTED_COEFFS jet monomials; the denominator is printed straight
-    from its factors (parser.print_den).
+    all coefficients vanish iff the residual is zero, and none cancels (see
+    _split_cleared), so the count is the number of distinct jet monomials.
+    Terms are collected, and printed straight from their normal forms
+    (parser.print_nf), only for the first MAX_REPORTED_COEFFS jet
+    monomials; the denominator is printed straight from its factors
+    (parser.print_den).
     """
     if not R:
         return [], None, 0
-    cleared, den = _clear_denominators(ctx, R)
-    cleared = list(cleared)
     layout = ctx.layout
-    jet_mask = layout.field_mask(
-        v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
-    # restrict adds only the total degree of the masked fields, so distinct
-    # masked monomials give distinct jets
-    masked = {mono & jet_mask for _, p in cleared for mono in p}
-    jets = sorted((layout.restrict(m, jet_mask) for m in masked),
-                  reverse=True)[:MAX_REPORTED_COEFFS]
-    printed = {jet & jet_mask: jet for jet in jets}
-    groups: Dict[int, Dict[int, Poly]] = {jet: {} for jet in jets}
-    for alg_mono, p in cleared:
-        for mono, c in p.items():
-            jet = printed.get(mono & jet_mask)
-            if jet is not None:
-                # (jet, rest) is new for this alg_mono: the split is injective
-                groups[jet].setdefault(alg_mono, {})[mono - jet] = c
+    groups, total, den = _split_cleared(ctx, R, layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind in (XJET, YJET)),
+        MAX_REPORTED_COEFFS)
     # a group is an integer polynomial, which rf_make would leave as it is
     out = [(_mono_text(ctx, jet, layout),
             print_nf({alg_mono: RatFunc(p, 1, ())
-                      for alg_mono, p in groups[jet].items()}, ctx))
-           for jet in jets]
+                      for alg_mono, p in by_alg.items()}, ctx))
+           for jet, by_alg in groups.items()]
     den_text: Optional[str] = None
     if den.den_scalar != 1 or den.den_factors:
         den_text = print_den(ctx, den.den_scalar, sorted(
             den.den_factors, key=lambda fe: _factor_order(layout, fe[0])))
-    return out, den_text, len(masked)
+    return out, den_text, total
 
 
 # ---------------------------------------------------------------------------
@@ -425,28 +425,16 @@ def param_conditions(F: HyperbolicEq, G: EvolutionEq) -> List[Tuple[str, Expr]]:
     R = determining_residual(F, G)
     if not R:
         return []
-    cleared, _den = _clear_denominators(ctx, R)
     layout = ctx.layout
-    param_mask = layout.field_mask(
-        v.index for v in ctx.base_vars if v.kind == PARAM)
-    groups: Dict[Tuple[int, int], Poly] = {}
-    for alg_mono, p in cleared:
-        for mono, c in p.items():
-            pm = layout.restrict(mono, param_mask)
-            # (pm, rest) is new for this alg_mono: the split is injective
-            groups.setdefault((alg_mono, mono - pm), {})[pm] = c
+    groups, _parts, _den = _split_cleared(ctx, R, layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind != PARAM))
     out: List[Tuple[str, Expr]] = []
-    for alg_mono, rest in sorted(groups, key=lambda k: (k[1], k[0]),
-                                 reverse=True):
+    for rest, by_alg in groups.items():
         rest_text = _mono_text(ctx, rest, layout)
-        alg_text = _mono_text(ctx, alg_mono, ctx.alg_layout)
-        if alg_text == "1":
-            mono_text = rest_text
-        elif rest_text == "1":
-            mono_text = alg_text
-        else:
-            mono_text = f"{rest_text}*{alg_text}"
-        out.append((mono_text, N._poly_to_expr(ctx, groups[(alg_mono, rest)])))
+        for alg_mono, p in by_alg.items():
+            texts = (rest_text, _mono_text(ctx, alg_mono, ctx.alg_layout))
+            out.append(("*".join(t for t in texts if t != "1") or "1",
+                        N._poly_to_expr(ctx, p)))
     return out
 
 

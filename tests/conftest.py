@@ -23,6 +23,19 @@ def ctx(catalog):
     return catalog.ctx
 
 
+# the dict-valued Context attributes that are not derived memos: the symbol
+# definitions and aliases, the bound values, the factor base and the cache of
+# bound contexts
+NOT_MEMOS = {"_defs", "_aliases", "bound", "_factor_intern", "_bind_cache"}
+
+
+def derived_memos(ctx):
+    """The names of ctx's derived memos: every other dict-valued attribute,
+    each empty in a fresh context and refilled on demand."""
+    return sorted(k for k, v in vars(ctx).items()
+                  if isinstance(v, dict) and k not in NOT_MEMOS)
+
+
 def random_expr(rng: random.Random, names, depth: int) -> tree.Expr:
     """Random well-formed expression: +, *, small nonneg powers, rationals.
 

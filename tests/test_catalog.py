@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import derived_memos
+from hypersym import verify
 from hypersym.catalog import Catalog, parse_blocks
 from hypersym.errors import (AdmissibilityError, CatalogError,
                              UnknownEntryError)
@@ -277,13 +279,15 @@ def test_catalogs_share_no_context(poisoned):
             == "(a^3 - uy^3)/(a^6 - 2*uy^3*a^3 + uy^6)")
     assert not {id(f) for f in cat.ctx.den_atoms} & {
         id(f) for f in other.ctx.den_atoms}
-    # the rewrite, denominator and text memos: filled in each, shared by
-    # neither
+    # every derived memo: filled in each, shared by neither
     for c in (other, cat):
         assert (print_nf(N.normalize(c.ctx, parse(OVER_DEGREE, c.ctx)), c.ctx)
                 == normal_text(c, OVER_DEGREE))
-        assert c.ctx._expansion and c.ctx._den_merge
+        assert not verify.verify_pair(c.get("hyp3"), c.get("ev12"),
+                                      samples=1).residual_is_zero
+        assert all(getattr(c.ctx, k) for k in derived_memos(c.ctx))
         assert any(type(key[0]) is int for key in c.ctx._atom_texts)
+    assert derived_memos(cat.ctx) == derived_memos(other.ctx)
     assert not memo_objects(cat.ctx) & memo_objects(other.ctx)
     assert not text_objects(cat.ctx) & text_objects(other.ctx)
 
@@ -299,13 +303,20 @@ def text_objects(ctx):
 
 
 def memo_objects(ctx):
-    """The ids of the entries of ctx's expansion and denominator memos, and
-    of the factors they hold."""
-    out = set()
-    for triples in ctx._expansion.values():
-        out.add(id(triples))
-        out.update(id(f) for _, (_, fs), _ in triples for f, _ in fs)
-    for (fa, fb), merged in ctx._den_merge.items():
-        out.add(id(merged))
-        out.update(id(f) for f, _ in fa + fb + merged)
+    """The ids of what ctx's derived memos hold: each memo, and each key
+    and value in it, down through dicts, lists and tuples (factors,
+    rational functions, normal forms, jet records, printed texts).  None,
+    numbers, strings and the empty tuple may be shared by any two objects,
+    so they count only inside a container."""
+    out, todo = set(), [getattr(ctx, k) for k in derived_memos(ctx)]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            todo.extend(x)
+            todo.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        if x not in (None, ()) and not isinstance(x, (int, str, Fraction,
+                                                      float)):
+            out.add(id(x))
     return out

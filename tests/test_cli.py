@@ -404,6 +404,36 @@ def test_numbers_out_of_range_are_data_errors(tmp_path, argv):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 250 + "u1" + ")" * 250,
+    "-" * 3000 + "u1",
+])
+def test_deeply_nested_entry_is_a_data_error(tmp_path, expr):
+    """An entry nested past the parser's limit exits 2 with one line that
+    names its file and the limit, not with a RecursionError."""
+    (tmp_path / "deep.txt").write_text(
+        f"id: deep\nrole: hyperbolic\nparams:\nprovenance: demo\n"
+        f"expr:\n{expr}\n")
+    r = run_cold("--catalog", str(tmp_path), "verify", "deep", "ev12")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "deep.txt" in r.stderr and "nesting deeper than" in r.stderr
+
+
+def test_internal_error_has_its_own_exit_status(capsys, monkeypatch):
+    """An exception that is not a HypersymError is a defect: the CLI
+    prints its traceback and one error line and exits 3, never 1, which
+    means a nonzero residual."""
+    def broken(args, catalog):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "list", broken)
+    code, out, err = run(capsys, "list")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "error: internal error: RuntimeError: boom"
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

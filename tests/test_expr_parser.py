@@ -11,7 +11,7 @@ from hypersym.errors import CyclicBindingError, ParseError, SizeLimitError
 from hypersym.expr import normal as N
 from hypersym.expr import tree
 from hypersym.expr.context import default_context
-from hypersym.expr.parser import parse, print_expr, print_nf
+from hypersym.expr.parser import MAX_NESTING, parse, print_expr, print_nf
 from hypersym.expr.tree import Add, Const, Div, Mul, Name, Pow
 
 
@@ -89,6 +89,37 @@ def test_constant_zero_denominator_is_a_parse_error(ctx, text, message,
     with pytest.raises(ParseError, match=message) as exc:
         parse(text, ctx)
     assert exc.value.position == position
+
+
+DEEP = MAX_NESTING
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 250 + "u1" + ")" * 250, DEEP),
+    ("-" * 3000 + "u1", DEEP),
+    ("u1^" + "(" * (DEEP + 1) + "2" + ")" * (DEEP + 1), DEEP + 3),
+    ("sqrt(" * (DEEP + 1) + "u1" + ")" * (DEEP + 1), 5 * DEEP + 4),
+    ("-(" * (DEEP // 2 + 1) + "u1" + ")" * (DEEP // 2 + 1), DEEP),
+])
+def test_deep_nesting_is_a_parse_error(ctx, text, position):
+    """Parentheses, call arguments, exponent parentheses and unary minus
+    all count towards MAX_NESTING; past it the parser names the limit at
+    the token that opens the level too many, instead of running out of
+    stack."""
+    with pytest.raises(ParseError, match=f"nesting deeper than {DEEP} "
+                                         "levels") as exc:
+        parse(text, ctx)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(" * DEEP + "u1" + ")" * DEEP, "u1"),
+    ("-" * DEEP + "u1", "u1"),
+    ("u1^" + "(" * DEEP + "2" + ")" * DEEP, "u1^2"),
+    ("-(" * (DEEP // 2) + "u1" + ")" * (DEEP // 2), "u1"),
+])
+def test_nesting_at_the_limit_parses(ctx, text, value):
+    assert_same(ctx, text, value)
 
 
 def test_print_parse_round_trip_catalog(catalog, ctx):

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import derived_memos
 from hypersym import numeval, transforms, verify
 from hypersym.catalog import Catalog
 from hypersym.errors import (LemmaPremiseError, SizeLimitError,
@@ -23,7 +25,7 @@ from hypersym.expr import normal as N
 from hypersym.expr import parser
 from hypersym.expr import poly as P
 from hypersym.expr import tree
-from hypersym.expr.context import XJET, YJET, default_context
+from hypersym.expr.context import PARAM, XJET, YJET, default_context
 from hypersym.expr.parser import parse, print_expr
 from hypersym.expr.ratfunc import rf_make
 from hypersym.jet import (EvolutionEq, HyperbolicEq, NFJet, nf_flow, nf_jet,
@@ -103,16 +105,31 @@ def ref_cleared(ctx, R):
     return out
 
 
+def jet_mask(ctx):
+    return ctx.layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
+
+
+def split_cleared(ctx, R):
+    """The cleared polynomials read back from the full split by jet part,
+    with the common denominator."""
+    groups, _parts, den = verify._split_cleared(ctx, R, jet_mask(ctx))
+    cleared = {}
+    for jet, by_alg in groups.items():
+        for alg_mono, p in by_alg.items():
+            for rest, c in p.items():
+                cleared.setdefault(alg_mono, {})[jet + rest] = c
+    return cleared, den
+
+
 def ref_jet_coefficients(ctx, R):
     """The full conversion jet_coefficients made before it stopped at the
     printed groups: every group, in descending jet order."""
-    layout = ctx.layout
-    jet_mask = layout.field_mask(
-        v.index for v in ctx.base_vars if v.kind in (XJET, YJET))
+    layout, mask = ctx.layout, jet_mask(ctx)
     groups = {}
     for alg_mono, p in ref_cleared(ctx, R).items():
         for mono, c in p.items():
-            jet = layout.restrict(mono, jet_mask)
+            jet = layout.restrict(mono, mask)
             bucket = groups.setdefault(jet, {}).setdefault(alg_mono, {})
             bucket[mono - jet] = bucket.get(mono - jet, 0) + c
     out = []
@@ -138,8 +155,8 @@ def test_jet_coefficients_convert_only_printed_groups(catalog, hid, eid,
     F, G = get_pair(catalog, hid, eid, {})
     ctx = F.ctx
     R = verify.determining_residual(F, G)
-    cleared, _den = verify._clear_denominators(ctx, R)
-    assert dict(cleared) == ref_cleared(ctx, R)
+    cleared, _den = split_cleared(ctx, R)
+    assert cleared == ref_cleared(ctx, R)
     ref = ref_jet_coefficients(ctx, R)
     got, _den, total = verify.jet_coefficients(ctx, R)
     assert total == len(ref) == groups
@@ -149,6 +166,35 @@ def test_jet_coefficients_convert_only_printed_groups(catalog, hid, eid,
     r = verify.verify_pair(F, G)
     assert r.failing_total == total
     assert r.failing_coefficients == got
+
+
+@pytest.mark.parametrize("hid, eid", [
+    ("hyp4", "ev10"), ("S4", "ev17"), ("S3", "ev21")])
+def test_top_parts_of_the_split_are_a_prefix_of_the_full_split(catalog, hid,
+                                                                eid):
+    """The report groups only its first parts; they are the first groups of
+    the full split, in the same order, with the same part count, and the
+    parameter conditions' split of the same residual keeps every term."""
+    F, G = get_pair(catalog, hid, eid, {})
+    ctx = F.ctx
+    R = verify.determining_residual(F, G)
+    mask = jet_mask(ctx)
+    full, parts, den = verify._split_cleared(ctx, R, mask)
+    assert parts == len(full)
+    assert list(full) == sorted(full, reverse=True)
+    for k in (1, 5, verify.MAX_REPORTED_COEFFS):
+        top, top_parts, top_den = verify._split_cleared(ctx, R, mask, k)
+        assert top_parts == parts
+        assert (top_den.den_scalar, top_den.den_factors) == (
+            den.den_scalar, den.den_factors)
+        assert ([(jet, list(by_alg.items())) for jet, by_alg in top.items()]
+                == [(jet, list(by_alg.items()))
+                    for jet, by_alg in list(full.items())[:k]])
+    rest_mask = ctx.layout.field_mask(
+        v.index for v in ctx.base_vars if v.kind != PARAM)
+    by_rest, _parts, _den = verify._split_cleared(ctx, R, rest_mask)
+    assert (sum(len(p) for g in by_rest.values() for p in g.values())
+            == sum(len(p) for g in full.values() for p in g.values()))
 
 
 def test_coefficients_are_printed_without_trees(catalog, monkeypatch):
@@ -191,7 +237,7 @@ def test_cleared_denominator_prints_as_its_tree(catalog, hid, eid, text):
     parentheses, and exp(u)^k prints as exp(k*u)."""
     F, G = get_pair(catalog, hid, eid, {})
     R = verify.determining_residual(F, G)
-    _cleared, den = verify._clear_denominators(F.ctx, R)
+    _cleared, den = split_cleared(F.ctx, R)
     assert verify.jet_coefficients(F.ctx, R)[1] == text
     assert ref_den_text(F.ctx, den) == text
 
@@ -633,6 +679,30 @@ def test_every_hyperbolic_evolution_pair_is_pinned(pairs_195):
     assert zero == [["hyp2", "ev12"], ["hyp4", "ev12"], ["S1", "ev11"],
                     ["S2", "ev12"], ["S6", "ev21"], ["final1", "ev12"],
                     ["final4", "ev21"]]
+
+
+def test_reports_do_not_depend_on_history():
+    """In one catalog, a seeded shuffled 60 of the 195 pairs, with every
+    derived memo of the context cleared every 7 pairs (the factor base is
+    kept), each give the pinned report: neither the order of the pairs nor
+    what the memos held changes a byte."""
+    pinned = {}
+    for line in PAIRS_195.read_text().splitlines():
+        hid, eid, verdict, digest = line.split()
+        pinned[hid, eid] = (verdict, digest)
+    pairs = random.Random(33).sample(sorted(pinned), 60)
+    cat = Catalog()
+    got, want = [], []
+    for k, (hid, eid) in enumerate(pairs):
+        if k % 7 == 0:
+            for name in derived_memos(cat.ctx):
+                getattr(cat.ctx, name).clear()
+        r = verify.verify_pair(cat.get(hid), cat.get(eid))
+        text = "\n".join(r.structured_lines()).encode()
+        got.append((hid, eid, "zero" if r.residual_is_zero else "nonzero",
+                    hashlib.sha256(text).hexdigest()[:16]))
+        want.append((hid, eid, *pinned[hid, eid]))
+    assert got == want
 
 
 def report_mismatches(F, G, r, points):
